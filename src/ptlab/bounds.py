@@ -15,8 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import ndtr
 
-NRPT = "nrpt"
-RPT = "rpt"
+from .engine import NRPT, RPT
 
 
 @dataclass(frozen=True)

@@ -28,19 +28,23 @@ from .diagnostics import (
 )
 from .engine import PTConfig, rejection_rates, run_pt
 from .experiments import (
-    bimodal_explorer,
-    bimodal_gcb_estimate,
+    MODELS,
+    gcb,
     ising_tv_experiment,
-    tune_bimodal_schedule,
-    tune_ising_schedule,
-    _ising_kernels,
+    model_and_kernels,
+    tune,
 )
-from .explorers import IIDReferenceExplorer
-from .gcb import estimate_gcb
 
 
 class CliError(Exception):
     """Invalid arguments or configuration (exit code 1)."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as CliError, so they share the JSON error path."""
+
+    def error(self, message):
+        raise CliError(f"{self.prog}: {message}")
 
 
 def _default_outdir():
@@ -78,24 +82,13 @@ def _parse_float_list(text):
         raise CliError(f"bad numeric list {text!r}") from exc
 
 
-def _model_and_kernels(name, n):
-    if name == "ising":
-        return _ising_kernels(n + 1, "gibbs")
-    if name == "ising-ideal":
-        return _ising_kernels(n + 1, "ideal")
-    if name == "bimodal":
-        model, grid = bimodal_explorer()
-        return model, [IIDReferenceExplorer(model)] + [grid] * n
-    raise CliError(f"unknown model {name!r}")
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 # ---------------------------------------------------------------------------
 
 
 def cmd_sample(args):
-    model, kernels = _model_and_kernels(args.model, args.chains - 1)
+    model, kernels = model_and_kernels(args.model, args.chains - 1)
     if args.schedule:
         schedule = AnnealingSchedule(np.asarray(_parse_float_list(args.schedule)))
         if schedule.n_intervals != args.chains - 1:
@@ -119,16 +112,8 @@ def cmd_sample(args):
 
 
 def cmd_tune(args):
-    if args.model.startswith("ising"):
-        explorer = "ideal" if args.model == "ising-ideal" else "gibbs"
-        schedule, lam_hat, barrier = tune_ising_schedule(
-            n=args.chains - 1, explorer=explorer, rounds=args.rounds,
-            seed=args.seed)
-    elif args.model == "bimodal":
-        schedule, lam_hat, barrier = tune_bimodal_schedule(
-            n=args.chains - 1, rounds=args.rounds, seed=args.seed)
-    else:
-        raise CliError(f"unknown model {args.model!r}")
+    schedule, lam_hat, barrier = tune(args.model, args.chains - 1,
+                                      rounds=args.rounds, seed=args.seed)
     out = {
         "command": "tune",
         "model": args.model,
@@ -147,29 +132,8 @@ def cmd_tune(args):
 
 
 def cmd_gcb(args):
-    if args.model == "bimodal":
-        res = bimodal_gcb_estimate(n=args.chains - 1, n_iters=args.iters,
-                                   n_replicas=args.replicas, seed=args.seed)
-    elif args.model.startswith("ising"):
-        explorer = "ideal" if args.model == "ising-ideal" else "gibbs"
-        schedule, _, _ = tune_ising_schedule(n=args.chains - 1,
-                                             explorer=explorer, seed=args.seed)
-        model, kernels = _model_and_kernels(args.model, args.chains - 1)
-        cfg = PTConfig("nrpt", schedule, n_iters=args.iters,
-                       n_replicas=args.replicas, seed=args.seed + 1,
-                       record_indices=False, record_energies=False)
-        trace = run_pt(cfg, model, kernels)
-        stats = rejection_rates(trace, burn_in=args.burn_in)
-        lam_hat, barrier = estimate_gcb(stats, schedule)
-        res = {
-            "lambda_hat": lam_hat,
-            "rejection_rates": stats.rejection,
-            "schedule": schedule.betas,
-            "barrier_knots": barrier.knots,
-            "barrier_values": barrier.values,
-        }
-    else:
-        raise CliError(f"unknown model {args.model!r}")
+    res = gcb(args.model, args.chains - 1, args.iters, args.replicas,
+              args.burn_in, seed=args.seed)
     res["command"] = "gcb"
     res["model"] = args.model
     _emit(res)
@@ -311,26 +275,14 @@ def _add_common(p):
     p.add_argument("--out", default=None, help="output directory")
     p.add_argument("--config", default=None,
                    help="JSON file of flag defaults (flags override)")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker cap; results are identical for any value")
 
 
 def build_parser():
-    ap = argparse.ArgumentParser(prog="ptlab")
+    ap = _Parser(prog="ptlab")
     sub = ap.add_subparsers(dest="command", required=True)
-    ap._subcommand_parsers = {}
-
-    _orig_add_parser = sub.add_parser
-
-    def add_parser(name, **kwargs):
-        sp = _orig_add_parser(name, **kwargs)
-        ap._subcommand_parsers[name] = sp
-        return sp
-
-    sub.add_parser = add_parser
 
     p = sub.add_parser("sample", help="run PT and export the trace")
-    p.add_argument("--model", default="bimodal")
+    p.add_argument("--model", default="bimodal", choices=list(MODELS))
     p.add_argument("--scheme", default="nrpt", choices=["nrpt", "rpt"])
     p.add_argument("--chains", type=int, default=7)
     p.add_argument("--iters", type=int, default=200)
@@ -342,14 +294,14 @@ def build_parser():
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("tune", help="equi-acceptance schedule adaptation")
-    p.add_argument("--model", default="bimodal")
+    p.add_argument("--model", default="bimodal", choices=list(MODELS))
     p.add_argument("--chains", type=int, default=13)
     p.add_argument("--rounds", type=int, default=6)
     _add_common(p)
     p.set_defaults(func=cmd_tune)
 
     p = sub.add_parser("gcb", help="communication-barrier estimate")
-    p.add_argument("--model", default="bimodal")
+    p.add_argument("--model", default="bimodal", choices=list(MODELS))
     p.add_argument("--chains", type=int, default=13)
     p.add_argument("--iters", type=int, default=256)
     p.add_argument("--replicas", type=int, default=5000)
@@ -382,8 +334,6 @@ def build_parser():
     p = sub.add_parser("laplace", help="C(Lambda) table and curves")
     p.add_argument("--lam", default="1,2,4",
                    help="comma-separated Lambda values")
-    p.add_argument("--table", action="store_true",
-                   help="emit the C(Lambda) table (always on)")
     p.add_argument("--curves", action="store_true",
                    help="also write per-Lambda C(Lambda, t) CSV curves")
     p.add_argument("--fgrid", action="store_true",
@@ -407,44 +357,50 @@ def build_parser():
     _add_common(p)
     p.set_defaults(func=cmd_diagnose)
 
-    return ap
+    return ap, dict(sub.choices)
 
 
-def _apply_config(args, subparser, argv):
-    """Fill flags from the JSON config file; explicit command-line flags win.
+def _config_argv(subparser, path):
+    """Flag tokens for the values a JSON config file sets.
 
-    A flag counts as explicit when any of its option strings appears in
-    argv (as ``--flag value`` or ``--flag=value``).
+    The tokens go before the command-line flags, so explicit flags win
+    (argparse keeps the last value) and every config value passes through
+    its flag's type and choices.
     """
-    if not getattr(args, "config", None):
-        return args
     try:
-        with open(args.config) as fh:
+        with open(path) as fh:
             conf = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise CliError(f"cannot read config: {exc}") from exc
     if not isinstance(conf, dict):
         raise CliError("config must be a JSON object")
-    options = {a.dest: a.option_strings for a in subparser._actions}
-    unknown = [k for k in conf if k.replace("-", "_") not in options]
+    flags = {a.dest: a for a in subparser._actions if a.option_strings}
+    unknown = [k for k in conf if k.replace("-", "_") not in flags]
     if unknown:
         raise CliError(f"unknown config keys: {unknown}")
-    argv = list(argv if argv is not None else sys.argv[1:])
+    tokens = []
     for key, val in conf.items():
-        dest = key.replace("-", "_")
-        explicit = any(tok == opt or tok.startswith(opt + "=")
-                       for opt in options[dest] for tok in argv)
-        if not explicit:
-            setattr(args, dest, val)
-    return args
+        action = flags[key.replace("-", "_")]
+        opt = action.option_strings[0]
+        if action.nargs == 0:
+            if not isinstance(val, bool):
+                raise CliError(f"config key {key!r} must be true or false")
+            if val:
+                tokens.append(opt)
+        else:
+            tokens.append(f"{opt}={val}")
+    return tokens
 
 
 def main(argv=None):
-    parser = build_parser()
+    parser, subparsers = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = parser.parse_args(argv)
-        args = _apply_config(
-            args, parser._subcommand_parsers[args.command], argv)
+        if args.config:
+            args = parser.parse_args(
+                argv[:1] + _config_argv(subparsers[args.command], args.config)
+                + argv[1:])
         if args.out is None:
             args.out = _default_outdir()
         args.func(args)
@@ -454,7 +410,7 @@ def main(argv=None):
         sys.stderr.write("\n")
         return 1
     except SystemExit as exc:
-        # argparse reports its own usage errors; map to validation exit code
+        # --help exits through argparse
         return 0 if exc.code in (0, None) else 1
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         json.dump({"error": str(exc), "kind": "runtime"}, sys.stderr)

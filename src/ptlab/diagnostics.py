@@ -7,7 +7,7 @@ import json
 import os
 
 import numpy as np
-from scipy import stats as sps
+from scipy.special import log_ndtr
 
 
 def lag1_energy_autocorr(v_trace, burn_in=0.2):
@@ -68,17 +68,30 @@ def asymptotic_variance(f_trace):
     return float(b * np.var(means, ddof=1))
 
 
+# Stephens (1974) critical values of A^2 for the normal with estimated mean
+# and variance, at these significance levels; the table scipy.stats.anderson
+# uses.
+_AD_LEVELS = np.array([0.15, 0.10, 0.05, 0.025, 0.01])
+_AD_NORM_CRIT = np.array([0.561, 0.631, 0.752, 0.873, 1.035])
+
+
 def batch_mean_normality(standardized_stats, level=0.01):
     """Anderson-Darling normality check of standardized run statistics.
 
-    Returns (passed, statistic, critical value at `level`).
+    A^2 is computed against the normal with the sample mean and ddof=1
+    standard deviation.  Returns (passed, statistic, critical value at the
+    tabulated significance level nearest to `level`).
     """
     z = np.asarray(standardized_stats, dtype=float)
-    res = sps.anderson(z, dist="norm")
-    levels = np.asarray(res.significance_level, dtype=float) / 100.0
-    i = int(np.argmin(np.abs(levels - level)))
-    crit = float(res.critical_values[i])
-    return bool(res.statistic < crit), float(res.statistic), crit
+    n = z.size
+    w = (np.sort(z) - z.mean()) / z.std(ddof=1)
+    i = np.arange(1, n + 1)
+    # log(1 - Phi(w)) = log Phi(-w)
+    a2 = float(-n - np.sum((2 * i - 1.0) / n
+                           * (log_ndtr(w) + log_ndtr(-w[::-1]))))
+    crits = np.around(_AD_NORM_CRIT / (1.0 + 0.75 / n + 2.25 / n / n), 3)
+    crit = float(crits[np.argmin(np.abs(_AD_LEVELS - level))])
+    return bool(a2 < crit), a2, crit
 
 
 def export_run(trace, out_dir, replica=0, trajectory_cutoff=500):

@@ -35,7 +35,6 @@ class PTConfig:
     record_energies: bool = True
     record_indices: bool = True
     record_target_states: bool = False
-    record_states: bool = False
 
     def __post_init__(self):
         self.scheme = self.scheme.lower()
@@ -68,7 +67,6 @@ class PTTrace:
     index: Optional[np.ndarray] = None      # (T+1, N+1, R) slot of machine n
     direction: Optional[np.ndarray] = None  # (T+1, N+1, R) proposed direction
     target_states: Optional[np.ndarray] = None
-    states: Optional[list] = None
     final_states: Optional[list] = None
 
     @property
@@ -179,7 +177,6 @@ def run_pt(config, model, kernels, init_states=None):
     accepts = np.zeros((t_iters, n, r), dtype=bool)
     energies = np.zeros((t_iters, n_chains, r)) if config.record_energies else None
     target_states = None
-    all_states = None
 
     if config.record_indices:
         index = np.zeros((t_iters + 1, n_chains, r), dtype=np.int16)
@@ -223,11 +220,6 @@ def run_pt(config, model, kernels, init_states=None):
                 target_states = np.zeros((t_iters,) + np.asarray(states[n]).shape,
                                          dtype=np.asarray(states[n]).dtype)
             target_states[t] = states[n]
-        if config.record_states:
-            if all_states is None:
-                all_states = [[] for _ in range(n_chains)]
-            for c in range(n_chains):
-                all_states[c].append(np.array(states[c]))
 
     return PTTrace(
         scheme=config.scheme,
@@ -240,7 +232,6 @@ def run_pt(config, model, kernels, init_states=None):
         index=index,
         direction=direction,
         target_states=target_states,
-        states=all_states,
         final_states=states,
     )
 

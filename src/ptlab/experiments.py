@@ -4,6 +4,9 @@ Each function returns a plain dict of arrays/floats so the CLI can dump it
 as JSON/CSV and the test-suite can assert on it directly.
 """
 
+from dataclasses import dataclass
+from typing import Callable
+
 import numpy as np
 
 from .core import AnnealingSchedule
@@ -16,7 +19,7 @@ from .explorers import (
     IdealIsingExplorer,
     IsingGibbsExplorer,
 )
-from .gcb import estimate_gcb, tune_schedule, tuning_rounds
+from .gcb import estimate_gcb, tuning_rounds
 from .models import (
     N_SITES,
     bimodal_pair,
@@ -29,39 +32,109 @@ from .rng import make_stream
 
 
 # ---------------------------------------------------------------------------
-# Ising total-variation experiment
+# Built-in models and the tuning and barrier recipes shared by all of them
 # ---------------------------------------------------------------------------
 
 
-def _ising_kernels(n_chains, explorer, sweeps=3):
-    if explorer == "gibbs":
-        shared = IsingGibbsExplorer(sweeps=sweeps)
-        kernels = [shared] * n_chains
-    elif explorer == "ideal":
-        shared = IdealIsingExplorer()
-        kernels = [shared] * n_chains
-    else:
-        raise ValueError(f"unknown explorer {explorer!r}")
-    model = ising_model()
-    kernels = [IIDReferenceExplorer(model)] + kernels[1:]
-    return model, kernels
+def _ising_gibbs():
+    return ising_model(), IsingGibbsExplorer(sweeps=3)
 
 
-def tune_ising_schedule(n=5, explorer="gibbs", rounds=3, base_iters=128,
-                        tune_replicas=256, seed=0):
-    """Equi-acceptance schedule for the Ising path via budget-doubling rounds."""
-    model, kernels = _ising_kernels(n + 1, explorer)
+def _ising_ideal():
+    return ising_model(), IdealIsingExplorer()
+
+
+def _bimodal_grid():
+    model = bimodal_pair()
+    return model, IdealGridExplorer(model, lo=-600.0, hi=600.0)
+
+
+@dataclass(frozen=True)
+class ModelSpec:
+    """A built-in model and the constants of its schedule tuning.
+
+    ``build()`` returns a fresh (model, explorer) pair on every call, so the
+    per-beta tables an explorer caches live no longer than one run.
+    Tuning round k runs ``tune_replicas`` replicas for
+    ``base_iters * 2**k`` iterations; ``rounds`` is the default round count.
+    """
+
+    build: Callable
+    rounds: int
+    base_iters: int
+    tune_replicas: int
+
+
+MODELS = {
+    "ising": ModelSpec(_ising_gibbs, rounds=3, base_iters=128,
+                       tune_replicas=256),
+    "ising-ideal": ModelSpec(_ising_ideal, rounds=3, base_iters=128,
+                             tune_replicas=256),
+    "bimodal": ModelSpec(_bimodal_grid, rounds=6, base_iters=64,
+                         tune_replicas=1000),
+}
+
+
+def _spec(name):
+    if name not in MODELS:
+        raise ValueError(f"unknown model {name!r}")
+    return MODELS[name]
+
+
+def model_and_kernels(name, n):
+    """Fresh model `name` and one kernel per chain for `n` intervals: the
+    i.i.d. reference sampler at chain 0 and the model's explorer elsewhere."""
+    model, explorer = _spec(name).build()
+    return model, [IIDReferenceExplorer(model)] + [explorer] * n
+
+
+def _swap_stats(model, kernels, schedule, n_iters, n_replicas, seed,
+                burn_in=0.2):
+    cfg = PTConfig("nrpt", schedule, n_iters=n_iters, n_replicas=n_replicas,
+                   seed=seed, record_indices=False, record_energies=False)
+    return rejection_rates(run_pt(cfg, model, kernels), burn_in=burn_in)
+
+
+def tune(name, n, rounds=None, seed=0):
+    """Equi-acceptance schedule for model `name` via budget-doubling rounds.
+
+    Round k runs at seed + k.  `rounds` defaults to the model's own.
+    Returns (schedule, lambda_hat, BarrierFn) after the final round.
+    """
+    spec = _spec(name)
+    model, kernels = model_and_kernels(name, n)
 
     def run_fn(schedule, n_iters, run_seed):
-        cfg = PTConfig("nrpt", schedule, n_iters=n_iters,
-                       n_replicas=tune_replicas, seed=run_seed,
-                       record_indices=False, record_energies=False)
-        trace = run_pt(cfg, model, kernels)
-        return rejection_rates(trace, burn_in=0.2)
+        return _swap_stats(model, kernels, schedule, n_iters,
+                           spec.tune_replicas, run_seed)
 
-    schedule, lam_hat, barrier = tuning_rounds(run_fn, n, rounds=rounds,
-                                               base_iters=base_iters, seed=seed)
-    return schedule, lam_hat, barrier
+    return tuning_rounds(run_fn, n,
+                         rounds=spec.rounds if rounds is None else rounds,
+                         base_iters=spec.base_iters, seed=seed)
+
+
+def gcb(name, n, n_iters, n_replicas, burn_in, seed=0):
+    """Barrier estimate for model `name` from a tuned equi-acceptance run.
+
+    The main run is at seed + 100, clear of the tuning rounds' seeds.
+    """
+    schedule, _, _ = tune(name, n, seed=seed)
+    model, kernels = model_and_kernels(name, n)
+    stats = _swap_stats(model, kernels, schedule, n_iters, n_replicas,
+                        seed + 100, burn_in)
+    lam_hat, barrier = estimate_gcb(stats, schedule)
+    return {
+        "lambda_hat": lam_hat,
+        "rejection_rates": stats.rejection,
+        "schedule": schedule.betas,
+        "barrier_knots": barrier.knots,
+        "barrier_values": barrier.values,
+    }
+
+
+# ---------------------------------------------------------------------------
+# Ising total-variation experiment
+# ---------------------------------------------------------------------------
 
 
 def ising_tv_experiment(n=5, n_iters=25, n_replicas=50_000, init="all-minus",
@@ -73,9 +146,12 @@ def ising_tv_experiment(n=5, n_iters=25, n_replicas=50_000, init="all-minus",
     enumeration of the target, and reports the hitting-time TV bound
     computed from the run's own mean rejection rate.
     """
+    names = {"gibbs": "ising", "ideal": "ising-ideal"}
+    if explorer not in names:
+        raise ValueError(f"unknown explorer {explorer!r}")
     if schedule is None:
-        schedule, _, _ = tune_ising_schedule(n=n, explorer=explorer, seed=seed)
-    model, kernels = _ising_kernels(n + 1, explorer)
+        schedule, _, _ = tune(names[explorer], n, seed=seed)
+    model, kernels = model_and_kernels(names[explorer], n)
     if init == "all-minus":
         init_states = [np.full((n_replicas, N_SITES), -1, dtype=np.int8)
                        for _ in range(n + 1)]
@@ -119,49 +195,6 @@ def ising_tv_experiment(n=5, n_iters=25, n_replicas=50_000, init="all-minus",
 # ---------------------------------------------------------------------------
 
 
-def bimodal_explorer():
-    """Exact grid sampler along the bimodal path (idealized exploration)."""
-    model = bimodal_pair()
-    return model, IdealGridExplorer(model, lo=-600.0, hi=600.0)
-
-
-def tune_bimodal_schedule(n=12, rounds=6, base_iters=64, tune_replicas=1000,
-                          seed=0):
-    """Equi-acceptance schedule for the bimodal path."""
-    model, grid = bimodal_explorer()
-    kernels = [IIDReferenceExplorer(model)] + [grid] * n
-
-    def run_fn(schedule, n_iters, run_seed):
-        cfg = PTConfig("nrpt", schedule, n_iters=n_iters,
-                       n_replicas=tune_replicas, seed=run_seed,
-                       record_indices=False, record_energies=False)
-        trace = run_pt(cfg, model, kernels)
-        return rejection_rates(trace, burn_in=0.2)
-
-    schedule, lam_hat, barrier = tuning_rounds(run_fn, n, rounds=rounds,
-                                               base_iters=base_iters, seed=seed)
-    return schedule, lam_hat, barrier
-
-
-def bimodal_gcb_estimate(n=12, n_iters=256, n_replicas=5000, seed=0):
-    """Barrier estimate for the bimodal pair from a tuned equi-acceptance run."""
-    schedule, _, _ = tune_bimodal_schedule(n=n, seed=seed)
-    model, grid = bimodal_explorer()
-    kernels = [IIDReferenceExplorer(model)] + [grid] * n
-    cfg = PTConfig("nrpt", schedule, n_iters=n_iters, n_replicas=n_replicas,
-                   seed=seed + 100, record_indices=False, record_energies=False)
-    trace = run_pt(cfg, model, kernels)
-    stats = rejection_rates(trace, burn_in=0.2)
-    lam_hat, barrier = estimate_gcb(stats, schedule)
-    return {
-        "lambda_hat": lam_hat,
-        "rejection_rates": stats.rejection,
-        "schedule": schedule.betas,
-        "barrier_knots": barrier.knots,
-        "barrier_values": barrier.values,
-    }
-
-
 def bimodal_clt_runs(n_runs=500, n=6, n_iters=2000, seed=0, schedule=None):
     """Standardized batch-mean statistics of sign(x) on the target chain.
 
@@ -171,10 +204,9 @@ def bimodal_clt_runs(n_runs=500, n=6, n_iters=2000, seed=0, schedule=None):
     """
     from .diagnostics import asymptotic_variance
 
-    model, grid = bimodal_explorer()
-    kernels = [IIDReferenceExplorer(model)] + [grid] * n
+    model, kernels = model_and_kernels("bimodal", n)
     if schedule is None:
-        schedule, _, _ = tune_bimodal_schedule(n=n, seed=seed)
+        schedule, _, _ = tune("bimodal", n, seed=seed)
     cfg = PTConfig("nrpt", schedule, n_iters=n_iters, n_replicas=n_runs,
                    seed=seed + 200, record_indices=False,
                    record_energies=False, record_target_states=True)

@@ -24,7 +24,7 @@ from ptlab.experiments import (
     finite_vs_infinite,
     index_process_hitting_times,
     ising_tv_experiment,
-    tune_bimodal_schedule,
+    tune,
 )
 from ptlab.engine import ancestral_survival
 from ptlab.gcb import (
@@ -349,7 +349,7 @@ class TestCriterion9IdealizedExplorationExactness:
 
 class TestCriterion10CentralLimitBehaviour:
     def test_batch_mean_statistics_normal(self):
-        schedule, _, _ = tune_bimodal_schedule(n=6, seed=0)
+        schedule, _, _ = tune("bimodal", 6, seed=0)
         zs = bimodal_clt_runs(n_runs=500, n=6, n_iters=2000, seed=0,
                               schedule=schedule)
         assert zs.size == 500

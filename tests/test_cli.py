@@ -24,12 +24,16 @@ class TestExitCodes:
         assert summary["command"] == "bounds"
         assert os.path.exists(summary["files"][0])
 
-    def test_validation_error(self, capsys, tmp_path):
+    @pytest.mark.parametrize("command", ["sample", "tune", "gcb"])
+    def test_validation_error(self, capsys, tmp_path, command):
+        out_dir = tmp_path / "out"
         rc, out, err = run_cli(capsys, [
-            "sample", "--model", "no-such-model", "--out", str(tmp_path)])
+            command, "--model", "ising-typo", "--out", str(out_dir)])
         assert rc == 1
         payload = json.loads(err)
         assert payload["kind"] == "validation"
+        assert "ising-typo" in payload["error"]
+        assert out == "" and not out_dir.exists()
 
     def test_runtime_error(self, capsys, tmp_path):
         rc, out, err = run_cli(capsys, [
@@ -70,6 +74,23 @@ class TestConfigFile:
         assert rc == 1
         assert "bogus" in json.loads(err)["error"]
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_values_are_typed(self, capsys, tmp_path, source):
+        def sample(key, value):
+            argv = ["sample", "--model", "bimodal", "--iters", "20",
+                    "--out", str(tmp_path)]
+            if source == "flag":
+                return run_cli(capsys, argv + [f"--{key}", value])
+            conf = tmp_path / "conf.json"
+            conf.write_text(json.dumps({key: value}))
+            return run_cli(capsys, argv + ["--config", str(conf)])
+
+        rc, _, err = sample("iters", "abc")
+        assert rc == 1 and json.loads(err)["kind"] == "validation"
+        rc, out, _ = sample("chains", "5")
+        assert rc == 0
+        assert len(json.loads(out)["rejection_rates"]) == 4
+
     def test_malformed_config(self, capsys, tmp_path):
         conf = tmp_path / "conf.json"
         conf.write_text("{not json")
@@ -103,12 +124,12 @@ class TestDeterminism:
         capsys.readouterr()
         assert self._hash_dir(a) != self._hash_dir(b)
 
-    def test_threads_flag_does_not_change_results(self, capsys, tmp_path):
+    def test_tune_outputs_byte_identical(self, capsys, tmp_path):
+        args = ["tune", "--model", "bimodal", "--chains", "5",
+                "--rounds", "2", "--seed", "13"]
         a, b = tmp_path / "a", tmp_path / "b"
-        base = ["hitting", "--process", "nrpt", "--N", "4", "--r", "0.4",
-                "--replicas", "5000", "--tmax", "20", "--points", "10"]
-        assert main(base + ["--threads", "1", "--out", str(a)]) == 0
-        assert main(base + ["--threads", "4", "--out", str(b)]) == 0
+        assert main(args + ["--out", str(a)]) == 0
+        assert main(args + ["--out", str(b)]) == 0
         capsys.readouterr()
         assert self._hash_dir(a) == self._hash_dir(b)
 
@@ -154,6 +175,17 @@ class TestSubcommandOutputs:
         data = np.genfromtxt(tmp_path / "survival_pdmp.csv", delimiter=",",
                              names=True)
         assert np.all(np.diff(data["survival"]) <= 0)
+
+    def test_gcb_burn_in_is_used(self, capsys, tmp_path):
+        def lam_hat(burn_in):
+            rc, out, _ = run_cli(capsys, [
+                "gcb", "--model", "bimodal", "--chains", "3", "--iters", "64",
+                "--replicas", "200", "--burn-in", burn_in,
+                "--out", str(tmp_path)])
+            assert rc == 0
+            return json.loads(out)["lambda_hat"]
+
+        assert lam_hat("0.2") != lam_hat("0.9")
 
     def test_laplace_table(self, capsys, tmp_path):
         rc, out, _ = run_cli(capsys, [

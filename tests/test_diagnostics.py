@@ -95,6 +95,16 @@ class TestNormalityCheck:
         passed, _, _ = batch_mean_normality(z)
         assert not passed
 
+    def test_matches_scipy_anderson(self):
+        # statistic and critical values of scipy.stats.anderson(z, "norm")
+        # under SciPy 1.17.1 for this sample (levels 15% and 1%)
+        z = np.array([-1.3, -0.7, -0.2, 0.0, 0.1, 0.4, 0.45, 0.9, 1.6, 2.8])
+        passed, stat, crit = batch_mean_normality(z, level=0.01)
+        assert passed
+        assert stat == pytest.approx(0.2652209146165223, rel=1e-12)
+        assert crit == 0.943
+        assert batch_mean_normality(z, level=0.15)[2] == 0.511
+
 
 class TestExportRoundTrip:
     @pytest.fixture

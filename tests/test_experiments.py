@@ -5,7 +5,7 @@ from ptlab.experiments import (
     gaussian_equal_rate_mu,
     index_process_hitting_times,
     ising_tv_experiment,
-    tune_ising_schedule,
+    tune,
 )
 
 
@@ -35,9 +35,7 @@ class TestIndexProcessHittingTimes:
 
 class TestIsingExperimentSmallScale:
     def test_smoke_run_structure(self):
-        schedule, lam_hat, _ = tune_ising_schedule(n=3, rounds=1,
-                                                   base_iters=32,
-                                                   tune_replicas=64, seed=0)
+        schedule, lam_hat, _ = tune("ising", 3, rounds=1, seed=0)
         res = ising_tv_experiment(n=3, n_iters=6, n_replicas=2000,
                                   schedule=schedule, seed=0)
         assert res["t"].size == 6
