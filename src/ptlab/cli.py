@@ -96,8 +96,7 @@ def cmd_sample(args):
     else:
         schedule = AnnealingSchedule.uniform(args.chains - 1)
     cfg = PTConfig(args.scheme, schedule, n_iters=args.iters,
-                   n_replicas=args.replicas, seed=args.seed,
-                   record_indices=True, record_energies=True)
+                   n_replicas=args.replicas, seed=args.seed)
     trace = run_pt(cfg, model, kernels)
     files = export_run(trace, args.out)
     stats = rejection_rates(trace, burn_in=args.burn_in)
@@ -270,6 +269,17 @@ def cmd_diagnose(args):
 # ---------------------------------------------------------------------------
 
 
+def _burn_in(text):
+    """argparse type: a burn-in fraction in [0, 1)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not 0.0 <= value < 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1), got {text!r}")
+    return value
+
+
 def _add_common(p):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="output directory")
@@ -289,7 +299,7 @@ def build_parser():
     p.add_argument("--replicas", type=int, default=1)
     p.add_argument("--schedule", default=None,
                    help="comma-separated schedule points")
-    p.add_argument("--burn-in", type=float, default=0.2)
+    p.add_argument("--burn-in", type=_burn_in, default=0.2)
     _add_common(p)
     p.set_defaults(func=cmd_sample)
 
@@ -305,7 +315,7 @@ def build_parser():
     p.add_argument("--chains", type=int, default=13)
     p.add_argument("--iters", type=int, default=256)
     p.add_argument("--replicas", type=int, default=5000)
-    p.add_argument("--burn-in", type=float, default=0.2)
+    p.add_argument("--burn-in", type=_burn_in, default=0.2)
     _add_common(p)
     p.set_defaults(func=cmd_gcb)
 
@@ -353,7 +363,7 @@ def build_parser():
 
     p = sub.add_parser("diagnose", help="diagnostics over an exported trace")
     p.add_argument("--trace", required=True, help="path to trace.csv")
-    p.add_argument("--burn-in", type=float, default=0.2)
+    p.add_argument("--burn-in", type=_burn_in, default=0.2)
     _add_common(p)
     p.set_defaults(func=cmd_diagnose)
 

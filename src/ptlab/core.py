@@ -96,10 +96,14 @@ def swap_acceptance(beta_lo, beta_hi, v_lo, v_hi):
     """Probability of accepting a swap between adjacent chains.
 
     alpha = exp(min{0, (beta_hi - beta_lo) * (v_hi - v_lo)}), vectorized
-    over the energy arguments.  Infinite energies are resolved by the
-    clamped formula (never NaN); NaN inputs raise.
+    over all arguments: scalar inverse temperatures serve one pair, arrays
+    of them (e.g. shape (N, 1) against (N, R) energies) serve every pair
+    at once.  Infinite energies are resolved by the clamped formula (never
+    NaN); NaN inputs raise.
     """
-    if beta_hi <= beta_lo:
+    beta_lo = np.asarray(beta_lo, dtype=float)
+    beta_hi = np.asarray(beta_hi, dtype=float)
+    if np.any(beta_hi <= beta_lo):
         raise ValueError("beta_hi must exceed beta_lo")
     v_lo = np.asarray(v_lo, dtype=float)
     v_hi = np.asarray(v_hi, dtype=float)

@@ -17,6 +17,8 @@ def lag1_energy_autocorr(v_trace, burn_in=0.2):
     should sit within ~3/sqrt(T) of zero.  Raises on (near-)constant
     traces, where the correlation is undefined.
     """
+    if not 0.0 <= burn_in < 1.0:
+        raise ValueError(f"burn_in must lie in [0, 1), got {burn_in!r}")
     v = np.asarray(v_trace, dtype=float)
     t0 = int(np.floor(burn_in * v.size))
     v = v[t0:]
@@ -123,18 +125,13 @@ def export_run(trace, out_dir, replica=0, trajectory_cutoff=500):
         w = csv.writer(fh)
         w.writerow(header)
         for t in range(t_rows):
-            parity = (trace.parities[t] if trace.parities.ndim == 1
-                      else trace.parities[t, replica])
-            row = [t, int(parity)]
+            row = [t, int(trace.parities[t, replica])]
             if trace.energies is not None:
                 row += [repr(float(x)) for x in trace.energies[t, :, replica]]
             else:
                 row += [""] * n_chains
-            if trace.index is not None:
-                row += [int(x) for x in trace.index[t + 1, :, replica]]
-                row += [int(x) for x in trace.direction[t + 1, :, replica]]
-            else:
-                row += [""] * (2 * n_chains)
+            row += [int(x) for x in trace.index[t + 1, :, replica]]
+            row += [int(x) for x in trace.direction[t + 1, :, replica]]
             row += [int(b) for b in trace.accepts[t, :, replica]]
             w.writerow(row)
     written.append(path)
@@ -157,9 +154,8 @@ def export_run(trace, out_dir, replica=0, trajectory_cutoff=500):
         "n_replicas": int(trace.n_replicas),
         "rejection_rates": [float(x) for x in stats.rejection],
         "barrier_estimate": stats.barrier_estimate,
+        "restart_count": restart_count(trace),
     }
-    if trace.index is not None:
-        summary["restart_count"] = restart_count(trace)
     path = os.path.join(out_dir, "summary.json")
     with open(path, "w") as fh:
         json.dump(summary, fh, indent=2)

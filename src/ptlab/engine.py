@@ -4,16 +4,20 @@ One iteration is a parallel exploration step on every chain followed by a
 communication step that proposes swaps between adjacent chains of one
 parity class.  Non-reversible PT (NRPT) alternates the parity
 deterministically, even first; reversible PT (RPT) draws the parity
-uniformly at random each iteration.  The engine also tracks the index
-process (which machine carries which chain slot, and its proposed
-direction), from which rejection rates, restarts, and ancestral survival
-are derived.
+uniformly at random each iteration.
 
-All replicas evolve simultaneously as a vector dimension; a run is fully
-determined by (config, model, kernels).
+The states of all chains and replicas are held as one array of shape
+(N+1, R, ...); each kernel steps its own chain's row with its own stream,
+one energy call covers the whole array, and accepted swaps are applied as
+one gather by source chain.  The run records every swap decision; the
+index process (which machine carries which chain slot, and its proposed
+direction), from which restarts and ancestral survival are derived, is
+replayed from that record when first read.  A run is fully determined by
+(config, model, kernels).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -33,7 +37,6 @@ class PTConfig:
     n_replicas: int = 1
     seed: int = 0
     record_energies: bool = True
-    record_indices: bool = True
     record_target_states: bool = False
 
     def __post_init__(self):
@@ -49,12 +52,14 @@ class PTTrace:
     """Recorded series of one (possibly replicated) PT run.
 
     Shapes: T iterations, N intervals (N+1 chains), R replicas.
-    ``parities`` has length T+1 (NRPT) or shape (T+1, R) (RPT); the extra
-    entry supplies the proposal pattern needed to close the direction
-    update of the index process at the final iteration.
-    ``accepts[t, n, r]`` is True when the swap of pair (n, n+1) was
-    proposed and accepted.  ``energies[t]`` holds end-of-iteration
-    (post-swap) chain energies.
+    ``parities`` has shape (T+1, R) for both schemes (a read-only broadcast
+    view under NRPT); the extra row supplies the proposal pattern needed
+    to close the direction update of the index process at the final
+    iteration.  ``accepts[t, n, r]`` is True when the swap of pair
+    (n, n+1) was proposed and accepted.  ``energies[t]`` holds
+    end-of-iteration (post-swap) chain energies.  ``index`` and
+    ``direction``, each (T+1, N+1, R), are the slot and proposed direction
+    of machine n, replayed from ``accepts`` and ``parities``.
     """
 
     scheme: str
@@ -64,48 +69,60 @@ class PTTrace:
     parities: np.ndarray
     accepts: np.ndarray
     energies: Optional[np.ndarray] = None
-    index: Optional[np.ndarray] = None      # (T+1, N+1, R) slot of machine n
-    direction: Optional[np.ndarray] = None  # (T+1, N+1, R) proposed direction
     target_states: Optional[np.ndarray] = None
-    final_states: Optional[list] = None
+    final_states: Optional[np.ndarray] = None
 
     @property
     def n_intervals(self):
         return self.betas.size - 1
 
+    @cached_property
+    def _index_process(self):
+        n = self.n_intervals
+        shape = (self.n_iters + 1, n + 1, self.n_replicas)
+        index = np.empty(shape, dtype=np.int16)
+        direction = np.empty(shape, dtype=np.int8)
+        index[0] = np.arange(n + 1)[:, None]
+        direction[0] = _directions(index[0], self.parities[0], n)
+        for t in range(self.n_iters):
+            index[t + 1], direction[t + 1] = update_index_process(
+                index[t], direction[t], self.accepts[t], self.parities[t + 1], n
+            )
+        return index, direction
 
-def _proposed_mask(parity, n_pairs):
-    """Boolean (n_pairs,) or (n_pairs, R): pair n proposed iff n % 2 == parity."""
-    pairs = np.arange(n_pairs)
-    if np.ndim(parity) == 0:
-        return (pairs % 2) == parity
-    return (pairs[:, None] % 2) == parity[None, :]
+    @property
+    def index(self):
+        return self._index_process[0]
+
+    @property
+    def direction(self):
+        return self._index_process[1]
 
 
 def communication_step(energies, schedule, parity, rng):
     """One swap round: returns acceptance indicators of shape (N, R).
 
-    ``energies`` is (N+1, R) (or (N+1,) for a single replica); ``parity``
-    is 0 (even pairs) or 1 (odd pairs), scalar or per-replica vector.
-    Acceptance depends on the energies only, never on the states.
+    ``energies`` is (N+1, R), or (N+1,) for a single replica; ``parity``
+    is 0 (even pairs) or 1 (odd pairs), scalar or per-replica vector of
+    shape (R,).  Acceptance depends on the energies only, never on the
+    states.
     """
-    v = np.atleast_2d(np.asarray(energies, dtype=float))
+    v = np.asarray(energies, dtype=float)
+    v = v.reshape(v.shape[0], -1)
     if v.shape[0] < 2:
         raise ValueError("need at least two chains")
-    betas = schedule.betas
     n_pairs = v.shape[0] - 1
-    r = v.shape[1]
-    proposed = _proposed_mask(parity, n_pairs)
-    if proposed.ndim == 1:
-        proposed = np.broadcast_to(proposed[:, None], (n_pairs, r))
-    accepts = np.zeros((n_pairs, r), dtype=bool)
-    u = rng.random((n_pairs, r))
-    for n in range(n_pairs):
-        if not proposed[n].any():
-            continue
-        alpha = swap_acceptance(betas[n], betas[n + 1], v[n], v[n + 1])
-        accepts[n] = proposed[n] & (u[n] < alpha)
-    return accepts
+    betas = schedule.betas[:, None]
+    u = rng.random((n_pairs, v.shape[1]))
+    alpha = swap_acceptance(betas[:-1], betas[1:], v[:-1], v[1:])
+    proposed = (np.arange(n_pairs)[:, None] % 2) == parity
+    return proposed & (u < alpha)
+
+
+def _directions(index, parity, n_intervals):
+    """+1 where slot ``index`` proposes an upward swap at ``parity``, else -1."""
+    upward = ((index % 2) == parity) & (index < n_intervals)
+    return np.where(upward, 1, -1).astype(np.int8)
 
 
 def update_index_process(index, direction, accepts, next_parity, n_intervals):
@@ -124,12 +141,7 @@ def update_index_process(index, direction, accepts, next_parity, n_intervals):
     rep = np.broadcast_to(np.arange(r)[None, :], (n_chains, r))
     moved = valid & accepts[pair_safe, rep]
     i_new = i + np.where(moved, eps, 0)
-    if np.ndim(next_parity) == 0:
-        upward = ((i_new % 2) == next_parity) & (i_new < n_intervals)
-    else:
-        upward = ((i_new % 2) == next_parity[None, :]) & (i_new < n_intervals)
-    eps_new = np.where(upward, 1, -1)
-    return i_new.astype(np.int16), eps_new.astype(np.int8)
+    return i_new.astype(np.int16), _directions(i_new, next_parity, n_intervals)
 
 
 def run_pt(config, model, kernels, init_states=None):
@@ -142,8 +154,9 @@ def run_pt(config, model, kernels, init_states=None):
     kernels : sequence of exploration kernels, one per chain; kernels[0]
         should be the i.i.d. reference sampler so that accepted swaps into
         chain 0 trigger genuine restarts.
-    init_states : list of per-chain state arrays (each with leading axis
-        R), or None to initialize every chain from the reference sampler.
+    init_states : array of shape (N+1, R, ...) or a list of per-chain
+        arrays with leading axis R, or None to initialize every chain from
+        the reference sampler.
 
     Returns
     -------
@@ -163,62 +176,43 @@ def run_pt(config, model, kernels, init_states=None):
     if init_states is None:
         if model.sample_reference is None:
             raise ValueError("no init_states and no reference sampler")
-        states = [model.sample_reference(explore_rngs[c], r) for c in range(n_chains)]
-    else:
-        states = [np.array(s) for s in init_states]
-        if len(states) != n_chains:
-            raise ValueError("init_states must have one entry per chain")
+        init_states = [model.sample_reference(explore_rngs[c], r)
+                       for c in range(n_chains)]
+    states = np.stack(init_states)
+    if states.shape[0] != n_chains:
+        raise ValueError("init_states must have one entry per chain")
 
     if config.scheme == NRPT:
-        parities = (np.arange(t_iters + 1) % 2).astype(np.int8)
+        parities = np.broadcast_to(
+            (np.arange(t_iters + 1) % 2).astype(np.int8)[:, None],
+            (t_iters + 1, r))
     else:
         parities = parity_rng.integers(0, 2, size=(t_iters + 1, r)).astype(np.int8)
 
     accepts = np.zeros((t_iters, n, r), dtype=bool)
     energies = np.zeros((t_iters, n_chains, r)) if config.record_energies else None
-    target_states = None
-
-    if config.record_indices:
-        index = np.zeros((t_iters + 1, n_chains, r), dtype=np.int16)
-        direction = np.zeros((t_iters + 1, n_chains, r), dtype=np.int8)
-        index[0] = np.arange(n_chains, dtype=np.int16)[:, None]
-        p0 = parities[0]
-        chain_ids = np.arange(n_chains)
-        if np.ndim(p0) == 0:
-            up0 = ((chain_ids % 2) == p0) & (chain_ids < n)
-            direction[0] = np.where(up0, 1, -1)[:, None]
-        else:
-            up0 = ((chain_ids[:, None] % 2) == p0[None, :]) & (chain_ids[:, None] < n)
-            direction[0] = np.where(up0, 1, -1)
-    else:
-        index = direction = None
+    target_states = (np.zeros((t_iters,) + states.shape[1:], dtype=states.dtype)
+                     if config.record_target_states else None)
+    replicas = np.arange(r)
 
     for t in range(t_iters):
         for c in range(n_chains):
-            states[c] = kernels[c].step(states[c], betas[c], explore_rngs[c])
-        v = np.stack([np.atleast_1d(energy(model, states[c])) for c in range(n_chains)])
-        parity = parities[t]
-        acc = communication_step(v, config.schedule, parity, comm_rng)
+            # same_kind: a kernel returning floats into integer states raises
+            np.copyto(states[c], kernels[c].step(states[c], betas[c],
+                                                 explore_rngs[c]),
+                      casting="same_kind")
+        v = energy(model, states)
+        acc = communication_step(v, config.schedule, parities[t], comm_rng)
         accepts[t] = acc
-        # execute accepted swaps (disjoint pairs, order irrelevant)
-        for pair in range(n):
-            mask = acc[pair]
-            if not mask.any():
-                continue
-            tmp = states[pair][mask].copy()
-            states[pair][mask] = states[pair + 1][mask]
-            states[pair + 1][mask] = tmp
-            v[pair, mask], v[pair + 1, mask] = v[pair + 1, mask], v[pair, mask].copy()
+        # accepted pairs are disjoint: slot n takes its state from n +- 1
+        src = np.repeat(np.arange(n_chains)[:, None], r, axis=1)
+        src[:-1] += acc
+        src[1:] -= acc
+        states = states[src, replicas]
+        v = v[src, replicas]
         if energies is not None:
             energies[t] = v
-        if config.record_indices:
-            index[t + 1], direction[t + 1] = update_index_process(
-                index[t], direction[t], acc, parities[t + 1], n
-            )
-        if config.record_target_states:
-            if target_states is None:
-                target_states = np.zeros((t_iters,) + np.asarray(states[n]).shape,
-                                         dtype=np.asarray(states[n]).dtype)
+        if target_states is not None:
             target_states[t] = states[n]
 
     return PTTrace(
@@ -229,8 +223,6 @@ def run_pt(config, model, kernels, init_states=None):
         parities=parities,
         accepts=accepts,
         energies=energies,
-        index=index,
-        direction=direction,
         target_states=target_states,
         final_states=states,
     )
@@ -255,16 +247,14 @@ def rejection_rates(trace, burn_in=0.0):
     ``burn_in`` is the fraction of initial iterations discarded.  Pairs
     with zero proposals get rejection NaN (flagged missing, never 0).
     """
+    if not 0.0 <= burn_in < 1.0:
+        raise ValueError(f"burn_in must lie in [0, 1), got {burn_in!r}")
     t0 = int(np.floor(burn_in * trace.n_iters))
-    n = trace.n_intervals
     acc = trace.accepts[t0:]
-    t_kept = acc.shape[0]
-    parities = trace.parities[t0:t0 + t_kept]
+    parities = trace.parities[t0:t0 + acc.shape[0]]
     prop_counts = np.array([
-        int(((p % 2) == parities).sum()) for p in range(n)
+        int(((p % 2) == parities).sum()) for p in range(trace.n_intervals)
     ])
-    if parities.ndim == 1:  # one parity per iteration, shared by replicas
-        prop_counts = prop_counts * trace.n_replicas
     acc_counts = acc.sum(axis=(0, 2))
     with np.errstate(invalid="ignore"):
         rej = 1.0 - acc_counts / prop_counts
@@ -279,8 +269,6 @@ def restart_count(trace):
     A traversal is counted each time a machine's slot path reaches N after
     last having touched 0 (without touching N in between).
     """
-    if trace.index is None:
-        raise ValueError("trace did not record the index process")
     idx = trace.index
     n = trace.n_intervals
     # last boundary touched: 0 -> bottom, 1 -> top, -1 -> none yet
@@ -303,8 +291,6 @@ def ancestral_survival(trace, t):
     backward; the event of interest is that its path never visited slot 0
     at any iteration s < t.
     """
-    if trace.index is None:
-        raise ValueError("trace did not record the index process")
     if not 1 <= t <= trace.n_iters:
         raise ValueError("t outside recorded range")
     idx = trace.index

@@ -91,7 +91,7 @@ def model_and_kernels(name, n):
 def _swap_stats(model, kernels, schedule, n_iters, n_replicas, seed,
                 burn_in=0.2):
     cfg = PTConfig("nrpt", schedule, n_iters=n_iters, n_replicas=n_replicas,
-                   seed=seed, record_indices=False, record_energies=False)
+                   seed=seed, record_energies=False)
     return rejection_rates(run_pt(cfg, model, kernels), burn_in=burn_in)
 
 
@@ -153,8 +153,7 @@ def ising_tv_experiment(n=5, n_iters=25, n_replicas=50_000, init="all-minus",
         schedule, _, _ = tune(names[explorer], n, seed=seed)
     model, kernels = model_and_kernels(names[explorer], n)
     if init == "all-minus":
-        init_states = [np.full((n_replicas, N_SITES), -1, dtype=np.int8)
-                       for _ in range(n + 1)]
+        init_states = np.full((n + 1, n_replicas, N_SITES), -1, dtype=np.int8)
     elif init == "random":
         rng = make_stream(seed, chain=999)
         init_states = [model.sample_reference(rng, n_replicas)
@@ -162,7 +161,7 @@ def ising_tv_experiment(n=5, n_iters=25, n_replicas=50_000, init="all-minus",
     else:
         raise ValueError(f"unknown init {init!r}")
     cfg = PTConfig("nrpt", schedule, n_iters=n_iters, n_replicas=n_replicas,
-                   seed=seed + 1, record_indices=True, record_energies=True,
+                   seed=seed + 1, record_energies=False,
                    record_target_states=True)
     trace = run_pt(cfg, model, kernels, init_states=init_states)
     stats = rejection_rates(trace, burn_in=0.2)
@@ -208,8 +207,8 @@ def bimodal_clt_runs(n_runs=500, n=6, n_iters=2000, seed=0, schedule=None):
     if schedule is None:
         schedule, _, _ = tune("bimodal", n, seed=seed)
     cfg = PTConfig("nrpt", schedule, n_iters=n_iters, n_replicas=n_runs,
-                   seed=seed + 200, record_indices=False,
-                   record_energies=False, record_target_states=True)
+                   seed=seed + 200, record_energies=False,
+                   record_target_states=True)
     trace = run_pt(cfg, model, kernels)
     f = np.sign(trace.target_states)  # (T, runs); target is symmetric, E f = 0
     zs = np.empty(n_runs)
@@ -282,8 +281,7 @@ def index_process_hitting_times(scheme, n, r, n_replicas, n_iters, seed=0):
     model = gaussian_shift_pair(mu)
     kernels = [GaussianPathExplorer(mu)] * (n + 1)
     cfg = PTConfig(scheme, AnnealingSchedule.uniform(n), n_iters=n_iters,
-                   n_replicas=n_replicas, seed=seed, record_indices=True,
-                   record_energies=False)
+                   n_replicas=n_replicas, seed=seed, record_energies=False)
     trace = run_pt(cfg, model, kernels)
     slot0 = trace.index[:, 0, :]  # (T+1, R)
     hit = slot0 == n

@@ -52,6 +52,25 @@ class IsingGibbsExplorer:
         return x
 
 
+class _CdfCache:
+    """Normalised CDF tables of exp(log_weights(beta)), one per beta,
+    built on first use."""
+
+    def __init__(self, log_weights):
+        self.log_weights = log_weights
+        self._tables = {}
+
+    def __call__(self, beta):
+        key = round(float(beta), 12)
+        if key not in self._tables:
+            logw = self.log_weights(beta)
+            w = np.exp(logw - logw.max())
+            cdf = np.cumsum(w)
+            cdf /= cdf[-1]
+            self._tables[key] = cdf
+        return self._tables[key]
+
+
 class IdealIsingExplorer:
     """Exact i.i.d. sampling from pi_beta over all 65,536 Ising states.
 
@@ -61,18 +80,8 @@ class IdealIsingExplorer:
     """
 
     def __init__(self):
-        self._cdfs = {}
-
-    def _cdf(self, beta):
-        key = round(float(beta), 12)
-        if key not in self._cdfs:
-            s = ising_bond_sums().astype(float)
-            logw = beta * s
-            w = np.exp(logw - logw.max())
-            cdf = np.cumsum(w)
-            cdf /= cdf[-1]
-            self._cdfs[key] = cdf
-        return self._cdfs[key]
+        self._cdf = _CdfCache(
+            lambda beta: beta * ising_bond_sums().astype(float))
 
     def step(self, x, beta, rng):
         n = np.asarray(x).shape[0]
@@ -93,17 +102,8 @@ class IdealGridExplorer:
         self.model = model
         self.edges = np.linspace(lo, hi, n_cells + 1)
         self.mids = 0.5 * (self.edges[:-1] + self.edges[1:])
-        self._cdfs = {}
-
-    def _cdf(self, beta):
-        key = round(float(beta), 12)
-        if key not in self._cdfs:
-            logp = log_path_density(self.model, beta, self.mids)
-            w = np.exp(logp - logp.max())
-            cdf = np.cumsum(w)
-            cdf /= cdf[-1]
-            self._cdfs[key] = cdf
-        return self._cdfs[key]
+        self._cdf = _CdfCache(
+            lambda beta: log_path_density(self.model, beta, self.mids))
 
     def step(self, x, beta, rng):
         n = np.asarray(x).shape[0]
@@ -153,17 +153,6 @@ class RWMExplorer:
                 x[acc] = prop[acc]
             logp = np.where(acc, logp_prop, logp)
         return x
-
-
-class FrozenKernelExplorer:
-    """Adapter for the instructional kernels that ignore beta (exact
-    mode-local or Gibbs samplers of the target itself)."""
-
-    def __init__(self, kernel_step):
-        self.kernel_step = kernel_step
-
-    def step(self, x, beta, rng):
-        return self.kernel_step(x, rng)
 
 
 def lag1_independence_check(model, explorer, beta, rng, n_pairs=100_000, x0=None):

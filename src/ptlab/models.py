@@ -1,17 +1,14 @@
 """Benchmark targets with exact oracles.
 
 Contains the 4x4 torus Ising model (small enough to enumerate all 65,536
-states exactly), the far-separated bimodal Gaussian pair, a Gaussian
-mean-shift pair with closed-form barrier, and two instructional targets
-whose exploration kernels renew the energy i.i.d. while mixing poorly in
-state space.
+states exactly), the far-separated bimodal Gaussian pair, and a Gaussian
+mean-shift pair with closed-form barrier.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp
-from scipy.stats import truncnorm
 
 from .core import TargetModel
 
@@ -217,108 +214,3 @@ def bimodal_pair():
         sample_reference=sample_reference,
         name="bimodal",
     )
-
-
-# ---------------------------------------------------------------------------
-# Instructional examples: energy renews i.i.d. but global mixing fails
-# ---------------------------------------------------------------------------
-
-
-def disjoint_modes_target():
-    """Two-mode target on [-15,-5] u [5,15] with a mode-local exact kernel.
-
-    Returns (model, kernel_step).  kernel_step(x, rng) draws an exact sample
-    from the mode containing x, so the energy is i.i.d. from its stationary
-    law while the mode indicator never changes.
-    """
-    lo, hi = 5.0, 15.0
-
-    def log_target_unnorm(x):
-        x = np.asarray(x, dtype=float)
-        inside = (np.abs(x) >= lo) & (np.abs(x) <= hi)
-        with np.errstate(divide="ignore"):
-            val = np.where(inside, -0.5 * (np.abs(x) - 10.0) ** 2, -np.inf)
-        return val
-
-    def log_reference(x):
-        x = np.asarray(x, dtype=float)
-        s2 = 200.0
-        return -0.5 * x**2 / s2 - 0.5 * np.log(2 * np.pi * s2)
-
-    model = TargetModel(
-        log_reference=log_reference,
-        log_target_unnorm=log_target_unnorm,
-        dim=1,
-        sample_reference=lambda rng, size: np.sqrt(200.0) * rng.standard_normal(size),
-        name="disjoint_modes",
-    )
-
-    def kernel_step(x, rng):
-        x = np.asarray(x, dtype=float)
-        sign = np.where(x >= 0, 1.0, -1.0)
-        draw = truncnorm.rvs(-5.0, 5.0, loc=10.0, scale=1.0,
-                             size=x.shape, random_state=rng)
-        return sign * draw
-
-    return model, kernel_step
-
-
-def thin_shell_target(a=100.0):
-    """Target N(x2; a*x1, 1) on x1 in [0,1], with its two-block Gibbs kernel.
-
-    Returns (model, gibbs_step).  The Gibbs sweep renews the energy i.i.d.,
-    but x1 moves O(1/a) per step, so global mixing degrades as a grows.
-    """
-    if a <= 0:
-        raise ValueError("shell parameter a must be positive")
-
-    def log_target_unnorm(x):
-        x = np.asarray(x, dtype=float)
-        x1, x2 = x[..., 0], x[..., 1]
-        inside = (x1 >= 0.0) & (x1 <= 1.0)
-        with np.errstate(divide="ignore"):
-            val = np.where(inside, -0.5 * (x2 - a * x1) ** 2, -np.inf)
-        return val
-
-    def log_reference(x):
-        x = np.asarray(x, dtype=float)
-        x1, x2 = x[..., 0], x[..., 1]
-        s2 = a**2 + 1.0
-        out = np.where((x1 >= 0.0) & (x1 <= 1.0), 0.0, -np.inf)
-        return out - 0.5 * x2**2 / s2 - 0.5 * np.log(2 * np.pi * s2)
-
-    def sample_reference(rng, size):
-        x1 = rng.uniform(0.0, 1.0, size)
-        x2 = np.sqrt(a**2 + 1.0) * rng.standard_normal(size)
-        return np.stack([x1, x2], axis=-1)
-
-    model = TargetModel(
-        log_reference=log_reference,
-        log_target_unnorm=log_target_unnorm,
-        dim=2,
-        sample_reference=sample_reference,
-        name="thin_shell",
-    )
-
-    def gibbs_step(x, rng):
-        x = np.asarray(x, dtype=float).copy()
-        x1, x2 = x[..., 0], x[..., 1]
-        # x2 | x1 ~ N(a*x1, 1)
-        x2_new = a * x1 + rng.standard_normal(x1.shape)
-        # x1 | x2 ~ N(x2/a, 1/a^2) truncated to [0, 1]
-        mean = x2_new / a
-        lo = (0.0 - mean) * a
-        hi = (1.0 - mean) * a
-        x1_new = truncnorm.rvs(lo, hi, loc=mean, scale=1.0 / a,
-                               size=mean.shape, random_state=rng)
-        return np.stack([x1_new, x2_new], axis=-1)
-
-    return model, gibbs_step
-
-
-def example_targets(a=100.0):
-    """The two instructional (model, kernel) pairs keyed by name."""
-    return {
-        "disjoint_modes": disjoint_modes_target(),
-        "thin_shell": thin_shell_target(a),
-    }

@@ -24,15 +24,31 @@ class TestExitCodes:
         assert summary["command"] == "bounds"
         assert os.path.exists(summary["files"][0])
 
-    @pytest.mark.parametrize("command", ["sample", "tune", "gcb"])
-    def test_validation_error(self, capsys, tmp_path, command):
+    @pytest.mark.parametrize("argv, config, needle", [
+        pytest.param([cmd, "--model", "ising-typo"], None, "ising-typo",
+                     id=cmd) for cmd in ("sample", "tune", "gcb")
+    ] + [
+        pytest.param([cmd, "--burn-in", value], None, "--burn-in",
+                     id=f"{cmd}-burn-in={value}")
+        for cmd in ("sample", "gcb") for value in ("-0.5", "1.0")
+    ] + [
+        pytest.param(["diagnose", "--trace", "t.csv", "--burn-in", "-0.5"],
+                     None, "--burn-in", id="diagnose-burn-in=-0.5"),
+        pytest.param(["sample"], {"burn-in": 1.0}, "--burn-in",
+                     id="sample-config-burn-in=1.0"),
+    ])
+    def test_validation_error(self, capsys, tmp_path, argv, config, needle):
         out_dir = tmp_path / "out"
-        rc, out, err = run_cli(capsys, [
-            command, "--model", "ising-typo", "--out", str(out_dir)])
+        argv = argv + ["--out", str(out_dir)]
+        if config is not None:
+            conf = tmp_path / "conf.json"
+            conf.write_text(json.dumps(config))
+            argv += ["--config", str(conf)]
+        rc, out, err = run_cli(capsys, argv)
         assert rc == 1
         payload = json.loads(err)
         assert payload["kind"] == "validation"
-        assert "ising-typo" in payload["error"]
+        assert needle in payload["error"]
         assert out == "" and not out_dir.exists()
 
     def test_runtime_error(self, capsys, tmp_path):

@@ -11,6 +11,7 @@ from ptlab.core import (
     swap_acceptance,
 )
 from ptlab.models import gaussian_shift_pair
+from ptlab.rng import make_stream
 
 
 class TestAnnealingSchedule:
@@ -107,6 +108,21 @@ class TestSwapAcceptance:
         v_hi = np.array([0.0, 1.0])
         a = swap_acceptance(0.0, 1.0, v_lo, v_hi)
         np.testing.assert_allclose(a, [np.exp(-1.0), 1.0], atol=1e-14)
+
+    def test_beta_arrays_match_per_pair_calls(self):
+        betas = np.array([0.0, 0.1, 0.35, 0.7, 1.0])
+        v = make_stream(3).normal(0.0, 5.0, size=(5, 7))
+        v[2, 0] = v[3, 0] = np.inf
+        a = swap_acceptance(betas[:-1, None], betas[1:, None], v[:-1], v[1:])
+        assert a.shape == (4, 7)
+        for n in range(4):
+            np.testing.assert_array_equal(
+                a[n], swap_acceptance(betas[n], betas[n + 1], v[n], v[n + 1]))
+
+    def test_reversed_beta_in_array_raises(self):
+        with pytest.raises(ValueError):
+            swap_acceptance(np.array([0.0, 0.5]), np.array([0.5, 0.4]),
+                            np.zeros(2), np.zeros(2))
 
     def test_conflicting_infinities_accept(self):
         assert swap_acceptance(0.0, 1.0, np.inf, np.inf) == 1.0

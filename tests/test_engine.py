@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from ptlab.core import AnnealingSchedule
+from ptlab.core import AnnealingSchedule, energy
 from ptlab.engine import (
     PTConfig,
     PTTrace,
@@ -14,8 +14,12 @@ from ptlab.engine import (
     update_index_process,
 )
 from ptlab.experiments import gaussian_equal_rate_mu
-from ptlab.explorers import GaussianPathExplorer
-from ptlab.models import gaussian_shift_pair
+from ptlab.explorers import (
+    GaussianPathExplorer,
+    IIDReferenceExplorer,
+    IsingGibbsExplorer,
+)
+from ptlab.models import N_SITES, gaussian_shift_pair, ising_model
 from ptlab.rng import make_stream
 
 
@@ -74,8 +78,9 @@ class TestIndexProcess:
         # at parity 0, even non-target slots propose upward
         np.testing.assert_array_equal(tr.direction[0, :, 0], [1, -1, 1, -1, -1])
 
-    def test_index_is_permutation_each_iteration(self):
-        tr = _gaussian_run("nrpt", 3, 0.4, 50, 8)
+    @pytest.mark.parametrize("scheme", ["nrpt", "rpt"])
+    def test_index_is_permutation_each_iteration(self, scheme):
+        tr = _gaussian_run(scheme, 3, 0.4, 50, 8)
         for t in range(tr.index.shape[0]):
             for rep in range(8):
                 assert sorted(tr.index[t, :, rep]) == [0, 1, 2, 3]
@@ -95,8 +100,11 @@ class TestIndexProcess:
         assert set(np.unique(tr.parities)) <= {0, 1}
 
     def test_nrpt_parities_alternate(self):
-        tr = _gaussian_run("nrpt", 2, 0.3, 9, 1)
-        np.testing.assert_array_equal(tr.parities, np.arange(10) % 2)
+        tr = _gaussian_run("nrpt", 2, 0.3, 9, 3)
+        assert tr.parities.shape == (10, 3)
+        for rep in range(3):
+            np.testing.assert_array_equal(tr.parities[:, rep],
+                                          np.arange(10) % 2)
 
 
 class TestRunPt:
@@ -113,17 +121,77 @@ class TestRunPt:
         with pytest.raises(ValueError):
             run_pt(cfg, model, [GaussianPathExplorer(1.0)] * 2)
 
-    def test_swap_exchanges_energies(self):
-        # post-swap energies must be consistent with recomputing V on the
-        # final states for the last iteration
-        tr = _gaussian_run("nrpt", 3, 0.4, 8, 4)
-        model = gaussian_shift_pair(gaussian_equal_rate_mu(3, 0.4))
-        from ptlab.core import energy
+    @pytest.mark.parametrize("scheme", ["nrpt", "rpt"])
+    @pytest.mark.parametrize("problem", ["gaussian", "ising"])
+    def test_swap_exchanges_energies(self, scheme, problem):
+        # post-swap energies must match V recomputed on the swapped states:
+        # on the target chain at every iteration, on every chain at the end
+        n, r = 3, 16
+        if problem == "gaussian":
+            mu = gaussian_equal_rate_mu(n, 0.4)
+            model = gaussian_shift_pair(mu)
+            kernels = [GaussianPathExplorer(mu)] * (n + 1)
+            state_shape = (r,)
+        else:
+            model = ising_model()
+            kernels = [IIDReferenceExplorer(model)] + [
+                IsingGibbsExplorer(sweeps=1)] * n
+            state_shape = (r, N_SITES)
+        cfg = PTConfig(scheme, AnnealingSchedule.uniform(n), n_iters=8,
+                       n_replicas=r, seed=4, record_target_states=True)
+        tr = run_pt(cfg, model, kernels)
+        assert tr.accepts.any()
+        assert tr.final_states.shape == (n + 1,) + state_shape
+        np.testing.assert_allclose(tr.energies[-1],
+                                   energy(model, tr.final_states), atol=1e-10)
+        np.testing.assert_allclose(tr.energies[:, n],
+                                   energy(model, tr.target_states), atol=1e-10)
 
-        for c in range(4):
-            np.testing.assert_allclose(
-                tr.energies[-1, c], energy(model, tr.final_states[c]),
-                atol=1e-10)
+    @pytest.mark.parametrize("scheme", ["nrpt", "rpt"])
+    def test_states_follow_index_process(self, scheme):
+        # with kernels that keep their input, every state stays with its
+        # machine, so the swap gather and the replayed index must agree
+        class Stay:
+            def step(self, x, beta, rng):
+                return x
+
+        n, r = 4, 32
+        init = make_stream(5).standard_normal((n + 1, r))
+        cfg = PTConfig(scheme, AnnealingSchedule.uniform(n), n_iters=30,
+                       n_replicas=r, seed=6, record_target_states=True)
+        tr = run_pt(cfg, gaussian_shift_pair(2.0), [Stay()] * (n + 1),
+                    init_states=init)
+        assert tr.accepts.sum() > 100
+        reps = np.arange(r)
+        for t in range(1, tr.n_iters + 1):
+            slot_of = tr.index[t]  # (machine, replica) -> slot
+            held = np.empty_like(init)
+            held[slot_of, reps] = init
+            np.testing.assert_array_equal(held[n], tr.target_states[t - 1])
+        np.testing.assert_array_equal(held, tr.final_states)
+
+    def test_init_states_list_or_array(self):
+        model = ising_model()
+        kernels = [IIDReferenceExplorer(model)] + [IsingGibbsExplorer()] * 2
+        cfg = PTConfig("rpt", AnnealingSchedule.uniform(2), n_iters=5,
+                       n_replicas=4, seed=2)
+        init = model.sample_reference(make_stream(1), 12).reshape(3, 4, N_SITES)
+        t1 = run_pt(cfg, model, kernels, init_states=init)
+        t2 = run_pt(cfg, model, kernels, init_states=list(init))
+        np.testing.assert_array_equal(t1.final_states, t2.final_states)
+        np.testing.assert_array_equal(t1.accepts, t2.accepts)
+        with pytest.raises(ValueError):
+            run_pt(cfg, model, kernels, init_states=init[:2])
+
+    def test_float_kernel_into_integer_states_raises(self):
+        # the state array keeps the dtype of init_states; truncating a
+        # kernel's float draws to integers would corrupt the run
+        model = gaussian_shift_pair(1.0)
+        cfg = PTConfig("nrpt", AnnealingSchedule.uniform(2), n_iters=2,
+                       n_replicas=4)
+        with pytest.raises(TypeError):
+            run_pt(cfg, model, [GaussianPathExplorer(1.0)] * 3,
+                   init_states=np.zeros((3, 4), dtype=np.int64))
 
     def test_closed_form_rejection_rates(self):
         # uniform grid on the Gaussian shift path gives equal pair
@@ -154,28 +222,27 @@ class TestRejectionRates:
         np.testing.assert_allclose(stats.barrier_estimate,
                                    stats.rejection.sum(), atol=1e-14)
 
+    @pytest.mark.parametrize("burn_in", [-0.5, 1.0, float("nan")])
+    def test_burn_in_outside_unit_interval(self, burn_in):
+        tr = _gaussian_run("nrpt", 2, 0.3, 10, 2)
+        with pytest.raises(ValueError, match="burn_in"):
+            rejection_rates(tr, burn_in=burn_in)
+
 
 class TestRestartsAndAncestry:
     def test_restart_count_handcrafted(self):
-        # machine 0 walks 0 -> 1 -> 2 (one traversal), machine 1 idles
-        idx = np.array([
-            [[0], [2]],
-            [[1], [2]],
-            [[2], [2]],
-        ], dtype=np.int16)  # (T+1=3, chains=2... shaped (t, machine, rep))
+        # accepting pair 0 at t=0 (even) and pair 1 at t=1 (odd) walks
+        # machine 0 through slots 0 -> 1 -> 2: one traversal; machines 1
+        # and 2 only move down
+        accepts = np.array([[[True], [False]],
+                            [[False], [True]]])  # (t, pair, replica)
         tr = PTTrace(scheme="nrpt", betas=np.array([0.0, 0.5, 1.0]),
                      n_iters=2, n_replicas=1,
-                     parities=np.arange(3) % 2,
-                     accepts=np.zeros((2, 2, 1), dtype=bool),
-                     index=idx.reshape(3, 2, 1))
-        # index has 2 machines here but 3 chains; restart logic only reads
-        # slot values, so machine count may differ from chain count
+                     parities=np.arange(3)[:, None] % 2,
+                     accepts=accepts)
+        np.testing.assert_array_equal(tr.index[:, :, 0],
+                                      [[0, 1, 2], [1, 0, 2], [2, 0, 1]])
         assert restart_count(tr) == 1
-
-    def test_restart_requires_index(self):
-        tr = _gaussian_run("nrpt", 2, 0.3, 5, 2, record_indices=False)
-        with pytest.raises(ValueError):
-            restart_count(tr)
 
     def test_ancestral_survival_bounds(self):
         tr = _gaussian_run("nrpt", 3, 0.4, 30, 200)

@@ -3,7 +3,6 @@ import pytest
 
 from ptlab.diagnostics import empirical_tv_discrete
 from ptlab.explorers import (
-    FrozenKernelExplorer,
     GaussianPathExplorer,
     IIDReferenceExplorer,
     IdealGridExplorer,
@@ -113,12 +112,3 @@ class TestRWM:
         with pytest.raises(ValueError):
             RWMExplorer(gaussian_shift_pair(1.0), step_size=0.0)
 
-
-class TestFrozenKernel:
-    def test_ignores_beta(self):
-        k = FrozenKernelExplorer(lambda x, rng: x + 1.0)
-        x = np.zeros(4)
-        np.testing.assert_array_equal(k.step(x, 0.3, make_stream(0)),
-                                      np.ones(4))
-        np.testing.assert_array_equal(k.step(x, 0.9, make_stream(0)),
-                                      np.ones(4))
