@@ -77,9 +77,12 @@ def _write_csv(path, header, columns):
 
 def _parse_float_list(text):
     try:
-        return [float(x) for x in str(text).split(",") if x != ""]
+        values = [float(x) for x in str(text).split(",") if x != ""]
     except ValueError as exc:
         raise CliError(f"bad numeric list {text!r}") from exc
+    if not values:
+        raise CliError(f"empty numeric list {text!r}")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +393,8 @@ def _config_argv(subparser, path):
         raise CliError(f"unknown config keys: {unknown}")
     tokens = []
     for key, val in conf.items():
+        if val is None:
+            raise CliError(f"config key {key!r} is null")
         action = flags[key.replace("-", "_")]
         opt = action.option_strings[0]
         if action.nargs == 0:

@@ -18,7 +18,7 @@ replayed from that record when first read.  A run is fully determined by
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -35,7 +35,7 @@ class PTConfig:
     schedule: AnnealingSchedule
     n_iters: int
     n_replicas: int = 1
-    seed: int = 0
+    seed: Union[int, tuple] = 0  # a master seed or a key tuple; see rng
     record_energies: bool = True
     record_target_states: bool = False
 
@@ -169,9 +169,9 @@ def run_pt(config, model, kernels, init_states=None):
         raise ValueError("need one kernel per chain")
     t_iters, r = config.n_iters, config.n_replicas
 
-    explore_rngs = [make_stream(config.seed, chain=c) for c in range(n_chains)]
-    comm_rng = make_stream(config.seed, chain=n_chains)
-    parity_rng = make_stream(config.seed, chain=n_chains + 1)
+    explore_rngs = [make_stream(config.seed, c, 0) for c in range(n_chains)]
+    comm_rng = make_stream(config.seed, n_chains, 0)
+    parity_rng = make_stream(config.seed, n_chains + 1, 0)
 
     if init_states is None:
         if model.sample_reference is None:

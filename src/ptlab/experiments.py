@@ -28,7 +28,7 @@ from .models import (
     ising_model,
 )
 from . import bounds, walks
-from .rng import make_stream
+from .rng import INIT, MAIN, TUNE, make_stream
 
 
 # ---------------------------------------------------------------------------
@@ -98,30 +98,32 @@ def _swap_stats(model, kernels, schedule, n_iters, n_replicas, seed,
 def tune(name, n, rounds=None, seed=0):
     """Equi-acceptance schedule for model `name` via budget-doubling rounds.
 
-    Round k runs at seed + k.  `rounds` defaults to the model's own.
-    Returns (schedule, lambda_hat, BarrierFn) after the final round.
+    Round k runs on the streams keyed (seed, TUNE, k).  `rounds` defaults
+    to the model's own.  Returns (schedule, lambda_hat, BarrierFn) after
+    the final round.
     """
     spec = _spec(name)
     model, kernels = model_and_kernels(name, n)
 
-    def run_fn(schedule, n_iters, run_seed):
+    def run_fn(schedule, n_iters, k):
         return _swap_stats(model, kernels, schedule, n_iters,
-                           spec.tune_replicas, run_seed)
+                           spec.tune_replicas, (seed, TUNE, k))
 
     return tuning_rounds(run_fn, n,
                          rounds=spec.rounds if rounds is None else rounds,
-                         base_iters=spec.base_iters, seed=seed)
+                         base_iters=spec.base_iters)
 
 
 def gcb(name, n, n_iters, n_replicas, burn_in, seed=0):
     """Barrier estimate for model `name` from a tuned equi-acceptance run.
 
-    The main run is at seed + 100, clear of the tuning rounds' seeds.
+    The main run draws from the streams keyed (seed, MAIN), apart from
+    every tuning round's.
     """
     schedule, _, _ = tune(name, n, seed=seed)
     model, kernels = model_and_kernels(name, n)
     stats = _swap_stats(model, kernels, schedule, n_iters, n_replicas,
-                        seed + 100, burn_in)
+                        (seed, MAIN), burn_in)
     lam_hat, barrier = estimate_gcb(stats, schedule)
     return {
         "lambda_hat": lam_hat,
@@ -155,13 +157,13 @@ def ising_tv_experiment(n=5, n_iters=25, n_replicas=50_000, init="all-minus",
     if init == "all-minus":
         init_states = np.full((n + 1, n_replicas, N_SITES), -1, dtype=np.int8)
     elif init == "random":
-        rng = make_stream(seed, chain=999)
+        rng = make_stream(seed, INIT)
         init_states = [model.sample_reference(rng, n_replicas)
                        for _ in range(n + 1)]
     else:
         raise ValueError(f"unknown init {init!r}")
     cfg = PTConfig("nrpt", schedule, n_iters=n_iters, n_replicas=n_replicas,
-                   seed=seed + 1, record_energies=False,
+                   seed=(seed, MAIN), record_energies=False,
                    record_target_states=True)
     trace = run_pt(cfg, model, kernels, init_states=init_states)
     stats = rejection_rates(trace, burn_in=0.2)
@@ -207,7 +209,7 @@ def bimodal_clt_runs(n_runs=500, n=6, n_iters=2000, seed=0, schedule=None):
     if schedule is None:
         schedule, _, _ = tune("bimodal", n, seed=seed)
     cfg = PTConfig("nrpt", schedule, n_iters=n_iters, n_replicas=n_runs,
-                   seed=seed + 200, record_energies=False,
+                   seed=(seed, MAIN), record_energies=False,
                    record_target_states=True)
     trace = run_pt(cfg, model, kernels)
     f = np.sign(trace.target_states)  # (T, runs); target is symmetric, E f = 0

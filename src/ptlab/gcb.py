@@ -89,28 +89,29 @@ def tune_schedule(barrier, n):
     return AnnealingSchedule(betas)
 
 
-def tuning_rounds(run_fn, n, rounds=3, base_iters=512, seed=0):
+def tuning_rounds(run_fn, n, rounds=3, base_iters=512):
     """Schedule adaptation: run, re-estimate, re-grid, doubling the budget.
 
     Parameters
     ----------
     run_fn : callable
-        (schedule, n_iters, seed) -> SwapStats for a PT run under that
-        schedule (burn-in already applied).
+        (schedule, n_iters, k) -> SwapStats for the PT run of round k
+        under that schedule (burn-in already applied).
     n : int
         Number of schedule intervals.
     rounds : int
-        Number of adaptation rounds; round k uses base_iters * 2^k
-        iterations.
+        Number of adaptation rounds (at least 1); round k uses
+        base_iters * 2^k iterations.
 
     Returns
     -------
     (schedule, lambda_hat, BarrierFn) after the final round.
     """
+    if rounds < 1:
+        raise ValueError(f"need rounds >= 1, got {rounds}")
     schedule = AnnealingSchedule.uniform(n)
-    lam_hat, barrier = 0.0, None
     for k in range(rounds):
-        stats = run_fn(schedule, base_iters * (2**k), seed + k)
+        stats = run_fn(schedule, base_iters * (2**k), k)
         lam_hat, barrier = estimate_gcb(stats, schedule)
         schedule = tune_schedule(barrier, n)
     return schedule, lam_hat, barrier
@@ -131,7 +132,7 @@ def gcb_direct_mc(v_sampler, seed=0, n_beta=200, n_pairs=10_000):
     betas = (np.arange(n_beta) + 0.5) / n_beta
     means = np.empty(n_beta)
     for i, b in enumerate(betas):
-        rng = make_stream(seed, chain=0, replica=i)
+        rng = make_stream(seed, 0, i)
         v1 = np.asarray(v_sampler(b, rng, n_pairs), dtype=float)
         v2 = np.asarray(v_sampler(b, rng, n_pairs), dtype=float)
         means[i] = np.abs(v1 - v2).mean()

@@ -1,40 +1,60 @@
 """Reproducible random number streams.
 
-Every stochastic routine in this package draws from a stream created here.
-Streams are keyed by (master seed, chain index, replica index) through
-``numpy.random.SeedSequence`` spawn keys, so distinct (chain, replica)
-pairs are statistically independent and any run is bit-reproducible from
-its seed alone, regardless of how work is scheduled.
+Every stochastic routine in this package draws from a stream made by
+``make_stream(seed, *key)``: a Philox generator seeded with
+``numpy.random.SeedSequence(seed, spawn_key=key)``.  The master seed is the
+entropy and the key is the spawn key, so each (seed, key) pair is its own
+stream, and keys of different lengths never coincide: ``make_stream(5)``,
+``make_stream(5, 0)`` and ``make_stream(5, 0, 0)`` are three streams.  A
+seed may also be a key tuple ``(seed, *path)``; its path goes in front of
+``key``, so ``make_stream((5, 1), 0)`` is ``make_stream(5, 1, 0)``.  A run
+is bit-reproducible from its seed at a fixed replica count.
+
+Key layout, for a schedule of N intervals (N+1 chains):
+
+    key                 stream
+    ------------------  ------------------------------------------------
+    (c, 0)              run_pt: exploration of chain c, 0 <= c <= N
+    (N+1, 0)            run_pt: swap acceptance draws
+    (N+2, 0)            run_pt: parity draws (reversible PT)
+    (0, b)              walks.survival_curve: replicate block b
+    (0, i)              gcb.gcb_direct_mc: quadrature node i
+    (TUNE, k, *run)     experiments: run_pt keys of tuning round k
+    (MAIN, *run)        experiments: run_pt keys of the main run
+    (INIT,)             experiments: initial states of the main run
+
+``*run`` stands for the three run_pt rows, so an experiment passes
+``(seed, TUNE, k)`` or ``(seed, MAIN)`` as ``PTConfig.seed``.  Rows that
+share a key belong to different commands, which never draw under one
+seed together.  The trailing 0 of the run_pt keys is the replica-block
+slot.
 """
 
 import numpy as np
 
+# Phases of an experiment recipe: the first spawn-key entry of its runs.
+TUNE = 0
+MAIN = 1
+INIT = 2
 
-def make_stream(seed, chain=0, replica=0):
-    """Return a Generator for the (chain, replica) substream of `seed`.
+
+def make_stream(seed, *key):
+    """Return the Generator of stream `key` under `seed`.
 
     Parameters
     ----------
-    seed : int
-        Master seed (any non-negative integer; 64-bit range is fine).
-    chain : int
-        Chain index of the stream.
-    replica : int
-        Replica (or replica-block) index of the stream.
+    seed : int or tuple
+        Master seed (any non-negative integer; 64-bit range is fine), or a
+        key tuple (seed, *path) whose path is prepended to `key`.
+    *key : int
+        Spawn key of the stream; see the module docstring for the layout.
 
     Returns
     -------
     numpy.random.Generator
         Philox-backed generator; counter-based, so substreams are cheap.
     """
-    ss = np.random.SeedSequence(seed, spawn_key=(chain, replica))
+    if isinstance(seed, tuple):
+        seed, key = seed[0], seed[1:] + key
+    ss = np.random.SeedSequence(seed, spawn_key=key)
     return np.random.Generator(np.random.Philox(ss))
-
-
-def replica_streams(seed, chain, n_blocks):
-    """Streams for `n_blocks` replica blocks of one chain.
-
-    Blocks are independent, so batched simulations are reproducible no
-    matter how replicas are grouped into vectorized blocks.
-    """
-    return [make_stream(seed, chain, b) for b in range(n_blocks)]

@@ -14,6 +14,9 @@ import numpy as np
 
 from .rng import make_stream
 
+# replicates per survival_curve block; each block has its own stream
+CHUNK = 200_000
+
 
 def sim_persistent_walk(n, r, rng, size=1, t_cap=10_000_000):
     """Hitting times of the persistent walk from (0, +1) to (N, +1).
@@ -169,7 +172,7 @@ class SurvivalCurve:
     n_rep: int
 
 
-def survival_curve(simulator, t_grid, n_rep, seed, chunk=200_000):
+def survival_curve(simulator, t_grid, n_rep, seed):
     """Estimate a survival curve from a batch simulator.
 
     Parameters
@@ -181,8 +184,9 @@ def survival_curve(simulator, t_grid, n_rep, seed, chunk=200_000):
     n_rep : int
         Total number of replicates (>= 100).
     seed : int
-        Master seed; replicate blocks use independent substreams keyed by
-        block index, so a (seed, chunk) pair fully determines the curve.
+        Master seed; replicates are simulated in blocks of CHUNK, each
+        from its own stream keyed by block index, so the seed alone
+        determines the curve.
     """
     if n_rep < 100:
         raise ValueError("need at least 100 replicates")
@@ -191,8 +195,8 @@ def survival_curve(simulator, t_grid, n_rep, seed, chunk=200_000):
     done = 0
     block = 0
     while done < n_rep:
-        m = min(chunk, n_rep - done)
-        rng = make_stream(seed, chain=0, replica=block)
+        m = min(CHUNK, n_rep - done)
+        rng = make_stream(seed, 0, block)
         samples = np.sort(np.asarray(simulator(rng, m), dtype=float))
         # number of samples strictly greater than each grid time
         counts += m - np.searchsorted(samples, t_grid, side="right")

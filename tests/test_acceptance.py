@@ -66,14 +66,14 @@ class TestCriterion2MatrixOracleVsMonteCarlo:
     @pytest.mark.parametrize("n", [1, 6, 30])
     @pytest.mark.parametrize("r", [0.1, 0.46, 0.9])
     def test_nonreversible(self, n, r):
-        times = sim_persistent_walk(n, r, make_stream(1000 + n), self.N_SIM)
+        times = sim_persistent_walk(n, r, make_stream(1000 + n, 0, 0), self.N_SIM)
         cdf = lambda ts: 1.0 - hitting_tail("nrpt", n, r, ts.astype(np.int64))
         assert ks_distance_discrete(times, cdf) <= ks_band(self.N_SIM)
 
     @pytest.mark.parametrize("n", [1, 6, 30])
     @pytest.mark.parametrize("r", [0.1, 0.46, 0.9])
     def test_reversible(self, n, r):
-        times = sim_seo_walk(n, r, make_stream(2000 + n), self.N_SIM)
+        times = sim_seo_walk(n, r, make_stream(2000 + n, 0, 0), self.N_SIM)
         cdf = lambda ts: 1.0 - hitting_tail("rpt", n, r, ts.astype(np.int64))
         assert ks_distance_discrete(times, cdf) <= ks_band(self.N_SIM)
 

@@ -36,6 +36,14 @@ class TestExitCodes:
                      None, "--burn-in", id="diagnose-burn-in=-0.5"),
         pytest.param(["sample"], {"burn-in": 1.0}, "--burn-in",
                      id="sample-config-burn-in=1.0"),
+    ] + [
+        pytest.param(["tune", "--rounds", value], None, "rounds",
+                     id=f"tune-rounds={value}") for value in ("0", "-2")
+    ] + [
+        pytest.param(["laplace", "--lam", ","], None, "empty",
+                     id="laplace-lam-empty"),
+        pytest.param(["laplace", "--lam", ",", "--fgrid"], None, "empty",
+                     id="laplace-lam-empty-fgrid"),
     ])
     def test_validation_error(self, capsys, tmp_path, argv, config, needle):
         out_dir = tmp_path / "out"
@@ -106,6 +114,16 @@ class TestConfigFile:
         rc, out, _ = sample("chains", "5")
         assert rc == 0
         assert len(json.loads(out)["rejection_rates"]) == 4
+
+    def test_null_value_rejected(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"out": None}))
+        rc, out, err = run_cli(capsys, ["bounds", "--config", str(conf)])
+        assert rc == 1
+        payload = json.loads(err)
+        assert payload["kind"] == "validation" and "'out'" in payload["error"]
+        assert out == "" and not (tmp_path / "None").exists()
 
     def test_malformed_config(self, capsys, tmp_path):
         conf = tmp_path / "conf.json"

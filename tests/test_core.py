@@ -111,7 +111,7 @@ class TestSwapAcceptance:
 
     def test_beta_arrays_match_per_pair_calls(self):
         betas = np.array([0.0, 0.1, 0.35, 0.7, 1.0])
-        v = make_stream(3).normal(0.0, 5.0, size=(5, 7))
+        v = make_stream(3, 0, 0).normal(0.0, 5.0, size=(5, 7))
         v[2, 0] = v[3, 0] = np.inf
         a = swap_acceptance(betas[:-1, None], betas[1:, None], v[:-1], v[1:])
         assert a.shape == (4, 7)

@@ -22,11 +22,11 @@ from ptlab.rng import make_stream
 
 class TestLag1Autocorr:
     def test_iid_series_near_zero(self):
-        v = make_stream(0).standard_normal(10_000)
+        v = make_stream(0, 0, 0).standard_normal(10_000)
         assert abs(lag1_energy_autocorr(v, burn_in=0.0)) < 3 / np.sqrt(10_000)
 
     def test_correlated_series_detected(self):
-        rng = make_stream(1)
+        rng = make_stream(1, 0, 0)
         v = np.empty(5000)
         v[0] = rng.standard_normal()
         for i in range(1, 5000):
@@ -45,7 +45,7 @@ class TestLag1Autocorr:
 class TestEmpiricalTv:
     def test_exact_samples_below_floor(self):
         exact = ising_exact_distribution(0.5)
-        codes = make_stream(2).choice(65536, size=100_000, p=exact.probs)
+        codes = make_stream(2, 0, 0).choice(65536, size=100_000, p=exact.probs)
         tv, floor = empirical_tv_discrete(codes, exact)
         assert tv < 3 * floor
 
@@ -66,11 +66,11 @@ class TestEmpiricalTv:
 
 class TestAsymptoticVariance:
     def test_iid_unit_variance(self):
-        f = make_stream(3).standard_normal(100_000)
+        f = make_stream(3, 0, 0).standard_normal(100_000)
         assert abs(asymptotic_variance(f) - 1.0) < 0.15
 
     def test_positive_correlation_inflates(self):
-        rng = make_stream(4)
+        rng = make_stream(4, 0, 0)
         eps = rng.standard_normal(100_000)
         f = np.empty_like(eps)
         f[0] = eps[0]
@@ -86,12 +86,12 @@ class TestAsymptoticVariance:
 
 class TestNormalityCheck:
     def test_normal_passes(self):
-        z = make_stream(5).standard_normal(500)
+        z = make_stream(5, 0, 0).standard_normal(500)
         passed, stat, crit = batch_mean_normality(z)
         assert passed and stat < crit
 
     def test_exponential_fails(self):
-        z = make_stream(6).exponential(1.0, size=500)
+        z = make_stream(6, 0, 0).exponential(1.0, size=500)
         passed, _, _ = batch_mean_normality(z)
         assert not passed
 

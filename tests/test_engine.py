@@ -46,11 +46,11 @@ class TestCommunicationStep:
     def test_only_proposed_parity_swaps(self):
         sched = AnnealingSchedule.uniform(4)
         v = np.zeros((5, 100))
-        acc = communication_step(v, sched, 0, make_stream(0))
+        acc = communication_step(v, sched, 0, make_stream(0, 0, 0))
         assert acc.shape == (4, 100)
         assert acc[0].all() and acc[2].all()       # equal energies: accept
         assert not acc[1].any() and not acc[3].any()  # wrong parity
-        acc = communication_step(v, sched, 1, make_stream(0))
+        acc = communication_step(v, sched, 1, make_stream(0, 0, 0))
         assert acc[1].all() and acc[3].all()
         assert not acc[0].any() and not acc[2].any()
 
@@ -58,14 +58,14 @@ class TestCommunicationStep:
         # huge unfavourable energy gap: acceptance probability ~ 0
         sched = AnnealingSchedule.uniform(2)
         v = np.array([[1000.0], [0.0], [0.0]])
-        acc = communication_step(v, sched, 0, make_stream(0))
+        acc = communication_step(v, sched, 0, make_stream(0, 0, 0))
         assert not acc[0, 0]
 
     def test_per_replica_parity(self):
         sched = AnnealingSchedule.uniform(2)
         v = np.zeros((3, 2))
         parity = np.array([0, 1])
-        acc = communication_step(v, sched, parity, make_stream(0))
+        acc = communication_step(v, sched, parity, make_stream(0, 0, 0))
         assert acc[0, 0] and not acc[1, 0]
         assert acc[1, 1] and not acc[0, 1]
 
@@ -156,7 +156,7 @@ class TestRunPt:
                 return x
 
         n, r = 4, 32
-        init = make_stream(5).standard_normal((n + 1, r))
+        init = make_stream(5, 0, 0).standard_normal((n + 1, r))
         cfg = PTConfig(scheme, AnnealingSchedule.uniform(n), n_iters=30,
                        n_replicas=r, seed=6, record_target_states=True)
         tr = run_pt(cfg, gaussian_shift_pair(2.0), [Stay()] * (n + 1),
@@ -175,7 +175,7 @@ class TestRunPt:
         kernels = [IIDReferenceExplorer(model)] + [IsingGibbsExplorer()] * 2
         cfg = PTConfig("rpt", AnnealingSchedule.uniform(2), n_iters=5,
                        n_replicas=4, seed=2)
-        init = model.sample_reference(make_stream(1), 12).reshape(3, 4, N_SITES)
+        init = model.sample_reference(make_stream(1, 0, 0), 12).reshape(3, 4, N_SITES)
         t1 = run_pt(cfg, model, kernels, init_states=init)
         t2 = run_pt(cfg, model, kernels, init_states=list(init))
         np.testing.assert_array_equal(t1.final_states, t2.final_states)

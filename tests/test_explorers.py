@@ -26,7 +26,7 @@ class TestIIDReference:
         model = ising_model()
         k = IIDReferenceExplorer(model)
         x0 = np.full((5000, 16), -1, dtype=np.int8)
-        x1 = k.step(x0, 1.0, make_stream(0))
+        x1 = k.step(x0, 1.0, make_stream(0, 0, 0))
         assert abs(x1.mean()) < 0.05  # uniform spins
 
     def test_requires_sampler(self):
@@ -42,7 +42,7 @@ class TestIdealIsing:
     def test_samples_match_exact_distribution(self):
         k = IdealIsingExplorer()
         x0 = np.zeros((200_000, 16), dtype=np.int8)
-        x1 = k.step(x0, 1.0, make_stream(1))
+        x1 = k.step(x0, 1.0, make_stream(1, 0, 0))
         exact = ising_exact_distribution(1.0)
         tv, floor = empirical_tv_discrete(codes_from_spins(x1), exact)
         assert tv < 3 * floor
@@ -50,7 +50,7 @@ class TestIdealIsing:
     def test_energy_renews(self):
         model = ising_model()
         rho = lag1_independence_check(model, IdealIsingExplorer(), 0.8,
-                                      make_stream(2), n_pairs=50_000)
+                                      make_stream(2, 0, 0), n_pairs=50_000)
         assert abs(rho) < 3.0 / np.sqrt(50_000) * 1.5
 
 
@@ -60,8 +60,8 @@ class TestIsingGibbs:
         k_exact = IdealIsingExplorer()
         k = IsingGibbsExplorer(sweeps=2)
         x = k_exact.step(np.zeros((100_000, 16), dtype=np.int8), 1.0,
-                         make_stream(3))
-        x = k.step(x, 1.0, make_stream(4))
+                         make_stream(3, 0, 0))
+        x = k.step(x, 1.0, make_stream(4, 0, 0))
         exact = ising_exact_distribution(1.0)
         tv, floor = empirical_tv_discrete(codes_from_spins(x), exact)
         assert tv < 4 * floor
@@ -69,7 +69,7 @@ class TestIsingGibbs:
     def test_beta_zero_is_uniform(self):
         k = IsingGibbsExplorer(sweeps=1)
         x = k.step(np.full((50_000, 16), -1, dtype=np.int8), 0.0,
-                   make_stream(5))
+                   make_stream(5, 0, 0))
         assert abs(x.mean()) < 0.02
 
 
@@ -77,7 +77,7 @@ class TestIdealGrid:
     def test_bimodal_target_mode_balance(self):
         model = bimodal_pair()
         k = IdealGridExplorer(model, lo=-600.0, hi=600.0)
-        x = k.step(np.zeros(100_000), 1.0, make_stream(6))
+        x = k.step(np.zeros(100_000), 1.0, make_stream(6, 0, 0))
         right = (x > 0).mean()
         assert abs(right - 0.5) < 0.01
         # modes are unit-width Gaussians at +-100
@@ -86,7 +86,7 @@ class TestIdealGrid:
     def test_beta_zero_matches_reference_moments(self):
         model = bimodal_pair()
         k = IdealGridExplorer(model, lo=-600.0, hi=600.0)
-        x = k.step(np.zeros(100_000), 0.0, make_stream(7))
+        x = k.step(np.zeros(100_000), 0.0, make_stream(7, 0, 0))
         assert abs(x.mean()) < 1.5
         assert abs(x.std() - np.sqrt(100.0**2 + 1)) < 1.0
 
@@ -94,7 +94,7 @@ class TestIdealGrid:
 class TestGaussianPath:
     def test_exact_moments(self):
         k = GaussianPathExplorer(3.0)
-        x = k.step(np.zeros(200_000), 0.5, make_stream(8))
+        x = k.step(np.zeros(200_000), 0.5, make_stream(8, 0, 0))
         assert abs(x.mean() - 1.5) < 0.01
         assert abs(x.std() - 1.0) < 0.01
 
@@ -103,8 +103,8 @@ class TestRWM:
     def test_preserves_gaussian_target(self):
         model = gaussian_shift_pair(0.0)
         k = RWMExplorer(model, step_size=2.4, n_steps=20)
-        x = make_stream(9).standard_normal(20_000)
-        x = k.step(x, 1.0, make_stream(10))
+        x = make_stream(9, 0, 0).standard_normal(20_000)
+        x = k.step(x, 1.0, make_stream(10, 0, 0))
         assert abs(x.mean()) < 0.05
         assert abs(x.std() - 1.0) < 0.05
 

@@ -104,7 +104,10 @@ class TestTuningRounds:
         # total exactly (piecewise-linear reconstruction is exact at knots)
         true = lambda beta: 2.0 * np.asarray(beta) ** 2
 
-        def run_fn(schedule, n_iters, seed):
+        rounds_run = []
+
+        def run_fn(schedule, n_iters, k):
+            rounds_run.append(k)
             rej = np.diff(true(schedule.betas))
             return SwapStats(proposed=np.full(rej.size, n_iters),
                              accepted=np.zeros(rej.size), rejection=rej)
@@ -113,6 +116,7 @@ class TestTuningRounds:
         np.testing.assert_allclose(lam, 2.0, atol=1e-10)
         incr = np.diff(true(sched.betas))
         assert incr.max() - incr.min() < 1e-3
+        assert rounds_run == [0, 1, 2, 3, 4]
 
 
 class TestDirectMc:

@@ -106,7 +106,7 @@ class TestGaussianShiftPair:
     def test_path_is_shifted_normal(self):
         mu = 3.0
         sampler = gaussian_path_sampler(mu)
-        x = sampler(0.4, make_stream(0), 200_000)
+        x = sampler(0.4, make_stream(0, 0, 0), 200_000)
         assert abs(x.mean() - 0.4 * mu) < 0.01
         assert abs(x.std() - 1.0) < 0.01
 
@@ -116,7 +116,7 @@ class TestGaussianShiftPair:
 
     def test_reference_sampler_standard_normal(self):
         model = gaussian_shift_pair(2.0)
-        x = model.sample_reference(make_stream(1), 100_000)
+        x = model.sample_reference(make_stream(1, 0, 0), 100_000)
         assert abs(x.mean()) < 0.02 and abs(x.std() - 1.0) < 0.02
 
 

@@ -1,19 +1,38 @@
 import numpy as np
+import pytest
 
-from ptlab.rng import make_stream, replica_streams
+from ptlab.rng import make_stream
 
 
 class TestMakeStream:
     def test_reproducible(self):
-        a = make_stream(7, chain=2, replica=5).random(10)
-        b = make_stream(7, chain=2, replica=5).random(10)
+        a = make_stream(7, 2, 5).random(10)
+        b = make_stream(7, 2, 5).random(10)
         np.testing.assert_array_equal(a, b)
 
     def test_keys_give_distinct_streams(self):
-        base = make_stream(7, chain=0, replica=0).random(10)
-        for chain, replica in [(1, 0), (0, 1), (1, 1)]:
-            other = make_stream(7, chain=chain, replica=replica).random(10)
+        base = make_stream(7, 0, 0).random(10)
+        for key in [(1, 0), (0, 1), (1, 1)]:
+            other = make_stream(7, *key).random(10)
             assert not np.array_equal(base, other)
+
+    def test_key_lengths_give_distinct_streams(self):
+        draws = [make_stream(5, *key).random(10)
+                 for key in [(), (0,), (0, 0)]]
+        for i in range(3):
+            for j in range(i):
+                assert not np.array_equal(draws[i], draws[j])
+
+    def test_key_tuple_seed_prepends_its_path(self):
+        a = make_stream((5, 1), 0).random(10)
+        b = make_stream(5, 1, 0).random(10)
+        np.testing.assert_array_equal(a, b)
+
+    def test_negative_seed_raises(self):
+        with pytest.raises(ValueError):
+            make_stream(-1)
+        with pytest.raises(ValueError):
+            make_stream((-1, 0), 0)
 
     def test_seed_changes_stream(self):
         a = make_stream(1).random(10)
@@ -21,14 +40,6 @@ class TestMakeStream:
         assert not np.array_equal(a, b)
 
     def test_streams_uncorrelated(self):
-        x = make_stream(0, chain=0).standard_normal(100_000)
-        y = make_stream(0, chain=1).standard_normal(100_000)
+        x = make_stream(0, 0, 0).standard_normal(100_000)
+        y = make_stream(0, 1, 0).standard_normal(100_000)
         assert abs(np.corrcoef(x, y)[0, 1]) < 0.01
-
-
-class TestReplicaStreams:
-    def test_matches_individual_construction(self):
-        streams = replica_streams(3, chain=1, n_blocks=4)
-        for rep, rng in enumerate(streams):
-            expected = make_stream(3, chain=1, replica=rep).random(5)
-            np.testing.assert_array_equal(rng.random(5), expected)

@@ -15,32 +15,32 @@ from ptlab.walks import (
 class TestPersistentWalk:
     def test_matches_exact_tail_single_interval(self):
         r = 0.3
-        ts = sim_persistent_walk(1, r, make_stream(0), size=100_000)
+        ts = sim_persistent_walk(1, r, make_stream(0, 0, 0), size=100_000)
         for t, exact in ((1, r), (2, r), (3, r**2)):
             mc = (ts > t).mean()
             se = np.sqrt(exact * (1 - exact) / ts.size)
             assert abs(mc - exact) < 4 * se
 
     def test_ballistic_when_no_rejection(self):
-        ts = sim_persistent_walk(5, 0.0, make_stream(0), size=100)
+        ts = sim_persistent_walk(5, 0.0, make_stream(0, 0, 0), size=100)
         np.testing.assert_array_equal(ts, 5)
 
     def test_minimum_time_is_n(self):
-        ts = sim_persistent_walk(4, 0.5, make_stream(1), size=10_000)
+        ts = sim_persistent_walk(4, 0.5, make_stream(1, 0, 0), size=10_000)
         assert ts.min() >= 4
 
     def test_bad_args(self):
         with pytest.raises(ValueError):
-            sim_persistent_walk(0, 0.3, make_stream(0))
+            sim_persistent_walk(0, 0.3, make_stream(0, 0, 0))
         with pytest.raises(ValueError):
-            sim_persistent_walk(3, 1.0, make_stream(0))
+            sim_persistent_walk(3, 1.0, make_stream(0, 0, 0))
 
 
 class TestSeoWalk:
     def test_matches_geometric_single_interval(self):
         r = 0.4
         stay = (1 + r) / 2
-        ts = sim_seo_walk(1, r, make_stream(0), size=100_000)
+        ts = sim_seo_walk(1, r, make_stream(0, 0, 0), size=100_000)
         for t in (1, 3, 6):
             exact = stay**t
             mc = (ts > t).mean()
@@ -49,7 +49,7 @@ class TestSeoWalk:
 
     def test_matches_matrix_tail(self):
         n, r = 4, 0.5
-        ts = sim_seo_walk(n, r, make_stream(2), size=50_000)
+        ts = sim_seo_walk(n, r, make_stream(2, 0, 0), size=50_000)
         for t in (5, 15, 40):
             exact = hitting_tail("rpt", n, r, t)
             mc = (ts > t).mean()
@@ -57,23 +57,23 @@ class TestSeoWalk:
             assert abs(mc - exact) < 4 * se
 
     def test_minimum_time_is_n(self):
-        ts = sim_seo_walk(3, 0.2, make_stream(1), size=10_000)
+        ts = sim_seo_walk(3, 0.2, make_stream(1, 0, 0), size=10_000)
         assert ts.min() >= 3
 
 
 class TestPdmp:
     def test_zero_rate_deterministic_unit_time(self):
-        ts = sim_pdmp(0.0, make_stream(0), size=1000)
+        ts = sim_pdmp(0.0, make_stream(0, 0, 0), size=1000)
         np.testing.assert_array_equal(ts, 1.0)
 
     def test_minimum_traversal_time_is_one(self):
-        ts = sim_pdmp(3.0, make_stream(0), size=50_000)
+        ts = sim_pdmp(3.0, make_stream(0, 0, 0), size=50_000)
         assert ts.min() >= 1.0
 
     def test_first_leg_survival(self):
         # traversal beats t=1 iff no flip in the first unit: e^{-lam}
         lam = 1.5
-        ts = sim_pdmp(lam, make_stream(3), size=200_000)
+        ts = sim_pdmp(lam, make_stream(3, 0, 0), size=200_000)
         exact = np.exp(-lam)
         mc = (ts <= 1.0).mean()
         se = np.sqrt(exact * (1 - exact) / ts.size)
@@ -81,12 +81,12 @@ class TestPdmp:
 
     def test_negative_rate_raises(self):
         with pytest.raises(ValueError):
-            sim_pdmp(-1.0, make_stream(0))
+            sim_pdmp(-1.0, make_stream(0, 0, 0))
 
 
 class TestReflectedBm:
     def test_matches_series_at_unit_time(self):
-        ts = sim_reflected_bm(make_stream(0), size=100_000, dt=1e-3)
+        ts = sim_reflected_bm(make_stream(0, 0, 0), size=100_000, dt=1e-3)
         exact = rpt_infinite_tail(1.0)
         mc = (ts > 1.0).mean()
         se = np.sqrt(exact * (1 - exact) / ts.size)
@@ -94,14 +94,14 @@ class TestReflectedBm:
         assert abs(mc - exact) < 4 * se + 2 * np.sqrt(1e-3)
 
     def test_unfinished_reported_infinite(self):
-        ts = sim_reflected_bm(make_stream(0), size=2000, dt=1e-3, t_max=0.05)
+        ts = sim_reflected_bm(make_stream(0, 0, 0), size=2000, dt=1e-3, t_max=0.05)
         assert np.isinf(ts).any()
         finite = ts[np.isfinite(ts)]
         assert np.all(finite <= 0.05 + 1e-12)
 
     def test_bad_dt(self):
         with pytest.raises(ValueError):
-            sim_reflected_bm(make_stream(0), size=10, dt=0.0)
+            sim_reflected_bm(make_stream(0, 0, 0), size=10, dt=0.0)
 
 
 class TestSurvivalCurve:
