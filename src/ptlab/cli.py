@@ -1,11 +1,13 @@
 """Command-line front end.
 
 Subcommands: sample, tune, gcb, bounds, hitting, laplace, ising-validate,
-diagnose.  Every run prints a JSON summary to stdout and writes plot-ready
-CSV/JSON files to the output directory.  Exit codes: 0 success, 1 invalid
-arguments/configuration, 2 runtime failure.  Errors are emitted as JSON on
-stderr.  Flags may also be supplied through a JSON file via --config;
-explicit flags override file values.
+diagnose.  Every run prints a JSON summary to stdout.  All but gcb and
+diagnose also write plot-ready files to the output directory; this module
+is the only one in the package that writes or reads files, every CSV
+through _write_csv and every JSON file through _write_json.  Exit codes:
+0 success, 1 invalid arguments/configuration, 2 runtime failure.  Errors
+are emitted as JSON on stderr.  Flags may also be supplied through a JSON
+file via --config; explicit flags override file values.
 """
 
 import argparse
@@ -20,13 +22,8 @@ from . import bounds as bounds_mod
 from . import laplace as laplace_mod
 from . import walks as walks_mod
 from .core import AnnealingSchedule
-from .diagnostics import (
-    asymptotic_variance,
-    export_run,
-    lag1_energy_autocorr,
-    read_trace_csv,
-)
-from .engine import PTConfig, rejection_rates, run_pt
+from .diagnostics import asymptotic_variance, lag1_energy_autocorr
+from .engine import PTConfig, rejection_rates, restart_count, run_pt
 from .experiments import (
     MODELS,
     gcb,
@@ -66,6 +63,8 @@ def _emit(summary):
 
 
 def _write_csv(path, header, columns):
+    """One row per position across `columns`: floats as repr(float(x)),
+    everything else as str(x)."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -73,6 +72,62 @@ def _write_csv(path, header, columns):
         for row in zip(*columns):
             w.writerow([repr(float(x)) if isinstance(x, (float, np.floating))
                         else x for x in row])
+
+
+def _write_json(path, obj):
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    with open(path, "w") as fh:
+        json.dump(obj, fh, default=_json_default, indent=2)
+
+
+def export_run(trace, out_dir):
+    """Write replica 0 of a recorded trace, every iteration, to plot-ready
+    files and return their paths.
+
+    Files (column names are stable):
+      trace.csv   one row per iteration: t, parity, per-chain V, per-chain
+                  slot index I, per-chain direction eps, per-pair accept bit
+      pairs.csv   consecutive target-chain energy pairs (v_t, v_next)
+      summary.json  rejection rates, barrier estimate, restart count
+    """
+    n_chains = trace.betas.size
+    t_iters = trace.n_iters
+    v = trace.energies[:, :, 0]
+    paths = [os.path.join(out_dir, name)
+             for name in ("trace.csv", "pairs.csv", "summary.json")]
+    _write_csv(paths[0],
+               ["t", "parity"]
+               + [f"V{c}" for c in range(n_chains)]
+               + [f"I{c}" for c in range(n_chains)]
+               + [f"eps{c}" for c in range(n_chains)]
+               + [f"accept{p}" for p in range(n_chains - 1)],
+               [range(t_iters), trace.parities[:t_iters, 0], *v.T,
+                *trace.index[1:, :, 0].T, *trace.direction[1:, :, 0].T,
+                *trace.accepts[:, :, 0].T.astype(np.int8)])
+    _write_csv(paths[1], ["v_t", "v_next"], [v[:-1, -1], v[1:, -1]])
+    stats = rejection_rates(trace)
+    _write_json(paths[2], {
+        "scheme": trace.scheme,
+        "n_chains": n_chains,
+        "n_iters": t_iters,
+        "n_replicas": trace.n_replicas,
+        "rejection_rates": stats.rejection,
+        "barrier_estimate": stats.barrier_estimate,
+        "restart_count": restart_count(trace),
+    })
+    return paths
+
+
+def read_trace_csv(path):
+    """Parse a trace.csv written by export_run into column arrays: float
+    energies V, integers elsewhere.  A blank cell raises ValueError."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        rows = list(reader)
+    return {name: np.array([(float if name.startswith("V") else int)(row[k])
+                            for row in rows])
+            for k, name in enumerate(header)}
 
 
 def _parse_float_list(text):
@@ -125,10 +180,8 @@ def cmd_tune(args):
         "barrier_knots": barrier.knots,
         "barrier_values": barrier.values,
     }
-    os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "schedule.json")
-    with open(path, "w") as fh:
-        json.dump(out, fh, default=_json_default, indent=2)
+    _write_json(path, out)
     out["files"] = [path]
     _emit(out)
 
@@ -175,8 +228,6 @@ def cmd_hitting(args):
         "bm": lambda rng, size: walks_mod.sim_reflected_bm(
             rng, size, dt=args.dt),
     }
-    if args.process not in sims:
-        raise CliError(f"unknown process {args.process!r}")
     curve = walks_mod.survival_curve(sims[args.process], t_grid,
                                      args.replicas, args.seed)
     path = os.path.join(args.out, f"survival_{args.process}.csv")
@@ -192,7 +243,6 @@ def cmd_hitting(args):
 
 def cmd_laplace(args):
     lams = _parse_float_list(args.lam)
-    os.makedirs(args.out, exist_ok=True)
     files = []
     table = {}
     t_grid = laplace_mod.default_t_grid()
@@ -212,16 +262,13 @@ def cmd_laplace(args):
         zz = np.where(zz == 0, 1e-9, zz)
         mag = np.abs(laplace_mod.eval_F(zz, lam))
         path = os.path.join(args.out, f"f_magnitude_lam{lam:g}.csv")
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["re", "im", "abs_F"])
-            for i in range(im.size):
-                for j in range(re.size):
-                    w.writerow([re[j], im[i], repr(float(mag[i, j]))])
+        _write_csv(path, ["re", "im", "abs_F"],
+                   [np.broadcast_to(re, mag.shape).ravel(),
+                    np.broadcast_to(im[:, None], mag.shape).ravel(),
+                    mag.ravel()])
         files.append(path)
     path = os.path.join(args.out, "c_table.json")
-    with open(path, "w") as fh:
-        json.dump(table, fh, indent=2)
+    _write_json(path, table)
     files.append(path)
     _emit({"command": "laplace", "table": table, "files": files})
 

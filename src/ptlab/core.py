@@ -7,7 +7,7 @@ normalizing constant of the target shifts V by a constant, which cancels in
 every quantity computed here (swap probabilities, barriers, diagnostics).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -24,19 +24,13 @@ class TargetModel:
         whose leading axis indexes replicas) and return a matching array.
     log_target_unnorm : callable
         x -> log gamma_1(x), unnormalized target log-density, batched.
-    dim : int or None
-        Dimension for continuous states; None for discrete/coded states.
     sample_reference : callable or None
         (rng, size) -> array of i.i.d. draws from pi_0.
-    name : str
-        Human-readable tag used in exports.
     """
 
     log_reference: Callable
     log_target_unnorm: Callable
-    dim: Optional[int] = None
     sample_reference: Optional[Callable] = None
-    name: str = "model"
 
 
 @dataclass(frozen=True)

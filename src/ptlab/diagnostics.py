@@ -1,10 +1,7 @@
 """Run diagnostics: energy renewal checks, empirical total variation,
-asymptotic variance, and CSV/JSON export of recorded traces.
+asymptotic variance, and batch-mean normality.  Statistics only; the CLI
+reads and writes the files.
 """
-
-import csv
-import json
-import os
 
 import numpy as np
 from scipy.special import log_ndtr
@@ -81,9 +78,13 @@ def batch_mean_normality(standardized_stats, level=0.01):
     """Anderson-Darling normality check of standardized run statistics.
 
     A^2 is computed against the normal with the sample mean and ddof=1
-    standard deviation.  Returns (passed, statistic, critical value at the
-    tabulated significance level nearest to `level`).
+    standard deviation.  `level` must be one of the tabulated significance
+    levels 0.15, 0.10, 0.05, 0.025 or 0.01; any other raises ValueError.
+    Returns (passed, statistic, critical value at `level`).
     """
+    if level not in _AD_LEVELS:
+        raise ValueError(f"level must be one of {_AD_LEVELS.tolist()}, "
+                         f"got {level!r}")
     z = np.asarray(standardized_stats, dtype=float)
     n = z.size
     w = (np.sort(z) - z.mean()) / z.std(ddof=1)
@@ -92,91 +93,5 @@ def batch_mean_normality(standardized_stats, level=0.01):
     a2 = float(-n - np.sum((2 * i - 1.0) / n
                            * (log_ndtr(w) + log_ndtr(-w[::-1]))))
     crits = np.around(_AD_NORM_CRIT / (1.0 + 0.75 / n + 2.25 / n / n), 3)
-    crit = float(crits[np.argmin(np.abs(_AD_LEVELS - level))])
+    crit = float(crits[_AD_LEVELS == level][0])
     return bool(a2 < crit), a2, crit
-
-
-def export_run(trace, out_dir, replica=0, trajectory_cutoff=500):
-    """Write a recorded trace to plot-ready CSV files plus a JSON summary.
-
-    Files (column names are stable):
-      trace.csv   one row per iteration of the chosen replica: t, parity,
-                  per-chain V, per-chain slot index I, per-chain direction,
-                  per-pair accept bit
-      pairs.csv   consecutive target-chain energy pairs (v_t, v_next)
-      summary.json  rejection rates, barrier estimate, restart count
-    Returns the list of written paths.
-    """
-    from .engine import rejection_rates, restart_count
-
-    os.makedirs(out_dir, exist_ok=True)
-    n_chains = trace.betas.size
-    n = n_chains - 1
-    written = []
-
-    path = os.path.join(out_dir, "trace.csv")
-    header = (["t", "parity"]
-              + [f"V{c}" for c in range(n_chains)]
-              + [f"I{c}" for c in range(n_chains)]
-              + [f"eps{c}" for c in range(n_chains)]
-              + [f"accept{p}" for p in range(n)])
-    t_rows = min(trace.n_iters, trajectory_cutoff)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for t in range(t_rows):
-            row = [t, int(trace.parities[t, replica])]
-            if trace.energies is not None:
-                row += [repr(float(x)) for x in trace.energies[t, :, replica]]
-            else:
-                row += [""] * n_chains
-            row += [int(x) for x in trace.index[t + 1, :, replica]]
-            row += [int(x) for x in trace.direction[t + 1, :, replica]]
-            row += [int(b) for b in trace.accepts[t, :, replica]]
-            w.writerow(row)
-    written.append(path)
-
-    if trace.energies is not None:
-        path = os.path.join(out_dir, "pairs.csv")
-        v = trace.energies[:, n, replica]
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["v_t", "v_next"])
-            for a, b in zip(v[:-1], v[1:]):
-                w.writerow([repr(float(a)), repr(float(b))])
-        written.append(path)
-
-    stats = rejection_rates(trace)
-    summary = {
-        "scheme": trace.scheme,
-        "n_chains": int(n_chains),
-        "n_iters": int(trace.n_iters),
-        "n_replicas": int(trace.n_replicas),
-        "rejection_rates": [float(x) for x in stats.rejection],
-        "barrier_estimate": stats.barrier_estimate,
-        "restart_count": restart_count(trace),
-    }
-    path = os.path.join(out_dir, "summary.json")
-    with open(path, "w") as fh:
-        json.dump(summary, fh, indent=2)
-    written.append(path)
-    return written
-
-
-def read_trace_csv(path):
-    """Re-parse a trace.csv written by export_run into column arrays."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = list(reader)
-    cols = {name: [] for name in header}
-    for row in rows:
-        for name, val in zip(header, row):
-            cols[name].append(val)
-    out = {}
-    for name, vals in cols.items():
-        if name.startswith("V"):
-            out[name] = np.array([float(v) if v else np.nan for v in vals])
-        else:
-            out[name] = np.array([int(v) if v != "" else -1 for v in vals])
-    return out

@@ -147,10 +147,7 @@ class RWMExplorer:
                 logr = logp_prop - logp
                 logr = np.where(np.isnan(logr), -np.inf, logr)
             acc = np.log(rng.random(x.shape[0])) < logr
-            if x.ndim == 1:
-                x = np.where(acc, prop, x)
-            else:
-                x[acc] = prop[acc]
+            x[acc] = prop[acc]
             logp = np.where(acc, logp_prop, logp)
         return x
 

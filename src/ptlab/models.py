@@ -137,9 +137,7 @@ def ising_model():
     return TargetModel(
         log_reference=log_reference,
         log_target_unnorm=log_target_unnorm,
-        dim=None,
         sample_reference=sample_reference,
-        name="ising4x4",
     )
 
 
@@ -170,9 +168,7 @@ def gaussian_shift_pair(mu=2.0):
     return TargetModel(
         log_reference=log_reference,
         log_target_unnorm=log_target_unnorm,
-        dim=1,
         sample_reference=sample_reference,
-        name="gaussian_shift",
     )
 
 
@@ -210,7 +206,5 @@ def bimodal_pair():
     return TargetModel(
         log_reference=log_reference,
         log_target_unnorm=log_target_unnorm,
-        dim=1,
         sample_reference=sample_reference,
-        name="bimodal",
     )

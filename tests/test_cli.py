@@ -5,7 +5,12 @@ import os
 import numpy as np
 import pytest
 
-from ptlab.cli import main
+from ptlab.cli import export_run, main, read_trace_csv
+from ptlab.core import AnnealingSchedule
+from ptlab.engine import PTConfig, run_pt
+from ptlab.experiments import gaussian_equal_rate_mu
+from ptlab.explorers import GaussianPathExplorer
+from ptlab.models import gaussian_shift_pair
 
 
 def run_cli(capsys, argv):
@@ -58,6 +63,16 @@ class TestExitCodes:
         assert payload["kind"] == "validation"
         assert needle in payload["error"]
         assert out == "" and not out_dir.exists()
+
+    def test_blank_energies_rejected(self, capsys, tmp_path):
+        trace = tmp_path / "trace.csv"
+        trace.write_text("t,parity,V0,V1,I0,I1,eps0,eps1,accept0\n"
+                         + "".join(f"{t},{t % 2},,,0,1,1,-1,0\n"
+                                   for t in range(50)))
+        rc, out, err = run_cli(capsys, ["diagnose", "--trace", str(trace)])
+        assert rc == 1
+        assert json.loads(err)["kind"] == "validation"
+        assert out == ""
 
     def test_runtime_error(self, capsys, tmp_path):
         rc, out, err = run_cli(capsys, [
@@ -179,8 +194,10 @@ class TestOutputDir:
 
 class TestSubcommandOutputs:
     def test_sample_then_diagnose(self, capsys, tmp_path):
+        # 1300 iterations: diagnose must read every one, and the batch-means
+        # variance needs 1000 after the default 20% burn-in
         rc, out, _ = run_cli(capsys, [
-            "sample", "--model", "bimodal", "--chains", "5", "--iters", "200",
+            "sample", "--model", "bimodal", "--chains", "5", "--iters", "1300",
             "--out", str(tmp_path)])
         assert rc == 0
         rc, out, _ = run_cli(capsys, [
@@ -188,6 +205,8 @@ class TestSubcommandOutputs:
         assert rc == 0
         summary = json.loads(out)
         assert abs(summary["lag1_energy_autocorr"]) <= 1.0
+        assert summary["n_iters"] == 1300
+        assert "asymptotic_variance" in summary
 
     def test_bounds_csv_schema(self, capsys, tmp_path):
         rc, out, _ = run_cli(capsys, [
@@ -227,3 +246,35 @@ class TestSubcommandOutputs:
         assert rc == 0
         summary = json.loads(out)
         assert abs(summary["table"]["1.0"]["C"] - 0.632) < 0.02
+
+
+class TestExportRoundTrip:
+    @pytest.fixture
+    def trace(self):
+        n, r = 3, 0.4
+        mu = gaussian_equal_rate_mu(n, r)
+        cfg = PTConfig("nrpt", AnnealingSchedule.uniform(n), n_iters=60,
+                       n_replicas=2, seed=0)
+        return run_pt(cfg, gaussian_shift_pair(mu),
+                      [GaussianPathExplorer(mu)] * (n + 1))
+
+    def test_files_written(self, trace, tmp_path):
+        files = export_run(trace, str(tmp_path))
+        names = {os.path.basename(f) for f in files}
+        assert names == {"trace.csv", "pairs.csv", "summary.json"}
+
+    def test_energy_round_trip_lossless(self, trace, tmp_path):
+        export_run(trace, str(tmp_path))
+        cols = read_trace_csv(str(tmp_path / "trace.csv"))
+        for c in range(4):
+            np.testing.assert_array_equal(cols[f"V{c}"],
+                                          trace.energies[:, c, 0])
+
+    def test_summary_contents(self, trace, tmp_path):
+        export_run(trace, str(tmp_path))
+        with open(tmp_path / "summary.json") as fh:
+            summary = json.load(fh)
+        assert summary["scheme"] == "nrpt"
+        assert summary["n_iters"] == 60
+        assert len(summary["rejection_rates"]) == 3
+        assert "restart_count" in summary

@@ -53,7 +53,6 @@ class TestEnergy:
         model = TargetModel(
             log_reference=lambda x: np.where(x > 0, 0.0, np.nan),
             log_target_unnorm=lambda x: np.zeros_like(x),
-            dim=1,
         )
         with pytest.raises(ValueError):
             energy(model, np.array([-1.0]))
@@ -62,7 +61,6 @@ class TestEnergy:
         model = TargetModel(
             log_reference=lambda x: np.zeros_like(x),
             log_target_unnorm=lambda x: np.where(x > 0, 0.0, -np.inf),
-            dim=1,
         )
         v = energy(model, np.array([-1.0, 1.0]))
         assert v[0] == np.inf and v[1] == 0.0

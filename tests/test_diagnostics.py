@@ -1,21 +1,12 @@
-import json
-import os
-
 import numpy as np
 import pytest
 
-from ptlab.core import AnnealingSchedule
 from ptlab.diagnostics import (
     asymptotic_variance,
     batch_mean_normality,
     empirical_tv_discrete,
-    export_run,
     lag1_energy_autocorr,
-    read_trace_csv,
 )
-from ptlab.engine import PTConfig, run_pt
-from ptlab.experiments import gaussian_equal_rate_mu
-from ptlab.explorers import GaussianPathExplorer
 from ptlab.models import DiscreteDist, ising_exact_distribution
 from ptlab.rng import make_stream
 
@@ -105,41 +96,8 @@ class TestNormalityCheck:
         assert crit == 0.943
         assert batch_mean_normality(z, level=0.15)[2] == 0.511
 
-
-class TestExportRoundTrip:
-    @pytest.fixture
-    def trace(self):
-        n, r = 3, 0.4
-        mu = gaussian_equal_rate_mu(n, r)
-        from ptlab.models import gaussian_shift_pair
-
-        cfg = PTConfig("nrpt", AnnealingSchedule.uniform(n), n_iters=60,
-                       n_replicas=2, seed=0)
-        return run_pt(cfg, gaussian_shift_pair(mu),
-                      [GaussianPathExplorer(mu)] * (n + 1))
-
-    def test_files_written(self, trace, tmp_path):
-        files = export_run(trace, str(tmp_path))
-        names = {os.path.basename(f) for f in files}
-        assert names == {"trace.csv", "pairs.csv", "summary.json"}
-
-    def test_energy_round_trip_lossless(self, trace, tmp_path):
-        export_run(trace, str(tmp_path), replica=1)
-        cols = read_trace_csv(str(tmp_path / "trace.csv"))
-        for c in range(4):
-            np.testing.assert_array_equal(cols[f"V{c}"],
-                                          trace.energies[:, c, 1])
-
-    def test_summary_contents(self, trace, tmp_path):
-        export_run(trace, str(tmp_path))
-        with open(tmp_path / "summary.json") as fh:
-            summary = json.load(fh)
-        assert summary["scheme"] == "nrpt"
-        assert summary["n_iters"] == 60
-        assert len(summary["rejection_rates"]) == 3
-        assert "restart_count" in summary
-
-    def test_trajectory_cutoff(self, trace, tmp_path):
-        export_run(trace, str(tmp_path), trajectory_cutoff=10)
-        cols = read_trace_csv(str(tmp_path / "trace.csv"))
-        assert cols["t"].size == 10
+    @pytest.mark.parametrize("level", [0.5, 0.02, 0.0])
+    def test_untabulated_level_raises(self, level):
+        z = make_stream(5, 0, 0).standard_normal(50)
+        with pytest.raises(ValueError, match="level"):
+            batch_mean_normality(z, level=level)

@@ -33,7 +33,7 @@ class TestIIDReference:
         model = gaussian_shift_pair(1.0)
         model = type(model)(log_reference=model.log_reference,
                             log_target_unnorm=model.log_target_unnorm,
-                            dim=1, sample_reference=None)
+                            sample_reference=None)
         with pytest.raises(ValueError):
             IIDReferenceExplorer(model)
 
