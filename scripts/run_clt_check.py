@@ -10,7 +10,7 @@ import json
 
 import numpy as np
 
-from ptlab.diagnostics import batch_mean_normality
+from ptlab.diagnostics import AD_LEVELS, batch_mean_normality
 from ptlab.experiments import bimodal_clt_runs
 
 
@@ -20,7 +20,8 @@ def main():
     ap.add_argument("--chains", type=int, default=7)
     ap.add_argument("--iters", type=int, default=2000)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--level", type=float, default=0.01)
+    ap.add_argument("--level", type=float, default=0.01,
+                    choices=AD_LEVELS.tolist())
     args = ap.parse_args()
 
     zs = bimodal_clt_runs(n_runs=args.runs, n=args.chains - 1,

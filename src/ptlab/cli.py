@@ -28,7 +28,6 @@ from .experiments import (
     MODELS,
     gcb,
     ising_tv_experiment,
-    model_and_kernels,
     tune,
 )
 
@@ -146,7 +145,7 @@ def _parse_float_list(text):
 
 
 def cmd_sample(args):
-    model, kernels = model_and_kernels(args.model, args.chains - 1)
+    model, explorer = MODELS[args.model].build()
     if args.schedule:
         schedule = AnnealingSchedule(np.asarray(_parse_float_list(args.schedule)))
         if schedule.n_intervals != args.chains - 1:
@@ -155,7 +154,7 @@ def cmd_sample(args):
         schedule = AnnealingSchedule.uniform(args.chains - 1)
     cfg = PTConfig(args.scheme, schedule, n_iters=args.iters,
                    n_replicas=args.replicas, seed=args.seed)
-    trace = run_pt(cfg, model, kernels)
+    trace = run_pt(cfg, model, explorer)
     files = export_run(trace, args.out)
     stats = rejection_rates(trace, burn_in=args.burn_in)
     _emit({

@@ -11,8 +11,9 @@ def lag1_energy_autocorr(v_trace, burn_in=0.2):
     """Lag-one Pearson autocorrelation of an energy series.
 
     Under idealized exploration the energies renew i.i.d., so the value
-    should sit within ~3/sqrt(T) of zero.  Raises on (near-)constant
-    traces, where the correlation is undefined.
+    should sit within ~3/sqrt(T) of zero.  Raises on non-finite values
+    after burn-in and on constant traces, where the correlation is
+    undefined.
     """
     if not 0.0 <= burn_in < 1.0:
         raise ValueError(f"burn_in must lie in [0, 1), got {burn_in!r}")
@@ -21,6 +22,8 @@ def lag1_energy_autocorr(v_trace, burn_in=0.2):
     v = v[t0:]
     if v.size < 30:
         raise ValueError("need at least 30 post-burn-in points")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("non-finite energy after burn-in")
     if np.var(v) == 0.0:
         raise ValueError("constant energy trace: correlation undefined")
     return float(np.corrcoef(v[:-1], v[1:])[0, 1])
@@ -69,8 +72,8 @@ def asymptotic_variance(f_trace):
 
 # Stephens (1974) critical values of A^2 for the normal with estimated mean
 # and variance, at these significance levels; the table scipy.stats.anderson
-# uses.
-_AD_LEVELS = np.array([0.15, 0.10, 0.05, 0.025, 0.01])
+# uses.  AD_LEVELS are the levels batch_mean_normality accepts.
+AD_LEVELS = np.array([0.15, 0.10, 0.05, 0.025, 0.01])
 _AD_NORM_CRIT = np.array([0.561, 0.631, 0.752, 0.873, 1.035])
 
 
@@ -82,8 +85,8 @@ def batch_mean_normality(standardized_stats, level=0.01):
     levels 0.15, 0.10, 0.05, 0.025 or 0.01; any other raises ValueError.
     Returns (passed, statistic, critical value at `level`).
     """
-    if level not in _AD_LEVELS:
-        raise ValueError(f"level must be one of {_AD_LEVELS.tolist()}, "
+    if level not in AD_LEVELS:
+        raise ValueError(f"level must be one of {AD_LEVELS.tolist()}, "
                          f"got {level!r}")
     z = np.asarray(standardized_stats, dtype=float)
     n = z.size
@@ -93,5 +96,5 @@ def batch_mean_normality(standardized_stats, level=0.01):
     a2 = float(-n - np.sum((2 * i - 1.0) / n
                            * (log_ndtr(w) + log_ndtr(-w[::-1]))))
     crits = np.around(_AD_NORM_CRIT / (1.0 + 0.75 / n + 2.25 / n / n), 3)
-    crit = float(crits[_AD_LEVELS == level][0])
+    crit = float(crits[AD_LEVELS == level][0])
     return bool(a2 < crit), a2, crit

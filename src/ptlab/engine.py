@@ -7,13 +7,15 @@ deterministically, even first; reversible PT (RPT) draws the parity
 uniformly at random each iteration.
 
 The states of all chains and replicas are held as one array of shape
-(N+1, R, ...); each kernel steps its own chain's row with its own stream,
-one energy call covers the whole array, and accepted swaps are applied as
-one gather by source chain.  The run records every swap decision; the
-index process (which machine carries which chain slot, and its proposed
-direction), from which restarts and ancestral survival are derived, is
-replayed from that record when first read.  A run is fully determined by
-(config, model, kernels).
+(N+1, R, ...).  Chain 0 is redrawn every iteration as an exact i.i.d.
+sample from the model's reference, so an accepted swap into it is a
+genuine restart; chains 1..N move under one explorer in a single call,
+each chain on its own stream.  One energy call covers the whole array,
+and accepted swaps are applied as one gather by source chain.  The run
+records every swap decision; the index process (which machine carries
+which chain slot, and its proposed direction), from which restarts and
+ancestral survival are derived, is replayed from that record when first
+read.  A run is fully determined by (config, model, explorer).
 """
 
 from dataclasses import dataclass
@@ -23,6 +25,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .core import AnnealingSchedule, energy, swap_acceptance
+from .explorers import IIDReferenceExplorer
 from .rng import make_stream
 
 NRPT = "nrpt"
@@ -144,16 +147,17 @@ def update_index_process(index, direction, accepts, next_parity, n_intervals):
     return i_new.astype(np.int16), _directions(i_new, next_parity, n_intervals)
 
 
-def run_pt(config, model, kernels, init_states=None):
+def run_pt(config, model, explorer, init_states=None):
     """Run parallel tempering (Algorithm: explore, then communicate).
 
     Parameters
     ----------
     config : PTConfig
-    model : TargetModel
-    kernels : sequence of exploration kernels, one per chain; kernels[0]
-        should be the i.i.d. reference sampler so that accepted swaps into
-        chain 0 trigger genuine restarts.
+    model : TargetModel; it must expose ``sample_reference``, which draws
+        chain 0 afresh every iteration.
+    explorer : kernel for chains 1..N, called once per iteration as
+        ``explorer.step(states[1:], betas[1:], rngs)`` with chain c on
+        the stream keyed (c, 0).
     init_states : array of shape (N+1, R, ...) or a list of per-chain
         arrays with leading axis R, or None to initialize every chain from
         the reference sampler.
@@ -162,11 +166,10 @@ def run_pt(config, model, kernels, init_states=None):
     -------
     PTTrace
     """
+    reference = IIDReferenceExplorer(model)
     betas = config.schedule.betas
     n = config.schedule.n_intervals
     n_chains = n + 1
-    if len(kernels) != n_chains:
-        raise ValueError("need one kernel per chain")
     t_iters, r = config.n_iters, config.n_replicas
 
     explore_rngs = [make_stream(config.seed, c, 0) for c in range(n_chains)]
@@ -174,10 +177,7 @@ def run_pt(config, model, kernels, init_states=None):
     parity_rng = make_stream(config.seed, n_chains + 1, 0)
 
     if init_states is None:
-        if model.sample_reference is None:
-            raise ValueError("no init_states and no reference sampler")
-        init_states = [model.sample_reference(explore_rngs[c], r)
-                       for c in range(n_chains)]
+        init_states = [model.sample_reference(g, r) for g in explore_rngs]
     states = np.stack(init_states)
     if states.shape[0] != n_chains:
         raise ValueError("init_states must have one entry per chain")
@@ -196,11 +196,13 @@ def run_pt(config, model, kernels, init_states=None):
     replicas = np.arange(r)
 
     for t in range(t_iters):
-        for c in range(n_chains):
-            # same_kind: a kernel returning floats into integer states raises
-            np.copyto(states[c], kernels[c].step(states[c], betas[c],
-                                                 explore_rngs[c]),
-                      casting="same_kind")
+        # same_kind: an explorer returning floats into integer states raises
+        np.copyto(states[:1], reference.step(states[:1], betas[:1],
+                                             explore_rngs[:1]),
+                  casting="same_kind")
+        np.copyto(states[1:], explorer.step(states[1:], betas[1:],
+                                            explore_rngs[1:]),
+                  casting="same_kind")
         v = energy(model, states)
         acc = communication_step(v, config.schedule, parities[t], comm_rng)
         accepts[t] = acc

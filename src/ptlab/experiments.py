@@ -14,7 +14,6 @@ from .diagnostics import empirical_tv_discrete
 from .engine import PTConfig, rejection_rates, run_pt
 from .explorers import (
     GaussianPathExplorer,
-    IIDReferenceExplorer,
     IdealGridExplorer,
     IdealIsingExplorer,
     IsingGibbsExplorer,
@@ -81,18 +80,11 @@ def _spec(name):
     return MODELS[name]
 
 
-def model_and_kernels(name, n):
-    """Fresh model `name` and one kernel per chain for `n` intervals: the
-    i.i.d. reference sampler at chain 0 and the model's explorer elsewhere."""
-    model, explorer = _spec(name).build()
-    return model, [IIDReferenceExplorer(model)] + [explorer] * n
-
-
-def _swap_stats(model, kernels, schedule, n_iters, n_replicas, seed,
+def _swap_stats(model, explorer, schedule, n_iters, n_replicas, seed,
                 burn_in=0.2):
     cfg = PTConfig("nrpt", schedule, n_iters=n_iters, n_replicas=n_replicas,
                    seed=seed, record_energies=False)
-    return rejection_rates(run_pt(cfg, model, kernels), burn_in=burn_in)
+    return rejection_rates(run_pt(cfg, model, explorer), burn_in=burn_in)
 
 
 def tune(name, n, rounds=None, seed=0):
@@ -103,10 +95,10 @@ def tune(name, n, rounds=None, seed=0):
     the final round.
     """
     spec = _spec(name)
-    model, kernels = model_and_kernels(name, n)
+    model, explorer = spec.build()
 
     def run_fn(schedule, n_iters, k):
-        return _swap_stats(model, kernels, schedule, n_iters,
+        return _swap_stats(model, explorer, schedule, n_iters,
                            spec.tune_replicas, (seed, TUNE, k))
 
     return tuning_rounds(run_fn, n,
@@ -121,8 +113,8 @@ def gcb(name, n, n_iters, n_replicas, burn_in, seed=0):
     every tuning round's.
     """
     schedule, _, _ = tune(name, n, seed=seed)
-    model, kernels = model_and_kernels(name, n)
-    stats = _swap_stats(model, kernels, schedule, n_iters, n_replicas,
+    model, explorer = _spec(name).build()
+    stats = _swap_stats(model, explorer, schedule, n_iters, n_replicas,
                         (seed, MAIN), burn_in)
     lam_hat, barrier = estimate_gcb(stats, schedule)
     return {
@@ -153,7 +145,7 @@ def ising_tv_experiment(n=5, n_iters=25, n_replicas=50_000, init="all-minus",
         raise ValueError(f"unknown explorer {explorer!r}")
     if schedule is None:
         schedule, _, _ = tune(names[explorer], n, seed=seed)
-    model, kernels = model_and_kernels(names[explorer], n)
+    model, kernel = _spec(names[explorer]).build()
     if init == "all-minus":
         init_states = np.full((n + 1, n_replicas, N_SITES), -1, dtype=np.int8)
     elif init == "random":
@@ -165,7 +157,7 @@ def ising_tv_experiment(n=5, n_iters=25, n_replicas=50_000, init="all-minus",
     cfg = PTConfig("nrpt", schedule, n_iters=n_iters, n_replicas=n_replicas,
                    seed=(seed, MAIN), record_energies=False,
                    record_target_states=True)
-    trace = run_pt(cfg, model, kernels, init_states=init_states)
+    trace = run_pt(cfg, model, kernel, init_states=init_states)
     stats = rejection_rates(trace, burn_in=0.2)
     r_bar = float(np.mean(stats.rejection))
     exact = ising_exact_distribution(1.0)
@@ -205,13 +197,13 @@ def bimodal_clt_runs(n_runs=500, n=6, n_iters=2000, seed=0, schedule=None):
     """
     from .diagnostics import asymptotic_variance
 
-    model, kernels = model_and_kernels("bimodal", n)
+    model, explorer = _spec("bimodal").build()
     if schedule is None:
         schedule, _, _ = tune("bimodal", n, seed=seed)
     cfg = PTConfig("nrpt", schedule, n_iters=n_iters, n_replicas=n_runs,
                    seed=(seed, MAIN), record_energies=False,
                    record_target_states=True)
-    trace = run_pt(cfg, model, kernels)
+    trace = run_pt(cfg, model, explorer)
     f = np.sign(trace.target_states)  # (T, runs); target is symmetric, E f = 0
     zs = np.empty(n_runs)
     for r in range(n_runs):
@@ -281,10 +273,9 @@ def index_process_hitting_times(scheme, n, r, n_replicas, n_iters, seed=0):
     from .models import gaussian_shift_pair
 
     model = gaussian_shift_pair(mu)
-    kernels = [GaussianPathExplorer(mu)] * (n + 1)
     cfg = PTConfig(scheme, AnnealingSchedule.uniform(n), n_iters=n_iters,
                    n_replicas=n_replicas, seed=seed, record_energies=False)
-    trace = run_pt(cfg, model, kernels)
+    trace = run_pt(cfg, model, GaussianPathExplorer(mu))
     slot0 = trace.index[:, 0, :]  # (T+1, R)
     hit = slot0 == n
     first = np.where(hit.any(axis=0), hit.argmax(axis=0), n_iters + 1)

@@ -1,10 +1,14 @@
-"""Exploration kernels.
+"""Explorers: the within-chain moves of parallel tempering.
 
-Every kernel exposes ``step(x, beta, rng) -> x`` where the leading axis of
-``x`` indexes replicas, and leaves the path distribution pi_beta invariant.
-Kernels are immutable after construction (per-beta tables are cached, but
-caching is idempotent), so one kernel object can serve many chains and
-threads; the caller supplies the random stream.
+Every explorer exposes ``step(x, betas, rngs) -> x`` over a block of chains:
+``x`` has shape (n, R, ...) with chain along the first axis and replicas
+along the second, ``betas`` has shape (n,), and ``rngs`` holds one stream
+per chain, in chain order.  Chain k draws only from ``rngs[k]``, so each
+chain's draws do not depend on which other chains share the call.  Every
+explorer but the i.i.d. reference sampler leaves the path distribution
+pi_beta invariant at each chain's beta.  Explorers are immutable after
+construction (per-beta tables are cached, but caching is idempotent), so
+one explorer object can serve many runs.
 """
 
 import numpy as np
@@ -26,9 +30,9 @@ class IIDReferenceExplorer:
             raise ValueError("model does not expose a reference sampler")
         self.model = model
 
-    def step(self, x, beta, rng):
-        n = np.asarray(x).shape[0]
-        return self.model.sample_reference(rng, n)
+    def step(self, x, betas, rngs):
+        return np.stack([self.model.sample_reference(g, x.shape[1])
+                         for g in rngs])
 
 
 class IsingGibbsExplorer:
@@ -41,14 +45,17 @@ class IsingGibbsExplorer:
     def __init__(self, sweeps=3):
         self.sweeps = sweeps
 
-    def step(self, x, beta, rng):
+    def step(self, x, betas, rngs):
         x = np.asarray(x, dtype=np.int8).copy()
+        beta = np.asarray(betas, dtype=float)[:, None]
         for _ in range(self.sweeps):
             for site in range(N_SITES):
-                nb_sum = x[:, SITE_NEIGHBOURS[site]].sum(axis=1, dtype=np.int32)
+                nb_sum = x[:, :, SITE_NEIGHBOURS[site]].sum(axis=2,
+                                                            dtype=np.int32)
                 # p(x_site = +1 | rest) = 1 / (1 + exp(-2 beta s))
                 p_plus = 1.0 / (1.0 + np.exp(-2.0 * beta * nb_sum))
-                x[:, site] = np.where(rng.random(x.shape[0]) < p_plus, 1, -1)
+                u = np.stack([g.random(x.shape[1]) for g in rngs])
+                x[:, :, site] = np.where(u < p_plus, 1, -1)
         return x
 
 
@@ -83,9 +90,9 @@ class IdealIsingExplorer:
         self._cdf = _CdfCache(
             lambda beta: beta * ising_bond_sums().astype(float))
 
-    def step(self, x, beta, rng):
-        n = np.asarray(x).shape[0]
-        codes = np.searchsorted(self._cdf(beta), rng.random(n))
+    def step(self, x, betas, rngs):
+        codes = np.stack([np.searchsorted(self._cdf(b), g.random(x.shape[1]))
+                          for b, g in zip(betas, rngs)])
         return spins_from_codes(codes)
 
 
@@ -105,13 +112,15 @@ class IdealGridExplorer:
         self._cdf = _CdfCache(
             lambda beta: log_path_density(self.model, beta, self.mids))
 
-    def step(self, x, beta, rng):
-        n = np.asarray(x).shape[0]
-        cdf = self._cdf(beta)
-        cells = np.searchsorted(cdf, rng.random(n))
+    def step(self, x, betas, rngs):
+        # per chain, the uniforms that pick the cells, then the offsets
+        u = np.stack([(g.random(x.shape[1]), g.random(x.shape[1]))
+                      for g in rngs])
+        cells = np.stack([np.searchsorted(self._cdf(b), uc)
+                          for b, uc in zip(betas, u[:, 0])])
         left = self.edges[cells]
         width = self.edges[cells + 1] - left
-        return left + width * rng.random(n)
+        return left + width * u[:, 1]
 
 
 class GaussianPathExplorer:
@@ -120,36 +129,9 @@ class GaussianPathExplorer:
     def __init__(self, mu):
         self.mu = float(mu)
 
-    def step(self, x, beta, rng):
-        n = np.asarray(x).shape[0]
-        return beta * self.mu + rng.standard_normal(n)
-
-
-class RWMExplorer:
-    """Random-walk Metropolis with a Gaussian proposal targeting pi_beta."""
-
-    def __init__(self, model, step_size, n_steps=1):
-        if step_size <= 0:
-            raise ValueError("step_size must be positive")
-        self.model = model
-        self.step_size = float(step_size)
-        self.n_steps = n_steps
-
-    def step(self, x, beta, rng):
-        x = np.asarray(x, dtype=float).copy()
-        logp = np.asarray(log_path_density(self.model, beta, x), dtype=float)
-        for _ in range(self.n_steps):
-            prop = x + self.step_size * rng.standard_normal(x.shape)
-            logp_prop = np.asarray(
-                log_path_density(self.model, beta, prop), dtype=float
-            )
-            with np.errstate(invalid="ignore"):
-                logr = logp_prop - logp
-                logr = np.where(np.isnan(logr), -np.inf, logr)
-            acc = np.log(rng.random(x.shape[0])) < logr
-            x[acc] = prop[acc]
-            logp = np.where(acc, logp_prop, logp)
-        return x
+    def step(self, x, betas, rngs):
+        z = np.stack([g.standard_normal(x.shape[1]) for g in rngs])
+        return np.asarray(betas, dtype=float)[:, None] * self.mu + z
 
 
 def lag1_independence_check(model, explorer, beta, rng, n_pairs=100_000, x0=None):
@@ -160,6 +142,6 @@ def lag1_independence_check(model, explorer, beta, rng, n_pairs=100_000, x0=None
     """
     if x0 is None:
         x0 = model.sample_reference(rng, n_pairs)
-    x1 = explorer.step(x0, beta, rng)
+    x1 = explorer.step(x0[None], [beta], [rng])[0]
     v0, v1 = energy(model, x0), energy(model, x1)
     return float(np.corrcoef(v0, v1)[0, 1])

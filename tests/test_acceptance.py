@@ -16,7 +16,6 @@ from ptlab.bounds import (
     pdmp_loose_bound,
     rpt_infinite_bound,
     rpt_infinite_tail,
-    tv_bound_finite,
 )
 from ptlab.diagnostics import batch_mean_normality
 from ptlab.experiments import (

@@ -74,6 +74,19 @@ class TestExitCodes:
         assert json.loads(err)["kind"] == "validation"
         assert out == ""
 
+    def test_infinite_energy_rejected(self, capsys, tmp_path):
+        # one inf in the target column after burn-in: the lag-1
+        # autocorrelation is undefined, and NaN is not JSON
+        trace = tmp_path / "trace.csv"
+        trace.write_text("t,parity,V0,V1,I0,I1,eps0,eps1,accept0\n"
+                         + "".join(f"{t},{t % 2},0.5,"
+                                   f"{'inf' if t == 30 else t % 7},"
+                                   f"0,1,1,-1,0\n" for t in range(50)))
+        rc, out, err = run_cli(capsys, ["diagnose", "--trace", str(trace)])
+        assert rc == 1
+        assert json.loads(err)["kind"] == "validation"
+        assert out == ""
+
     def test_runtime_error(self, capsys, tmp_path):
         rc, out, err = run_cli(capsys, [
             "diagnose", "--trace", str(tmp_path / "missing.csv")])
@@ -255,8 +268,7 @@ class TestExportRoundTrip:
         mu = gaussian_equal_rate_mu(n, r)
         cfg = PTConfig("nrpt", AnnealingSchedule.uniform(n), n_iters=60,
                        n_replicas=2, seed=0)
-        return run_pt(cfg, gaussian_shift_pair(mu),
-                      [GaussianPathExplorer(mu)] * (n + 1))
+        return run_pt(cfg, gaussian_shift_pair(mu), GaussianPathExplorer(mu))
 
     def test_files_written(self, trace, tmp_path):
         files = export_run(trace, str(tmp_path))

@@ -28,6 +28,17 @@ class TestLag1Autocorr:
         with pytest.raises(ValueError):
             lag1_energy_autocorr(np.ones(100), burn_in=0.0)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_raises(self, bad):
+        v = make_stream(0, 0, 0).standard_normal(100)
+        v[50] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            lag1_energy_autocorr(v, burn_in=0.2)
+        # values inside the burn-in are discarded, so they are allowed
+        v[50] = 0.0
+        v[5] = bad
+        lag1_energy_autocorr(v, burn_in=0.2)
+
     def test_too_short_raises(self):
         with pytest.raises(ValueError):
             lag1_energy_autocorr(np.arange(10.0))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from ptlab.core import AnnealingSchedule, energy
+from ptlab.core import AnnealingSchedule, TargetModel, energy
 from ptlab.engine import (
     PTConfig,
     PTTrace,
@@ -14,11 +14,7 @@ from ptlab.engine import (
     update_index_process,
 )
 from ptlab.experiments import gaussian_equal_rate_mu
-from ptlab.explorers import (
-    GaussianPathExplorer,
-    IIDReferenceExplorer,
-    IsingGibbsExplorer,
-)
+from ptlab.explorers import GaussianPathExplorer, IsingGibbsExplorer
 from ptlab.models import N_SITES, gaussian_shift_pair, ising_model
 from ptlab.rng import make_stream
 
@@ -26,10 +22,9 @@ from ptlab.rng import make_stream
 def _gaussian_run(scheme, n, r, n_iters, n_replicas, seed=0, **kw):
     mu = gaussian_equal_rate_mu(n, r)
     model = gaussian_shift_pair(mu)
-    kernels = [GaussianPathExplorer(mu)] * (n + 1)
     cfg = PTConfig(scheme, AnnealingSchedule.uniform(n), n_iters=n_iters,
                    n_replicas=n_replicas, seed=seed, **kw)
-    return run_pt(cfg, model, kernels)
+    return run_pt(cfg, model, GaussianPathExplorer(mu))
 
 
 class TestConfig:
@@ -115,11 +110,36 @@ class TestRunPt:
         np.testing.assert_array_equal(t1.energies, t2.energies)
         np.testing.assert_array_equal(t1.index, t2.index)
 
-    def test_kernel_count_checked(self):
+    def test_explorer_called_once_per_iteration(self):
+        # one call moves chains 1..N, each on its own stream; chain 0 is
+        # always the engine's reference draw
+        class Counting(GaussianPathExplorer):
+            calls = []
+
+            def step(self, x, betas, rngs):
+                self.calls.append((x.shape, np.array(betas), len(rngs)))
+                return super().step(x, betas, rngs)
+
+        n, r = 3, 5
+        cfg = PTConfig("nrpt", AnnealingSchedule.uniform(n), n_iters=7,
+                       n_replicas=r)
+        run_pt(cfg, gaussian_shift_pair(1.0), Counting(1.0))
+        assert len(Counting.calls) == 7
+        for shape, betas, n_rngs in Counting.calls:
+            assert shape == (n, r) and n_rngs == n
+            np.testing.assert_array_equal(betas, cfg.schedule.betas[1:])
+
+    def test_model_without_reference_sampler_raises(self):
         model = gaussian_shift_pair(1.0)
-        cfg = PTConfig("nrpt", AnnealingSchedule.uniform(2), n_iters=5)
-        with pytest.raises(ValueError):
-            run_pt(cfg, model, [GaussianPathExplorer(1.0)] * 2)
+        model = TargetModel(log_reference=model.log_reference,
+                            log_target_unnorm=model.log_target_unnorm)
+        cfg = PTConfig("nrpt", AnnealingSchedule.uniform(2), n_iters=2,
+                       n_replicas=4)
+        with pytest.raises(ValueError, match="reference sampler"):
+            run_pt(cfg, model, GaussianPathExplorer(1.0))
+        with pytest.raises(ValueError, match="reference sampler"):
+            run_pt(cfg, model, GaussianPathExplorer(1.0),
+                   init_states=np.zeros((3, 4)))
 
     @pytest.mark.parametrize("scheme", ["nrpt", "rpt"])
     @pytest.mark.parametrize("problem", ["gaussian", "ising"])
@@ -130,16 +150,15 @@ class TestRunPt:
         if problem == "gaussian":
             mu = gaussian_equal_rate_mu(n, 0.4)
             model = gaussian_shift_pair(mu)
-            kernels = [GaussianPathExplorer(mu)] * (n + 1)
+            explorer = GaussianPathExplorer(mu)
             state_shape = (r,)
         else:
             model = ising_model()
-            kernels = [IIDReferenceExplorer(model)] + [
-                IsingGibbsExplorer(sweeps=1)] * n
+            explorer = IsingGibbsExplorer(sweeps=1)
             state_shape = (r, N_SITES)
         cfg = PTConfig(scheme, AnnealingSchedule.uniform(n), n_iters=8,
                        n_replicas=r, seed=4, record_target_states=True)
-        tr = run_pt(cfg, model, kernels)
+        tr = run_pt(cfg, model, explorer)
         assert tr.accepts.any()
         assert tr.final_states.shape == (n + 1,) + state_shape
         np.testing.assert_allclose(tr.energies[-1],
@@ -149,48 +168,59 @@ class TestRunPt:
 
     @pytest.mark.parametrize("scheme", ["nrpt", "rpt"])
     def test_states_follow_index_process(self, scheme):
-        # with kernels that keep their input, every state stays with its
-        # machine, so the swap gather and the replayed index must agree
+        # with an explorer that keeps its input and a reference sampler
+        # that hands out consecutive values, a machine keeps its value
+        # except while it sits in slot 0, where it takes the next reference
+        # values; the swap gather and the replayed index must agree on it
         class Stay:
-            def step(self, x, beta, rng):
+            def step(self, x, betas, rngs):
                 return x
 
+        drawn = [0]
+
+        def sample_reference(rng, size):
+            drawn[0] += size
+            return np.arange(drawn[0] - size, drawn[0], dtype=float)
+
+        model = TargetModel(log_reference=np.zeros_like,
+                            log_target_unnorm=np.cos,
+                            sample_reference=sample_reference)
         n, r = 4, 32
-        init = make_stream(5, 0, 0).standard_normal((n + 1, r))
+        init = -1.0 - np.arange((n + 1) * r).reshape(n + 1, r)
         cfg = PTConfig(scheme, AnnealingSchedule.uniform(n), n_iters=30,
                        n_replicas=r, seed=6, record_target_states=True)
-        tr = run_pt(cfg, gaussian_shift_pair(2.0), [Stay()] * (n + 1),
-                    init_states=init)
+        tr = run_pt(cfg, model, Stay(), init_states=init)
         assert tr.accepts.sum() > 100
         reps = np.arange(r)
-        for t in range(1, tr.n_iters + 1):
-            slot_of = tr.index[t]  # (machine, replica) -> slot
-            held = np.empty_like(init)
-            held[slot_of, reps] = init
-            np.testing.assert_array_equal(held[n], tr.target_states[t - 1])
+        value = init  # (machine, replica) -> value it carries
+        held = np.empty_like(init)  # (slot, replica) -> value held
+        for t in range(tr.n_iters):
+            value = np.where(tr.index[t] == 0, t * r + reps, value)
+            held[tr.index[t + 1], reps] = value
+            np.testing.assert_array_equal(held[n], tr.target_states[t])
         np.testing.assert_array_equal(held, tr.final_states)
 
     def test_init_states_list_or_array(self):
         model = ising_model()
-        kernels = [IIDReferenceExplorer(model)] + [IsingGibbsExplorer()] * 2
+        explorer = IsingGibbsExplorer()
         cfg = PTConfig("rpt", AnnealingSchedule.uniform(2), n_iters=5,
                        n_replicas=4, seed=2)
         init = model.sample_reference(make_stream(1, 0, 0), 12).reshape(3, 4, N_SITES)
-        t1 = run_pt(cfg, model, kernels, init_states=init)
-        t2 = run_pt(cfg, model, kernels, init_states=list(init))
+        t1 = run_pt(cfg, model, explorer, init_states=init)
+        t2 = run_pt(cfg, model, explorer, init_states=list(init))
         np.testing.assert_array_equal(t1.final_states, t2.final_states)
         np.testing.assert_array_equal(t1.accepts, t2.accepts)
         with pytest.raises(ValueError):
-            run_pt(cfg, model, kernels, init_states=init[:2])
+            run_pt(cfg, model, explorer, init_states=init[:2])
 
     def test_float_kernel_into_integer_states_raises(self):
-        # the state array keeps the dtype of init_states; truncating a
-        # kernel's float draws to integers would corrupt the run
+        # the state array keeps the dtype of init_states; truncating an
+        # explorer's float draws to integers would corrupt the run
         model = gaussian_shift_pair(1.0)
         cfg = PTConfig("nrpt", AnnealingSchedule.uniform(2), n_iters=2,
                        n_replicas=4)
         with pytest.raises(TypeError):
-            run_pt(cfg, model, [GaussianPathExplorer(1.0)] * 3,
+            run_pt(cfg, model, GaussianPathExplorer(1.0),
                    init_states=np.zeros((3, 4), dtype=np.int64))
 
     def test_closed_form_rejection_rates(self):

@@ -8,7 +8,6 @@ from ptlab.explorers import (
     IdealGridExplorer,
     IdealIsingExplorer,
     IsingGibbsExplorer,
-    RWMExplorer,
     lag1_independence_check,
 )
 from ptlab.models import (
@@ -21,12 +20,38 @@ from ptlab.models import (
 from ptlab.rng import make_stream
 
 
+EXPLORERS = {
+    "iid": (lambda: IIDReferenceExplorer(ising_model()), (16,)),
+    "gibbs": (lambda: IsingGibbsExplorer(sweeps=1), (16,)),
+    "ideal-ising": (IdealIsingExplorer, (16,)),
+    "grid": (lambda: IdealGridExplorer(bimodal_pair(), lo=-600.0, hi=600.0),
+             ()),
+    "gaussian": (lambda: GaussianPathExplorer(2.0), ()),
+}
+
+
+@pytest.mark.parametrize("name", list(EXPLORERS))
+def test_block_step_matches_chain_by_chain(name):
+    # chain k draws only from rngs[k], so stepping a block of chains in one
+    # call gives the same states as stepping each chain alone
+    build, site_shape = EXPLORERS[name]
+    k = build()
+    betas = np.array([0.25, 0.5, 1.0])
+    x = np.full((3, 40) + site_shape, -1,
+                dtype=np.int8 if site_shape else float)
+    block = k.step(x, betas, [make_stream(7, c, 0) for c in range(3)])
+    assert block.shape == x.shape
+    for c in range(3):
+        alone = k.step(x[c:c + 1], betas[c:c + 1], [make_stream(7, c, 0)])
+        np.testing.assert_array_equal(block[c], alone[0])
+
+
 class TestIIDReference:
     def test_ignores_input_state(self):
         model = ising_model()
         k = IIDReferenceExplorer(model)
         x0 = np.full((5000, 16), -1, dtype=np.int8)
-        x1 = k.step(x0, 1.0, make_stream(0, 0, 0))
+        x1 = k.step(x0[None], [1.0], [make_stream(0, 0, 0)])[0]
         assert abs(x1.mean()) < 0.05  # uniform spins
 
     def test_requires_sampler(self):
@@ -42,7 +67,7 @@ class TestIdealIsing:
     def test_samples_match_exact_distribution(self):
         k = IdealIsingExplorer()
         x0 = np.zeros((200_000, 16), dtype=np.int8)
-        x1 = k.step(x0, 1.0, make_stream(1, 0, 0))
+        x1 = k.step(x0[None], [1.0], [make_stream(1, 0, 0)])[0]
         exact = ising_exact_distribution(1.0)
         tv, floor = empirical_tv_discrete(codes_from_spins(x1), exact)
         assert tv < 3 * floor
@@ -59,17 +84,17 @@ class TestIsingGibbs:
         # start from exact pi_1 samples; TV must stay at the noise floor
         k_exact = IdealIsingExplorer()
         k = IsingGibbsExplorer(sweeps=2)
-        x = k_exact.step(np.zeros((100_000, 16), dtype=np.int8), 1.0,
-                         make_stream(3, 0, 0))
-        x = k.step(x, 1.0, make_stream(4, 0, 0))
+        x = k_exact.step(np.zeros((1, 100_000, 16), dtype=np.int8), [1.0],
+                         [make_stream(3, 0, 0)])
+        x = k.step(x, [1.0], [make_stream(4, 0, 0)])[0]
         exact = ising_exact_distribution(1.0)
         tv, floor = empirical_tv_discrete(codes_from_spins(x), exact)
         assert tv < 4 * floor
 
     def test_beta_zero_is_uniform(self):
         k = IsingGibbsExplorer(sweeps=1)
-        x = k.step(np.full((50_000, 16), -1, dtype=np.int8), 0.0,
-                   make_stream(5, 0, 0))
+        x = k.step(np.full((1, 50_000, 16), -1, dtype=np.int8), [0.0],
+                   [make_stream(5, 0, 0)])[0]
         assert abs(x.mean()) < 0.02
 
 
@@ -77,7 +102,7 @@ class TestIdealGrid:
     def test_bimodal_target_mode_balance(self):
         model = bimodal_pair()
         k = IdealGridExplorer(model, lo=-600.0, hi=600.0)
-        x = k.step(np.zeros(100_000), 1.0, make_stream(6, 0, 0))
+        x = k.step(np.zeros((1, 100_000)), [1.0], [make_stream(6, 0, 0)])[0]
         right = (x > 0).mean()
         assert abs(right - 0.5) < 0.01
         # modes are unit-width Gaussians at +-100
@@ -86,7 +111,7 @@ class TestIdealGrid:
     def test_beta_zero_matches_reference_moments(self):
         model = bimodal_pair()
         k = IdealGridExplorer(model, lo=-600.0, hi=600.0)
-        x = k.step(np.zeros(100_000), 0.0, make_stream(7, 0, 0))
+        x = k.step(np.zeros((1, 100_000)), [0.0], [make_stream(7, 0, 0)])[0]
         assert abs(x.mean()) < 1.5
         assert abs(x.std() - np.sqrt(100.0**2 + 1)) < 1.0
 
@@ -94,21 +119,6 @@ class TestIdealGrid:
 class TestGaussianPath:
     def test_exact_moments(self):
         k = GaussianPathExplorer(3.0)
-        x = k.step(np.zeros(200_000), 0.5, make_stream(8, 0, 0))
+        x = k.step(np.zeros((1, 200_000)), [0.5], [make_stream(8, 0, 0)])[0]
         assert abs(x.mean() - 1.5) < 0.01
         assert abs(x.std() - 1.0) < 0.01
-
-
-class TestRWM:
-    def test_preserves_gaussian_target(self):
-        model = gaussian_shift_pair(0.0)
-        k = RWMExplorer(model, step_size=2.4, n_steps=20)
-        x = make_stream(9, 0, 0).standard_normal(20_000)
-        x = k.step(x, 1.0, make_stream(10, 0, 0))
-        assert abs(x.mean()) < 0.05
-        assert abs(x.std() - 1.0) < 0.05
-
-    def test_bad_step_size(self):
-        with pytest.raises(ValueError):
-            RWMExplorer(gaussian_shift_pair(1.0), step_size=0.0)
-
