@@ -10,12 +10,14 @@ The states of all chains and replicas are held as one array of shape
 (N+1, R, ...).  Chain 0 is redrawn every iteration as an exact i.i.d.
 sample from the model's reference, so an accepted swap into it is a
 genuine restart; chains 1..N move under one explorer in a single call,
-each chain on its own stream.  One energy call covers the whole array,
-and accepted swaps are applied as one gather by source chain.  The run
-records every swap decision; the index process (which machine carries
-which chain slot, and its proposed direction), from which restarts and
-ancestral survival are derived, is replayed from that record when first
-read.  A run is fully determined by (config, model, explorer).
+each chain on its own stream.  One energy call covers the whole array.
+The swap rule is stated once, as the slot map of a swap round
+(``slot_map``).  The run gathers states and energies through it and
+records only its decisions, parities and accepts.  The index process
+(the slot of each machine), from which restarts and ancestral survival
+are derived, is the same map replayed on first read, and a machine's
+direction is derived from its slot and the parity.  A run is fully
+determined by (config, model, explorer).
 """
 
 from dataclasses import dataclass
@@ -52,23 +54,21 @@ class PTConfig:
 
 @dataclass
 class PTTrace:
-    """Recorded series of one (possibly replicated) PT run.
+    """Recorded decisions of one (possibly replicated) PT run.
 
     Shapes: T iterations, N intervals (N+1 chains), R replicas.
-    ``parities`` has shape (T+1, R) for both schemes (a read-only broadcast
-    view under NRPT); the extra row supplies the proposal pattern needed
-    to close the direction update of the index process at the final
-    iteration.  ``accepts[t, n, r]`` is True when the swap of pair
-    (n, n+1) was proposed and accepted.  ``energies[t]`` holds
-    end-of-iteration (post-swap) chain energies.  ``index`` and
-    ``direction``, each (T+1, N+1, R), are the slot and proposed direction
-    of machine n, replayed from ``accepts`` and ``parities``.
+    ``accepts`` (T, N, R) is True where the swap of pair (n, n+1) was
+    proposed and accepted; T and R are read from its shape.  ``parities``
+    is (T+1, R) for both schemes (a read-only broadcast view under NRPT);
+    its last row gives the final direction.  ``energies[t]`` holds
+    end-of-iteration (post-swap) chain energies.  ``index`` (T+1, N+1, R)
+    is the slot of each machine, the rounds' slot maps replayed;
+    ``direction`` is +1 where that slot proposes an upward swap at the
+    round's parity, else -1.
     """
 
     scheme: str
     betas: np.ndarray
-    n_iters: int
-    n_replicas: int
     parities: np.ndarray
     accepts: np.ndarray
     energies: Optional[np.ndarray] = None
@@ -76,30 +76,51 @@ class PTTrace:
     final_states: Optional[np.ndarray] = None
 
     @property
+    def n_iters(self):
+        return self.accepts.shape[0]
+
+    @property
+    def n_replicas(self):
+        return self.accepts.shape[2]
+
+    @property
     def n_intervals(self):
         return self.betas.size - 1
 
     @cached_property
-    def _index_process(self):
-        n = self.n_intervals
-        shape = (self.n_iters + 1, n + 1, self.n_replicas)
-        index = np.empty(shape, dtype=np.int16)
-        direction = np.empty(shape, dtype=np.int8)
-        index[0] = np.arange(n + 1)[:, None]
-        direction[0] = _directions(index[0], self.parities[0], n)
-        for t in range(self.n_iters):
-            index[t + 1], direction[t + 1] = update_index_process(
-                index[t], direction[t], self.accepts[t], self.parities[t + 1], n
-            )
-        return index, direction
-
-    @property
     def index(self):
-        return self._index_process[0]
+        index = np.empty((self.n_iters + 1, self.n_intervals + 1,
+                          self.n_replicas), dtype=np.int16)
+        index[0] = np.arange(self.n_intervals + 1)[:, None]
+        for t in range(self.n_iters):
+            index[t + 1] = update_index_process(index[t], self.accepts[t])
+        return index
 
     @property
     def direction(self):
-        return self._index_process[1]
+        index = self.index
+        upward = (_proposed(index, self.parities[:, None, :])
+                  & (index < self.n_intervals))
+        return np.where(upward, np.int8(1), np.int8(-1))
+
+
+def _proposed(pair, parity):
+    """True where the swap of pair (pair, pair+1) is proposed at ``parity``."""
+    return pair % 2 == parity
+
+
+def slot_map(accepts):
+    """Slot map of one swap round: slot n takes its content from src[n].
+
+    ``accepts`` is (N, R); the result is (N+1, R).  Accepted pairs are
+    disjoint transpositions, so the map is its own inverse: the content of
+    slot n also moves to src[n].
+    """
+    n, r = accepts.shape
+    src = np.repeat(np.arange(n + 1)[:, None], r, axis=1)
+    src[:-1] += accepts
+    src[1:] -= accepts
+    return src
 
 
 def communication_step(energies, schedule, parity, rng):
@@ -118,33 +139,16 @@ def communication_step(energies, schedule, parity, rng):
     betas = schedule.betas[:, None]
     u = rng.random((n_pairs, v.shape[1]))
     alpha = swap_acceptance(betas[:-1], betas[1:], v[:-1], v[1:])
-    proposed = (np.arange(n_pairs)[:, None] % 2) == parity
-    return proposed & (u < alpha)
+    return _proposed(np.arange(n_pairs)[:, None], parity) & (u < alpha)
 
 
-def _directions(index, parity, n_intervals):
-    """+1 where slot ``index`` proposes an upward swap at ``parity``, else -1."""
-    upward = ((index % 2) == parity) & (index < n_intervals)
-    return np.where(upward, 1, -1).astype(np.int8)
+def update_index_process(index, accepts):
+    """Slots of every machine after one swap round with ``accepts``.
 
-
-def update_index_process(index, direction, accepts, next_parity, n_intervals):
-    """Advance (I, eps) one iteration, vectorized over machines and replicas.
-
-    A machine moves by its direction when the swap of its pair
-    (I, I + eps) was accepted; its new direction is +1 exactly when its
-    new slot proposes an upward swap at the next iteration.
+    ``index`` (N+1, R) holds the slot of each machine; the machine in slot
+    n moves to slot_map(accepts)[n].
     """
-    n_chains, r = index.shape
-    eps = direction.astype(np.int32)
-    i = index.astype(np.int32)
-    pair = np.where(eps > 0, i, i - 1)
-    valid = (pair >= 0) & (pair < n_intervals)
-    pair_safe = np.clip(pair, 0, n_intervals - 1)
-    rep = np.broadcast_to(np.arange(r)[None, :], (n_chains, r))
-    moved = valid & accepts[pair_safe, rep]
-    i_new = i + np.where(moved, eps, 0)
-    return i_new.astype(np.int16), _directions(i_new, next_parity, n_intervals)
+    return slot_map(accepts)[index, np.arange(index.shape[1])]
 
 
 def run_pt(config, model, explorer, init_states=None):
@@ -204,12 +208,9 @@ def run_pt(config, model, explorer, init_states=None):
                                             explore_rngs[1:]),
                   casting="same_kind")
         v = energy(model, states)
-        acc = communication_step(v, config.schedule, parities[t], comm_rng)
-        accepts[t] = acc
-        # accepted pairs are disjoint: slot n takes its state from n +- 1
-        src = np.repeat(np.arange(n_chains)[:, None], r, axis=1)
-        src[:-1] += acc
-        src[1:] -= acc
+        accepts[t] = communication_step(v, config.schedule, parities[t],
+                                        comm_rng)
+        src = slot_map(accepts[t])
         states = states[src, replicas]
         v = v[src, replicas]
         if energies is not None:
@@ -220,8 +221,6 @@ def run_pt(config, model, explorer, init_states=None):
     return PTTrace(
         scheme=config.scheme,
         betas=betas,
-        n_iters=t_iters,
-        n_replicas=r,
         parities=parities,
         accepts=accepts,
         energies=energies,
@@ -252,12 +251,12 @@ def rejection_rates(trace, burn_in=0.0):
     if not 0.0 <= burn_in < 1.0:
         raise ValueError(f"burn_in must lie in [0, 1), got {burn_in!r}")
     t0 = int(np.floor(burn_in * trace.n_iters))
-    acc = trace.accepts[t0:]
-    parities = trace.parities[t0:t0 + acc.shape[0]]
-    prop_counts = np.array([
-        int(((p % 2) == parities).sum()) for p in range(trace.n_intervals)
-    ])
-    acc_counts = acc.sum(axis=(0, 2))
+    # a pair is proposed in every round of its parity; parities are 0 or 1
+    parities = trace.parities[t0:trace.n_iters]
+    n_odd = np.count_nonzero(parities)
+    prop_counts = np.where(_proposed(np.arange(trace.n_intervals), 1),
+                           n_odd, parities.size - n_odd)
+    acc_counts = trace.accepts[t0:].sum(axis=(0, 2))
     with np.errstate(invalid="ignore"):
         rej = 1.0 - acc_counts / prop_counts
     rej = np.where(prop_counts == 0, np.nan, rej)

@@ -42,14 +42,15 @@ def eval_F(z, lam):
     """F(z) = (D(1,z) - e^z) / (z D(1,z)), computed as (1 - e^z/D)/z.
 
     The rearranged form avoids inf - inf overflow when Re(r(z)) is large.
-    Raises on z = 0 or when D is numerically singular.
+    Raises ValueError on z = 0 (invalid input) and FloatingPointError
+    where D is numerically singular (a numerical failure).
     """
     z = np.asarray(z, dtype=complex)
     d = eval_D(1.0, z, lam)
     if np.any(z == 0):
         raise ValueError("F has a removable structure at z = 0; not evaluated")
     if np.any(np.abs(d) < 1e-14):
-        raise ValueError("D(1, z) numerically singular at supplied z")
+        raise FloatingPointError("D(1, z) numerically singular at supplied z")
     return (1.0 - np.exp(z) / d) / z
 
 

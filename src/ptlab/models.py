@@ -177,15 +177,6 @@ def gaussian_shift_barrier(mu):
     return mu / np.sqrt(np.pi)
 
 
-def gaussian_path_sampler(mu):
-    """(beta, rng, size) -> exact draws from pi_beta = N(beta*mu, 1)."""
-
-    def sample(beta, rng, size):
-        return beta * mu + rng.standard_normal(size)
-
-    return sample
-
-
 def bimodal_pair():
     """Target 0.5 N(-100,1) + 0.5 N(100,1), reference N(0, 100^2 + 1)."""
     s2 = 100.0**2 + 1.0

@@ -126,9 +126,18 @@ def sim_pdmp(lam, rng, size=1):
 def sim_reflected_bm(rng, size=1, dt=1e-4, t_max=10.0):
     """First-passage times to 1 of reflected Brownian motion from 0.
 
-    Euler steps of variance dt with folding reflection at 0 and a
-    Brownian-bridge crossing correction at the absorbing boundary 1.
-    Trajectories still alive at t_max are reported as +inf.
+    The step size sets the time grid, not a bias.  A step folds a Gaussian
+    increment of variance dt, x' = |x + sqrt(dt) Z|; since |W| is
+    Brownian motion reflected at 0, this is its exact transition.  Given
+    the endpoints, the path crosses 1 within the step with the bridge
+    probability exp(-2(1-x)(1-x')/dt), which is drawn whenever both
+    endpoints lie within 20 step widths of 1.  Per step, what the draw
+    leaves out has probability below exp(-1/(2 dt)) for bridges that reach
+    -1 or paths that reach 1 and fall below 0, and below 1e-22 for the
+    fringe cut, which needs a jump of 10 step widths.  Survival
+    Pr(tau > k dt) is therefore exact at multiples of dt up to those terms
+    and float32 rounding.  Trajectories still alive at t_max are reported
+    as +inf.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")

@@ -1,0 +1,34 @@
+"""The benchmark's traced mode wraps ptlab functions by name; a rename or
+deletion of any of them must fail here, in the fast suite."""
+
+import importlib.util
+import os
+
+import ptlab.engine as engine
+import ptlab.experiments as experiments
+
+TRACING = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "perfbench", "tracing.py")
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing",
+                                                  TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_install_and_restore_every_hook():
+    tracing = _load_tracing()
+    originals = (engine.run_pt, engine.update_index_process,
+                 experiments.tuning_rounds)
+    tracer = tracing.Tracer(0)
+    try:
+        tracing.install(tracer)
+        assert engine.run_pt is not originals[0]
+        assert engine.update_index_process is not originals[1]
+    finally:
+        tracer.restore()
+    assert (engine.run_pt, engine.update_index_process,
+            experiments.tuning_rounds) == originals

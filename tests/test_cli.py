@@ -94,6 +94,19 @@ class TestExitCodes:
         payload = json.loads(err)
         assert payload["kind"] == "runtime"
 
+    def test_numerical_failure_is_runtime_error(self, capsys, tmp_path,
+                                                monkeypatch):
+        def singular(*args, **kwargs):
+            raise FloatingPointError("D(1, z) numerically singular")
+
+        monkeypatch.setattr("ptlab.laplace.estimate_C_sup", singular)
+        rc, out, err = run_cli(capsys, [
+            "laplace", "--lam", "1", "--out", str(tmp_path)])
+        assert rc == 2
+        payload = json.loads(err)
+        assert payload["kind"] == "runtime"
+        assert "singular" in payload["error"]
+
     def test_argparse_usage_error(self, capsys):
         rc, out, err = run_cli(capsys, ["bounds", "--N", "not-a-number"])
         assert rc == 1

@@ -11,12 +11,37 @@ from ptlab.engine import (
     rejection_rates,
     restart_count,
     run_pt,
+    slot_map,
     update_index_process,
 )
 from ptlab.experiments import gaussian_equal_rate_mu
 from ptlab.explorers import GaussianPathExplorer, IsingGibbsExplorer
 from ptlab.models import N_SITES, gaussian_shift_pair, ising_model
 from ptlab.rng import make_stream
+
+
+def _replay_by_direction(accepts, parities):
+    """The index process by the direction rule, one machine at a time.
+
+    A machine in slot s proposes upward when pair s is proposed at the
+    round's parity and s < N, else downward; it moves one slot along
+    that direction when the swap of the pair it proposed was accepted.
+    """
+    t_iters, n, r = accepts.shape
+    index = np.zeros((t_iters + 1, n + 1, r), dtype=int)
+    direction = np.zeros_like(index)
+    for rep in range(r):
+        slots = list(range(n + 1))
+        for t in range(t_iters + 1):
+            eps = [1 if s % 2 == parities[t, rep] and s < n else -1
+                   for s in slots]
+            index[t, :, rep], direction[t, :, rep] = slots, eps
+            if t == t_iters:
+                break
+            pairs = [min(s, s + e) for s, e in zip(slots, eps)]
+            slots = [s + e if p >= 0 and accepts[t, p, rep] else s
+                     for s, e, p in zip(slots, eps, pairs)]
+    return index, direction
 
 
 def _gaussian_run(scheme, n, r, n_iters, n_replicas, seed=0, **kw):
@@ -82,12 +107,54 @@ class TestIndexProcess:
 
     def test_moves_only_on_accepted_swaps(self):
         idx = np.array([[0], [1], [2]], dtype=np.int16)
-        direction = np.array([[1], [-1], [-1]], dtype=np.int8)
         accepts = np.array([[True], [False]])  # pair 0 accepted only
-        i_new, eps_new = update_index_process(idx, direction, accepts, 1, 2)
+        i_new = update_index_process(idx, accepts)
         np.testing.assert_array_equal(i_new.ravel(), [1, 0, 2])
-        # next parity 1: only slot 1 (odd, < N) proposes upward
-        np.testing.assert_array_equal(eps_new.ravel(), [1, -1, -1])
+
+    @pytest.mark.parametrize("accepts, src", [
+        # N = 3: parity 0 proposes both boundary pairs 0 and 2 at once
+        ([[1, 0], [0, 1], [1, 0]], [[1, 0], [0, 2], [3, 1], [2, 3]]),
+        # N = 4: parity 0 proposes the bottom pair, parity 1 the top pair
+        ([[1, 0, 0], [0, 1, 0], [1, 0, 0], [0, 1, 1]],
+         [[1, 0, 0], [0, 2, 1], [3, 1, 2], [2, 4, 4], [4, 3, 3]]),
+    ])
+    def test_slot_map_handcrafted(self, accepts, src):
+        # columns are replicas; slot n takes its content from src[n]
+        got = slot_map(np.array(accepts, dtype=bool))
+        np.testing.assert_array_equal(got, src)
+        reps = np.arange(got.shape[1])
+        np.testing.assert_array_equal(got[got, reps],
+                                      np.indices(got.shape)[0])
+
+    def test_index_and_direction_handcrafted(self):
+        # N = 4, two replicas on opposite parities; every accepted pair
+        # was proposed, and each boundary pair is accepted in each replica
+        parities = np.array([[0, 1], [1, 0], [0, 1]], dtype=np.int8)
+        accepts = np.zeros((2, 4, 2), dtype=bool)
+        accepts[0, [0, 2], 0] = True  # parity 0: bottom pair and pair 2
+        accepts[1, 3, 0] = True       # parity 1: top pair
+        accepts[0, [1, 3], 1] = True  # parity 1: pair 1 and top pair
+        accepts[1, 0, 1] = True       # parity 0: bottom pair
+        tr = PTTrace(scheme="rpt", betas=np.linspace(0.0, 1.0, 5),
+                     parities=parities, accepts=accepts)
+        np.testing.assert_array_equal(tr.index[:, :, 0], [
+            [0, 1, 2, 3, 4], [1, 0, 3, 2, 4], [1, 0, 4, 2, 3]])
+        np.testing.assert_array_equal(tr.index[:, :, 1], [
+            [0, 1, 2, 3, 4], [0, 2, 1, 4, 3], [1, 2, 0, 4, 3]])
+        np.testing.assert_array_equal(tr.direction[:, :, 0], [
+            [1, -1, 1, -1, -1], [1, -1, 1, -1, -1], [-1, 1, -1, 1, -1]])
+        np.testing.assert_array_equal(tr.direction[:, :, 1], [
+            [-1, 1, -1, 1, -1], [1, 1, -1, -1, -1], [1, -1, -1, -1, 1]])
+
+    @pytest.mark.parametrize("scheme, n, r, n_iters", [
+        ("nrpt", 1, 3, 40), ("nrpt", 5, 8, 300),
+        ("rpt", 1, 3, 40), ("rpt", 6, 8, 300),
+    ])
+    def test_replay_matches_direction_rule(self, scheme, n, r, n_iters):
+        tr = _gaussian_run(scheme, n, 0.4, n_iters, r, seed=n)
+        index, direction = _replay_by_direction(tr.accepts, tr.parities)
+        np.testing.assert_array_equal(tr.index, index)
+        np.testing.assert_array_equal(tr.direction, direction)
 
     def test_rpt_parities_per_replica(self):
         tr = _gaussian_run("rpt", 2, 0.3, 10, 6)
@@ -171,7 +238,7 @@ class TestRunPt:
         # with an explorer that keeps its input and a reference sampler
         # that hands out consecutive values, a machine keeps its value
         # except while it sits in slot 0, where it takes the next reference
-        # values; the swap gather and the replayed index must agree on it
+        # values; the states must follow the replayed index
         class Stay:
             def step(self, x, betas, rngs):
                 return x
@@ -267,7 +334,6 @@ class TestRestartsAndAncestry:
         accepts = np.array([[[True], [False]],
                             [[False], [True]]])  # (t, pair, replica)
         tr = PTTrace(scheme="nrpt", betas=np.array([0.0, 0.5, 1.0]),
-                     n_iters=2, n_replicas=1,
                      parities=np.arange(3)[:, None] % 2,
                      accepts=accepts)
         np.testing.assert_array_equal(tr.index[:, :, 0],

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from ptlab.core import AnnealingSchedule
 from ptlab.engine import SwapStats
+from ptlab.explorers import GaussianPathExplorer
 from ptlab.gcb import (
     BarrierFn,
     estimate_gcb,
@@ -16,7 +17,7 @@ from ptlab.gcb import (
     tune_schedule,
     tuning_rounds,
 )
-from ptlab.models import gaussian_path_sampler, gaussian_shift_barrier
+from ptlab.models import gaussian_shift_barrier
 
 
 class TestBarrierFn:
@@ -122,11 +123,12 @@ class TestTuningRounds:
 class TestDirectMc:
     def test_gaussian_closed_form(self):
         mu = 2.0
-        draw_x = gaussian_path_sampler(mu)
+        explorer = GaussianPathExplorer(mu)
 
         def v_sampler(beta, rng, size):
-            # V(x) = mu^2/2 - mu x under pi_beta
-            return mu**2 / 2 - mu * draw_x(beta, rng, size)
+            # V(x) = mu^2/2 - mu x under pi_beta = N(beta mu, 1)
+            x = explorer.step(np.empty((1, size)), [beta], [rng])[0]
+            return mu**2 / 2 - mu * x
 
         est = gcb_direct_mc(v_sampler, seed=0, n_beta=50, n_pairs=20_000)
         exact = gaussian_shift_barrier(mu)

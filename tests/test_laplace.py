@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from ptlab.laplace import (
     c_analytic_bound,
@@ -68,6 +69,19 @@ class TestEvalF:
         f = eval_F(a + 1j * y, lam)
         c = 1.0 - np.exp(-lam)
         np.testing.assert_allclose(f, c / (a + 1j * y), rtol=0.05)
+
+
+class TestEvalFFailures:
+    def test_zero_argument_is_invalid_input(self):
+        with pytest.raises(ValueError):
+            eval_F(0.0, 4.0)
+
+    def test_real_zero_of_d_is_numerical_failure(self):
+        # D(1, -gamma) changes sign between gamma = 0.2 and 0.3 at lam = 4
+        lam = 4.0
+        gamma = brentq(lambda g: d_real_axis(lam, g), 0.2, 0.3, xtol=1e-15)
+        with pytest.raises(FloatingPointError, match="singular"):
+            eval_F(-gamma, lam)
 
 
 class TestPoleMargin:

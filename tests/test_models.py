@@ -11,7 +11,6 @@ from ptlab.models import (
     TORUS_EDGES,
     bimodal_pair,
     codes_from_spins,
-    gaussian_path_sampler,
     gaussian_shift_barrier,
     gaussian_shift_pair,
     ising_bond_sums,
@@ -103,13 +102,6 @@ class TestIsingExactDistribution:
 
 
 class TestGaussianShiftPair:
-    def test_path_is_shifted_normal(self):
-        mu = 3.0
-        sampler = gaussian_path_sampler(mu)
-        x = sampler(0.4, make_stream(0, 0, 0), 200_000)
-        assert abs(x.mean() - 0.4 * mu) < 0.01
-        assert abs(x.std() - 1.0) < 0.01
-
     def test_barrier_closed_form(self):
         np.testing.assert_allclose(gaussian_shift_barrier(2.0),
                                    2.0 / np.sqrt(np.pi), atol=1e-15)
