@@ -194,6 +194,8 @@ def cmd_gcb(args):
 
 
 def cmd_bounds(args):
+    if args.tmax < 0:
+        raise CliError(f"--tmax must be >= 0, got {args.tmax}")
     ts = np.arange(0, args.tmax + 1)
     exact = bounds_mod.hitting_tail(args.scheme, args.N, args.r, ts)
     coarse = bounds_mod.coarse_bound(args.scheme, args.N, args.r, ts)
@@ -217,6 +219,11 @@ def cmd_bounds(args):
 
 
 def cmd_hitting(args):
+    if not 0.0 <= args.tmin <= args.tmax < np.inf:
+        raise CliError("need 0 <= --tmin <= --tmax < inf, got "
+                       f"--tmin {args.tmin} --tmax {args.tmax}")
+    if args.points < 1:
+        raise CliError(f"--points must be >= 1, got {args.points}")
     t_grid = np.linspace(args.tmin, args.tmax, args.points)
     sims = {
         "nrpt": lambda rng, size: walks_mod.sim_persistent_walk(

@@ -18,7 +18,7 @@ from .explorers import (
     IdealIsingExplorer,
     IsingGibbsExplorer,
 )
-from .gcb import estimate_gcb, tuning_rounds
+from .gcb import estimate_gcb, pair_rejections, tuning_rounds
 from .models import (
     N_SITES,
     bimodal_pair,
@@ -159,7 +159,7 @@ def ising_tv_experiment(n=5, n_iters=25, n_replicas=50_000, init="all-minus",
                    record_target_states=True)
     trace = run_pt(cfg, model, kernel, init_states=init_states)
     stats = rejection_rates(trace, burn_in=0.2)
-    r_bar = float(np.mean(stats.rejection))
+    r_bar = float(np.mean(pair_rejections(stats)))
     exact = ising_exact_distribution(1.0)
     ts = np.arange(1, n_iters + 1)
     tv = np.empty(ts.size)

@@ -39,24 +39,47 @@ class IsingGibbsExplorer:
     """Systematic-scan single-site Gibbs sweeps on the 4x4 torus.
 
     Each call performs `sweeps` full raster-order passes; every site is
-    resampled from its conditional under pi_beta given its 4 neighbours.
+    resampled from its conditional under pi_beta given its 4 neighbours,
+    p(+1) = 1 / (1 + exp(-2 beta s)) with s the neighbour sum.  s is one
+    of -4, -2, 0, 2, 4, so each call tabulates p(+1) once per chain, a
+    5-entry row, and a site update is one lookup in that table.  For the
+    call the spins are held site-major, (16, n, R), as 0/1.  The draws
+    are those of the raster scan: per site, one uniform per replica from
+    each chain's stream, in chain order; the site becomes +1 where its
+    uniform falls below p(+1).  ``x`` must hold +-1 spins.
     """
 
     def __init__(self, sweeps=3):
         self.sweeps = sweeps
 
     def step(self, x, betas, rngs):
-        x = np.asarray(x, dtype=np.int8).copy()
+        x = np.asarray(x, dtype=np.int8)
+        n, r = x.shape[:2]
+        up = np.empty((N_SITES, n, r), dtype=np.int8)  # 1 where x = +1
+        np.greater(np.moveaxis(x, -1, 0), 0, out=up)
         beta = np.asarray(betas, dtype=float)[:, None]
+        s = np.arange(-4, 5, 2)
+        p_table = (1.0 / (1.0 + np.exp(-2.0 * beta * s))).ravel()
+        # chain k's p(+1) with j of 4 neighbours up is p_table[5 k + j]
+        row = 5 * np.arange(n)[:, None]
+        n_up = np.empty((n, r), dtype=np.int8)
+        idx = np.empty((n, r), dtype=np.intp)
+        p_plus = np.empty((n, r))
+        u = np.empty((n, r))
+        draws = list(zip(rngs, u))
+        scan = [(up[site], [up[j] for j in SITE_NEIGHBOURS[site]])
+                for site in range(N_SITES)]
         for _ in range(self.sweeps):
-            for site in range(N_SITES):
-                nb_sum = x[:, :, SITE_NEIGHBOURS[site]].sum(axis=2,
-                                                            dtype=np.int32)
-                # p(x_site = +1 | rest) = 1 / (1 + exp(-2 beta s))
-                p_plus = 1.0 / (1.0 + np.exp(-2.0 * beta * nb_sum))
-                u = np.stack([g.random(x.shape[1]) for g in rngs])
-                x[:, :, site] = np.where(u < p_plus, 1, -1)
-        return x
+            for spin, (a, b, c, d) in scan:
+                np.add(a, b, out=n_up)
+                n_up += c
+                n_up += d
+                np.add(n_up, row, out=idx)
+                np.take(p_table, idx, out=p_plus, mode="clip")
+                for g, u_k in draws:
+                    g.random(out=u_k)
+                np.less(u, p_plus, out=spin)
+        return np.ascontiguousarray(np.moveaxis(2 * up - 1, 0, -1))
 
 
 class _CdfCache:

@@ -45,6 +45,15 @@ class BarrierFn:
         return np.interp(level, self.values, self.knots)
 
 
+def pair_rejections(stats):
+    """The per-pair rejection rates of `stats` (SwapStats); raises
+    ValueError if a pair had no proposals, so that its rate is NaN."""
+    rej = np.asarray(stats.rejection, dtype=float)
+    if np.any(np.isnan(rej)):
+        raise ValueError("missing pair statistics (a pair had no proposals)")
+    return rej
+
+
 def estimate_gcb(stats, schedule):
     """Barrier estimate from per-pair swap statistics.
 
@@ -58,11 +67,9 @@ def estimate_gcb(stats, schedule):
     -------
     (lambda_hat, BarrierFn)
     """
-    rej = np.asarray(stats.rejection, dtype=float)
+    rej = pair_rejections(stats)
     if rej.size != schedule.n_intervals:
         raise ValueError("stats and schedule disagree on the pair count")
-    if np.any(np.isnan(rej)):
-        raise ValueError("missing pair statistics (a pair had no proposals)")
     cum = np.concatenate([[0.0], np.cumsum(rej)])
     barrier = BarrierFn(knots=schedule.betas, values=cum)
     return barrier.total, barrier

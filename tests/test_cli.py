@@ -49,6 +49,16 @@ class TestExitCodes:
                      id="laplace-lam-empty"),
         pytest.param(["laplace", "--lam", ",", "--fgrid"], None, "empty",
                      id="laplace-lam-empty-fgrid"),
+    ] + [
+        pytest.param(["hitting"] + flags, None, needle,
+                     id="hitting" + "".join(flags))
+        for flags, needle in ((["--points", "0"], "--points"),
+                              (["--tmin", "5", "--tmax", "1"], "--tmin"),
+                              (["--tmin", "-1"], "--tmin"),
+                              (["--tmax", "inf"], "--tmax"))
+    ] + [
+        pytest.param(["bounds", "--tmax", "-3"], None, "--tmax",
+                     id="bounds-tmax=-3"),
     ])
     def test_validation_error(self, capsys, tmp_path, argv, config, needle):
         out_dir = tmp_path / "out"

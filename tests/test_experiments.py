@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ptlab import engine, experiments
+from ptlab.core import AnnealingSchedule
 from ptlab.experiments import (
     MODELS,
     bimodal_clt_runs,
@@ -48,6 +49,12 @@ class TestIsingExperimentSmallScale:
         assert np.all((res["tv"] >= 0) & (res["tv"] <= 1))
         assert np.all(np.diff(res["bound"]) <= 1e-12)
         assert res["lambda_hat"] > 0
+
+    def test_one_iteration_names_missing_pairs(self):
+        # one NRPT round proposes only the even pairs, so r_bar is undefined
+        with pytest.raises(ValueError, match="missing pair statistics"):
+            ising_tv_experiment(n=3, n_iters=1, n_replicas=10,
+                                schedule=AnnealingSchedule.uniform(3))
 
 
 class TestStreamKeys:

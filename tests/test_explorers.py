@@ -11,11 +11,14 @@ from ptlab.explorers import (
     lag1_independence_check,
 )
 from ptlab.models import (
+    N_SITES,
+    SITE_NEIGHBOURS,
     bimodal_pair,
     codes_from_spins,
     gaussian_shift_pair,
     ising_exact_distribution,
     ising_model,
+    spins_from_codes,
 )
 from ptlab.rng import make_stream
 
@@ -79,7 +82,35 @@ class TestIdealIsing:
         assert abs(rho) < 3.0 / np.sqrt(50_000) * 1.5
 
 
+def raster_scan_gibbs(x, betas, rngs, sweeps):
+    """Reference Gibbs kernel: per site, its neighbour sum, p(+1) from the
+    exp formula and one g.random(R) per chain, in raster order."""
+    x = np.array(x, dtype=np.int8)
+    beta = np.asarray(betas, dtype=float)[:, None]
+    for _ in range(sweeps):
+        for site in range(N_SITES):
+            nb_sum = x[:, :, SITE_NEIGHBOURS[site]].sum(axis=2,
+                                                        dtype=np.int32)
+            p_plus = 1.0 / (1.0 + np.exp(-2.0 * beta * nb_sum))
+            u = np.stack([g.random(x.shape[1]) for g in rngs])
+            x[:, :, site] = np.where(u < p_plus, 1, -1)
+    return x
+
+
 class TestIsingGibbs:
+    @pytest.mark.parametrize("sweeps", [1, 3])
+    def test_matches_raster_scan_bit_for_bit(self, sweeps):
+        x = spins_from_codes(make_stream(9, 1).integers(0, 65536, (3, 40)))
+        betas = np.array([0.0, 0.37, 1.0])
+
+        def streams():
+            return [make_stream(9, 0, c) for c in range(3)]
+
+        out = IsingGibbsExplorer(sweeps=sweeps).step(x, betas, streams())
+        assert out.dtype == np.int8
+        np.testing.assert_array_equal(
+            out, raster_scan_gibbs(x, betas, streams(), sweeps))
+
     def test_preserves_exact_distribution(self):
         # start from exact pi_1 samples; TV must stay at the noise floor
         k_exact = IdealIsingExplorer()

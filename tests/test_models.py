@@ -88,13 +88,10 @@ class TestIsingExactDistribution:
         np.testing.assert_allclose(d.log_z, 16 * np.log(2.0), atol=1e-10)
 
     def test_model_energy_matches_table(self):
-        model = ising_model()
-        codes = np.array([0, 37, 65535, 12345])
-        spins = spins_from_codes(codes)
-        v = energy(model, spins)
-        s = ising_bond_sums()
-        expected = -16 * np.log(2.0) - s[codes]
-        np.testing.assert_allclose(v, expected, atol=1e-12)
+        # every state, exactly: the energy's bond sum and the table's
+        # edge loop count the same 32 bonds
+        v = energy(ising_model(), spins_from_codes(np.arange(65536)))
+        np.testing.assert_array_equal(v, -16 * np.log(2.0) - ising_bond_sums())
 
     def test_bad_beta_raises(self):
         with pytest.raises(ValueError):
