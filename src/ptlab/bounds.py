@@ -154,27 +154,26 @@ def pdmp_loose_bound(lam, t):
     return out if np.ndim(t) else float(out)
 
 
-def nrpt_infinite_bound(lam, t, c=106.0, tv=False):
-    """Infinite-chain bound C * exp(-(t-1)/(Lambda+2)), clamped to [0, 1].
+def nrpt_infinite_bound(lam, t):
+    """Infinite-chain bound 106 * exp(-(t-1)/(Lambda+2)), clamped to [0, 1].
 
-    The TV variant shifts the exponent to t-2.  Valid for Lambda >= 1;
-    c defaults to the universal constant 106, or pass a sharper value.
+    Valid for Lambda >= 1, where 106 is the universal constant.
     """
     if lam < 1.0:
         raise ValueError("bound requires lam >= 1")
-    shift = 2.0 if tv else 1.0
     t_arr = np.asarray(t, dtype=float)
-    out = np.minimum(1.0, c * np.exp(-(t_arr - shift) / (lam + 2.0)))
+    out = np.minimum(1.0, 106.0 * np.exp(-(t_arr - 1.0) / (lam + 2.0)))
     return out if np.ndim(t) else float(out)
 
 
-def rpt_infinite_tail(t, k_max=200):
+def rpt_infinite_tail(t):
     """Survival function of the reflected-Brownian traversal time.
 
-    Pr(tau > t) = (4/pi) sum_{j>=0} (-1)^j/(2j+1) exp(-(2j+1)^2 pi^2 t / 8).
-    For small t the alternating series converges slowly, so the equivalent
-    method-of-images form in terms of Gaussian CDFs is used instead; the
-    two agree to ~1e-9 in the crossover region.
+    Pr(tau > t) = (4/pi) sum_{j>=0} (-1)^j/(2j+1) exp(-(2j+1)^2 pi^2 t / 8),
+    summed over its first 200 terms.  For small t the alternating series
+    converges slowly, so the equivalent method-of-images form in terms of
+    Gaussian CDFs is used instead; the two agree to ~1e-9 in the crossover
+    region.
     """
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(t_arr < 0):
@@ -191,7 +190,7 @@ def rpt_infinite_tail(t, k_max=200):
         out[small] = val
     if np.any(~small):
         ts = t_arr[~small]
-        js = np.arange(k_max)
+        js = np.arange(200)
         terms = ((-1.0) ** js / (2 * js + 1))[None, :] * np.exp(
             -((2 * js + 1) ** 2)[None, :] * np.pi**2 * ts[:, None] / 8.0
         )

@@ -168,12 +168,13 @@ def cmd_sample(args):
 
 
 def cmd_tune(args):
+    rounds = MODELS[args.model].rounds if args.rounds is None else args.rounds
     schedule, lam_hat, barrier = tune(args.model, args.chains - 1,
-                                      rounds=args.rounds, seed=args.seed)
+                                      rounds=rounds, seed=args.seed)
     out = {
         "command": "tune",
         "model": args.model,
-        "rounds": args.rounds,
+        "rounds": rounds,
         "lambda_hat": lam_hat,
         "schedule": schedule.betas,
         "barrier_knots": barrier.knots,
@@ -253,7 +254,7 @@ def cmd_laplace(args):
     table = {}
     t_grid = laplace_mod.default_t_grid()
     for lam in lams:
-        sup, t_at, curve = laplace_mod.estimate_C_sup(lam, t_grid)
+        sup, t_at, curve = laplace_mod.estimate_C_sup(lam)
         table[str(lam)] = {"C": sup, "argmax_t": t_at,
                            "analytic_bound": laplace_mod.c_analytic_bound(lam)}
         if args.curves:
@@ -300,7 +301,10 @@ def cmd_ising_validate(args):
 
 
 def cmd_diagnose(args):
-    cols = read_trace_csv(args.trace)
+    try:
+        cols = read_trace_csv(args.trace)
+    except OSError as exc:
+        raise CliError(f"cannot read trace: {exc}") from exc
     v_cols = sorted([c for c in cols if c.startswith("V")],
                     key=lambda s: int(s[1:]))
     if not v_cols:
@@ -362,7 +366,8 @@ def build_parser():
     p = sub.add_parser("tune", help="equi-acceptance schedule adaptation")
     p.add_argument("--model", default="bimodal", choices=list(MODELS))
     p.add_argument("--chains", type=int, default=13)
-    p.add_argument("--rounds", type=int, default=6)
+    p.add_argument("--rounds", type=int, default=None,
+                   help="tuning rounds (default: the model's own count)")
     _add_common(p)
     p.set_defaults(func=cmd_tune)
 

@@ -29,7 +29,7 @@ def lag1_energy_autocorr(v_trace, burn_in=0.2):
     return float(np.corrcoef(v[:-1], v[1:])[0, 1])
 
 
-def empirical_tv_discrete(codes, exact, n_states=None):
+def empirical_tv_discrete(codes, exact):
     """(1/2) sum_s |phat(s) - p(s)| between sample codes and an exact table.
 
     Returns (tv, noise_floor) where the floor approximates the expected TV
@@ -39,10 +39,8 @@ def empirical_tv_discrete(codes, exact, n_states=None):
     noise-dominated.
     """
     p = np.asarray(exact.probs, dtype=float)
-    if n_states is None:
-        n_states = p.size
     codes = np.asarray(codes).ravel()
-    counts = np.bincount(codes, minlength=n_states).astype(float)
+    counts = np.bincount(codes, minlength=p.size).astype(float)
     phat = counts / codes.size
     tv = 0.5 * np.abs(phat - p).sum()
     n = codes.size

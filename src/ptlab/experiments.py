@@ -188,18 +188,18 @@ def ising_tv_experiment(n=5, n_iters=25, n_replicas=50_000, init="all-minus",
 # ---------------------------------------------------------------------------
 
 
-def bimodal_clt_runs(n_runs=500, n=6, n_iters=2000, seed=0, schedule=None):
+def bimodal_clt_runs(n_runs=500, n=6, n_iters=2000, seed=0):
     """Standardized batch-mean statistics of sign(x) on the target chain.
 
-    Runs `n_runs` independent NRPT instances (as the replica dimension) and
-    returns one standardized statistic per run:
+    Tunes an `n`-interval schedule with ``tune("bimodal", n, seed=seed)``,
+    runs `n_runs` independent NRPT instances on it (as the replica
+    dimension) and returns one standardized statistic per run:
     z = sqrt(T) * mean(f) / sigma_hat with sigma_hat from batch means.
     """
     from .diagnostics import asymptotic_variance
 
     model, explorer = _spec("bimodal").build()
-    if schedule is None:
-        schedule, _, _ = tune("bimodal", n, seed=seed)
+    schedule, _, _ = tune("bimodal", n, seed=seed)
     cfg = PTConfig("nrpt", schedule, n_iters=n_iters, n_replicas=n_runs,
                    seed=(seed, MAIN), record_energies=False,
                    record_target_states=True)
@@ -217,17 +217,17 @@ def bimodal_clt_runs(n_runs=500, n=6, n_iters=2000, seed=0, schedule=None):
 # ---------------------------------------------------------------------------
 
 
-def finite_vs_infinite(lam=4.0, n_values=(10, 30, 100), t_grid=None,
-                       n_rep=200_000, seed=0):
+def finite_vs_infinite(lam=4.0, n_values=(10, 30, 100), n_rep=200_000,
+                       seed=0):
     """Scaled finite-chain tails against the continuum limits.
 
     Non-reversible: exact tail at floor(t N) with r = lam/N versus the
-    Monte Carlo survival of the continuum persistent walk; reversible:
-    exact tail at floor(t N^2) versus the Brownian series.
+    Monte Carlo survival of the continuum persistent walk, for 39 points t
+    in [1, 20]; reversible: exact tail at floor(t N^2) versus the Brownian
+    series, for 30 points t in [0.05, 3].
     Returns sup-differences per N for both schemes.
     """
-    if t_grid is None:
-        t_grid = np.linspace(1.0, 20.0, 39)
+    t_grid = np.linspace(1.0, 20.0, 39)
     pdmp = walks.survival_curve(
         lambda rng, size: walks.sim_pdmp(lam, rng, size), t_grid, n_rep, seed
     )

@@ -157,14 +157,14 @@ class GaussianPathExplorer:
         return np.asarray(betas, dtype=float)[:, None] * self.mu + z
 
 
-def lag1_independence_check(model, explorer, beta, rng, n_pairs=100_000, x0=None):
-    """Empirical correlation between V(input) and V(output) over one step.
+def lag1_independence_check(model, explorer, beta, rng, n_pairs=100_000):
+    """Empirical correlation between V(input) and V(output) over one step
+    from `n_pairs` reference draws.
 
     Under idealized exploration the output energy is independent of the
     input, so the correlation should vanish within Monte Carlo error.
     """
-    if x0 is None:
-        x0 = model.sample_reference(rng, n_pairs)
+    x0 = model.sample_reference(rng, n_pairs)
     x1 = explorer.step(x0[None], [beta], [rng])[0]
     v0, v1 = energy(model, x0), energy(model, x1)
     return float(np.corrcoef(v0, v1)[0, 1])

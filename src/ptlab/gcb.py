@@ -96,7 +96,7 @@ def tune_schedule(barrier, n):
     return AnnealingSchedule(betas)
 
 
-def tuning_rounds(run_fn, n, rounds=3, base_iters=512):
+def tuning_rounds(run_fn, n, rounds, base_iters):
     """Schedule adaptation: run, re-estimate, re-grid, doubling the budget.
 
     Parameters
@@ -107,8 +107,9 @@ def tuning_rounds(run_fn, n, rounds=3, base_iters=512):
     n : int
         Number of schedule intervals.
     rounds : int
-        Number of adaptation rounds (at least 1); round k uses
-        base_iters * 2^k iterations.
+        Number of adaptation rounds (at least 1).
+    base_iters : int
+        Iterations of round 0; round k uses base_iters * 2^k.
 
     Returns
     -------

@@ -54,24 +54,20 @@ def eval_F(z, lam):
     return (1.0 - np.exp(z) / d) / z
 
 
-def pole_margin_check(lam, gamma=None, eps=None, n_grid=400):
-    """Minimum of |D(1, -gamma + ix)| over x in [0, eps].
+def pole_margin_check(lam):
+    """Minimum of |D(1, -gamma + ix)| over 400 points x in [0, eps], with
+    gamma = 1/(lam + 2) and eps = 1/(136 lam).
 
     The analytic bound requires this margin to stay >= 0.07 on the
     hypothesis region lam >= 1, 1/(4 lam) <= gamma < 1/(lam + sqrt(2)),
-    0 < eps <= 1/(136 lam).
+    0 < eps <= 1/(136 lam), which holds at these gamma and eps for every
+    finite lam >= 1.
     """
-    if lam < 1.0:
-        raise ValueError("requires lam >= 1")
-    if gamma is None:
-        gamma = 1.0 / (lam + 2.0)
-    if eps is None:
-        eps = 1.0 / (136.0 * lam)
-    if not (1.0 / (4.0 * lam) <= gamma < 1.0 / (lam + np.sqrt(2.0))):
-        raise ValueError("gamma outside hypothesis interval")
-    if not (0.0 < eps <= 1.0 / (136.0 * lam)):
-        raise ValueError("eps outside hypothesis interval")
-    xs = np.linspace(0.0, eps, n_grid)
+    if not 1.0 <= lam < np.inf:
+        raise ValueError(f"requires finite lam >= 1, got {lam!r}")
+    gamma = 1.0 / (lam + 2.0)
+    eps = 1.0 / (136.0 * lam)
+    xs = np.linspace(0.0, eps, 400)
     vals = np.abs(eval_D(1.0, -gamma + 1j * xs, lam))
     return float(vals.min())
 
@@ -143,17 +139,17 @@ def _bromwich_integral(lam, t, a, tail_tol):
     return total / np.pi
 
 
-def estimate_C(lam, t, tail_tol=4e-3):
+def estimate_C(lam, t):
     """C(Lambda, t): Bromwich inversion along Re(z) = -1/(Lambda+2).
 
-    Scalar or array in t.  tail_tol controls the truncation error budget
-    of the oscillatory integral.
+    Scalar or array in t.  The truncation error budget of the oscillatory
+    integral is 4e-3.
     """
-    if lam < 1.0:
-        raise ValueError("requires lam >= 1")
+    if not 1.0 <= lam < np.inf:
+        raise ValueError(f"requires finite lam >= 1, got {lam!r}")
     a = -1.0 / (lam + 2.0)
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    out = np.array([_bromwich_integral(lam, ti, a, tail_tol) for ti in t_arr])
+    out = np.array([_bromwich_integral(lam, ti, a, 4e-3) for ti in t_arr])
     return out if np.ndim(t) else float(out[0])
 
 
@@ -162,58 +158,47 @@ def default_t_grid():
     return np.geomspace(1e-3, 3e3, 200)
 
 
-def estimate_C_sup(lam, t_grid=None, tail_tol=4e-3):
-    """C(Lambda) = sup_t C(Lambda, t) over the (default logarithmic) grid.
+def estimate_C_sup(lam):
+    """C(Lambda) = sup_t C(Lambda, t) over default_t_grid().
 
-    Returns (supremum, argmax t, curve).
+    Returns (supremum, argmax t, curve over that grid).
     """
-    if t_grid is None:
-        t_grid = default_t_grid()
-    curve = estimate_C(lam, t_grid, tail_tol=tail_tol)
+    t_grid = default_t_grid()
+    curve = estimate_C(lam, t_grid)
     i = int(np.argmax(curve))
     return float(curve[i]), float(t_grid[i]), curve
 
 
-def survival_from_transform(lam, t, abscissa=0.1, tail_tol=1e-3):
-    """Reconstruct Pr(tau_inf > t + 1) by inversion at a right-half-plane
-    abscissa (a consistency check against Monte Carlo, not used by the
-    C(Lambda) pipeline).
+def survival_from_transform(lam, t):
+    """Reconstruct Pr(tau_inf > t + 1) by inversion along Re(z) = 0.1 with
+    a truncation error budget of 1e-3 (a consistency check against Monte
+    Carlo, not used by the C(Lambda) pipeline).
 
     On a contour with Re(z) = a > 0 the subtracted c/z term inverts to the
     constant c, which is added back.
     """
-    if abscissa <= 0:
-        raise ValueError("abscissa must be positive")
+    if not 0.0 <= lam < np.inf:
+        raise ValueError(f"requires finite lam >= 0, got {lam!r}")
     c = 1.0 - np.exp(-lam)
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    out = np.array([
-        np.exp(abscissa * ti) * _bromwich_integral(lam, ti, abscissa, tail_tol) + c
-        for ti in t_arr
-    ])
+    out = np.array([np.exp(0.1 * ti) * _bromwich_integral(lam, ti, 0.1, 1e-3) + c
+                    for ti in t_arr])
     return out if np.ndim(t) else float(out[0])
 
 
-def c_analytic_bound(lam, gamma=None, b=None, eps=None):
-    """Closed-form upper bound on C(gamma, Lambda) (five-term expression).
+def c_analytic_bound(lam):
+    """Closed-form upper bound on C(gamma, Lambda) (five-term expression)
+    at gamma = 1/(lam + 2), b = sqrt(6)(lam + 1), eps = 1/(136 lam).
 
-    Hypotheses: lam >= 1, 1/(4 lam) <= gamma < 1/(lam+sqrt(2)),
-    b >= sqrt(6)(lam+1), 0 < eps <= 1/(136 lam).  At the default
-    parameters the bound is below the universal constant 106.
+    The bound's hypotheses, lam >= 1, 1/(4 lam) <= gamma < 1/(lam+sqrt(2)),
+    b >= sqrt(6)(lam+1) and 0 < eps <= 1/(136 lam), all hold there for
+    finite lam >= 1, and the bound is below the universal constant 106.
     """
-    if lam < 1.0:
-        raise ValueError("requires lam >= 1")
-    if gamma is None:
-        gamma = 1.0 / (lam + 2.0)
-    if b is None:
-        b = np.sqrt(6.0) * (lam + 1.0)
-    if eps is None:
-        eps = 1.0 / (136.0 * lam)
-    if not (1.0 / (4.0 * lam) <= gamma < 1.0 / (lam + np.sqrt(2.0))):
-        raise ValueError("gamma outside hypothesis interval")
-    if b < np.sqrt(6.0) * (lam + 1.0):
-        raise ValueError("b below hypothesis threshold")
-    if not (0.0 < eps <= 1.0 / (136.0 * lam)):
-        raise ValueError("eps outside hypothesis interval")
+    if not 1.0 <= lam < np.inf:
+        raise ValueError(f"requires finite lam >= 1, got {lam!r}")
+    gamma = 1.0 / (lam + 2.0)
+    b = np.sqrt(6.0) * (lam + 1.0)
+    eps = 1.0 / (136.0 * lam)
     k = (lam - gamma) * (np.sqrt(1.0 + b**2 / (4.0 * lam**2)) - b / (2.0 * lam))
     sk = np.sqrt(k)
     sek = np.sqrt(eps * k)

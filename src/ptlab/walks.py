@@ -16,9 +16,11 @@ from .rng import make_stream
 
 # replicates per survival_curve block; each block has its own stream
 CHUNK = 200_000
+# steps after which the discrete walks raise RuntimeError
+STEP_CAP = 10_000_000
 
 
-def sim_persistent_walk(n, r, rng, size=1, t_cap=10_000_000):
+def sim_persistent_walk(n, r, rng, size=1):
     """Hitting times of the persistent walk from (0, +1) to (N, +1).
 
     Each step the walker at an interior state moves one unit in its current
@@ -37,7 +39,7 @@ def sim_persistent_walk(n, r, rng, size=1, t_cap=10_000_000):
     t = 0
     while ids.size:
         t += 1
-        if t > t_cap:
+        if t > STEP_CAP:
             raise RuntimeError("walk exceeded step cap")
         turning = (pos == 0) & (eps == -1)
         move = rng.random(ids.size, dtype=np.float32) < q
@@ -53,7 +55,7 @@ def sim_persistent_walk(n, r, rng, size=1, t_cap=10_000_000):
     return times
 
 
-def sim_seo_walk(n, r, rng, size=1, t_cap=10_000_000):
+def sim_seo_walk(n, r, rng, size=1):
     """Hitting times of the lazy reflected walk from 0 to N.
 
     Each step the walker moves +-1 with probability (1-r)/2 each and holds
@@ -70,7 +72,7 @@ def sim_seo_walk(n, r, rng, size=1, t_cap=10_000_000):
     t = 0
     while ids.size:
         t += 1
-        if t > t_cap:
+        if t > STEP_CAP:
             raise RuntimeError("walk exceeded step cap")
         u = rng.random(ids.size, dtype=np.float32)
         pos += u < half
@@ -91,8 +93,8 @@ def sim_pdmp(lam, rng, size=1):
     absorption on arrival at 1.  Simulated exactly event-by-event (no
     discretization error).  lam = 0 gives exactly 1.0.
     """
-    if lam < 0:
-        raise ValueError("lam must be non-negative")
+    if not 0.0 <= lam < np.inf:
+        raise ValueError(f"lam must be finite and non-negative, got {lam!r}")
     pos = np.zeros(size)
     direction = np.ones(size)
     times = np.zeros(size)
@@ -137,10 +139,10 @@ def sim_reflected_bm(rng, size=1, dt=1e-4, t_max=10.0):
     fringe cut, which needs a jump of 10 step widths.  Survival
     Pr(tau > k dt) is therefore exact at multiples of dt up to those terms
     and float32 rounding.  Trajectories still alive at t_max are reported
-    as +inf.
+    as +inf.  Needs 0 < dt <= t_max, so that at least one step is taken.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not 0.0 < dt <= t_max:
+        raise ValueError(f"need 0 < dt <= t_max = {t_max}, got dt={dt!r}")
     sdt = np.float32(np.sqrt(dt))
     x = np.zeros(size, dtype=np.float32)
     times = np.full(size, np.inf)

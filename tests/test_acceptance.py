@@ -23,7 +23,6 @@ from ptlab.experiments import (
     finite_vs_infinite,
     index_process_hitting_times,
     ising_tv_experiment,
-    tune,
 )
 from ptlab.engine import ancestral_survival
 from ptlab.gcb import (
@@ -362,9 +361,7 @@ class TestCriterion9IdealizedExplorationExactness:
 
 class TestCriterion10CentralLimitBehaviour:
     def test_batch_mean_statistics_normal(self):
-        schedule, _, _ = tune("bimodal", 6, seed=0)
-        zs = bimodal_clt_runs(n_runs=500, n=6, n_iters=2000, seed=0,
-                              schedule=schedule)
+        zs = bimodal_clt_runs(n_runs=500, n=6, n_iters=2000, seed=0)
         assert zs.size == 500
         passed, stat, crit = batch_mean_normality(zs, level=0.01)
         assert passed, (stat, crit)

@@ -2,10 +2,12 @@
 deletion of any of them must fail here, in the fast suite."""
 
 import importlib.util
+import inspect
 import os
 
 import ptlab.engine as engine
 import ptlab.experiments as experiments
+import ptlab.walks as walks
 
 TRACING = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "perfbench", "tracing.py")
@@ -32,3 +34,11 @@ def test_install_and_restore_every_hook():
         tracer.restore()
     assert (engine.run_pt, engine.update_index_process,
             experiments.tuning_rounds) == originals
+
+
+def test_reflected_bm_parameters_read_by_name():
+    # the tracer binds each call as (rng, size), applies the defaults and
+    # reads dt and t_max by name; binding fails if either lost its default
+    bound = inspect.signature(walks.sim_reflected_bm).bind(None, 10)
+    bound.apply_defaults()
+    assert {"dt", "t_max"} <= set(bound.arguments)

@@ -50,6 +50,19 @@ class TestExitCodes:
         pytest.param(["laplace", "--lam", ",", "--fgrid"], None, "empty",
                      id="laplace-lam-empty-fgrid"),
     ] + [
+        # NaN and inf once hung or passed silently
+        pytest.param(["laplace", "--lam", value], None, "lam",
+                     id=f"laplace-lam={value}") for value in ("nan", "inf")
+    ] + [
+        pytest.param(["hitting", "--process", "pdmp", "--lam", value], None,
+                     "lam", id=f"hitting-pdmp-lam={value}")
+        for value in ("nan", "inf")
+    ] + [
+        pytest.param(["hitting", "--process", "bm", "--dt", "inf"], None,
+                     "dt", id="hitting-bm-dt=inf"),
+        pytest.param(["diagnose", "--trace", "no-such-dir/trace.csv"], None,
+                     "cannot read trace", id="diagnose-missing-trace"),
+    ] + [
         pytest.param(["hitting"] + flags, None, needle,
                      id="hitting" + "".join(flags))
         for flags, needle in ((["--points", "0"], "--points"),
@@ -96,13 +109,6 @@ class TestExitCodes:
         assert rc == 1
         assert json.loads(err)["kind"] == "validation"
         assert out == ""
-
-    def test_runtime_error(self, capsys, tmp_path):
-        rc, out, err = run_cli(capsys, [
-            "diagnose", "--trace", str(tmp_path / "missing.csv")])
-        assert rc == 2
-        payload = json.loads(err)
-        assert payload["kind"] == "runtime"
 
     def test_numerical_failure_is_runtime_error(self, capsys, tmp_path,
                                                 monkeypatch):
@@ -208,6 +214,19 @@ class TestDeterminism:
         assert main(base + ["--seed", "2", "--out", str(b)]) == 0
         capsys.readouterr()
         assert self._hash_dir(a) != self._hash_dir(b)
+
+    def test_tune_rounds_default_to_the_models_own(self, capsys, tmp_path):
+        args = ["tune", "--model", "ising-ideal", "--chains", "4",
+                "--seed", "0"]
+        a, b = tmp_path / "a", tmp_path / "b"
+        rc, out_a, _ = run_cli(capsys, args + ["--out", str(a)])
+        assert rc == 0
+        rc, out_b, _ = run_cli(capsys, args + ["--rounds", "3",
+                                               "--out", str(b)])
+        assert rc == 0
+        assert json.loads(out_a)["rounds"] == 3
+        assert out_a.replace(str(a), str(b)) == out_b
+        assert self._hash_dir(a) == self._hash_dir(b)
 
     def test_tune_outputs_byte_identical(self, capsys, tmp_path):
         args = ["tune", "--model", "bimodal", "--chains", "5",

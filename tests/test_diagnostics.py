@@ -62,7 +62,7 @@ class TestEmpiricalTv:
     def test_tv_in_unit_interval(self):
         exact = DiscreteDist(probs=np.array([0.25, 0.25, 0.5]), log_z=0.0)
         codes = np.array([0, 0, 1, 2, 2, 2])
-        tv, floor = empirical_tv_discrete(codes, exact, n_states=3)
+        tv, floor = empirical_tv_discrete(codes, exact)
         assert 0.0 <= tv <= 1.0 and floor > 0
 
 

@@ -113,7 +113,8 @@ class TestTuningRounds:
             return SwapStats(proposed=np.full(rej.size, n_iters),
                              accepted=np.zeros(rej.size), rejection=rej)
 
-        sched, lam, barrier = tuning_rounds(run_fn, 6, rounds=5)
+        sched, lam, barrier = tuning_rounds(run_fn, 6, rounds=5,
+                                            base_iters=512)
         np.testing.assert_allclose(lam, 2.0, atol=1e-10)
         incr = np.diff(true(sched.betas))
         assert incr.max() - incr.min() < 1e-3

@@ -7,6 +7,7 @@ from scipy.optimize import brentq
 from ptlab.laplace import (
     c_analytic_bound,
     d_real_axis,
+    estimate_C,
     estimate_C_sup,
     eval_D,
     eval_F,
@@ -86,16 +87,31 @@ class TestEvalFFailures:
 
 class TestPoleMargin:
     def test_default_contour_clears_poles(self):
-        for lam in (1.0, 8.0, 64.0):
-            assert pole_margin_check(lam)
+        # measured margins: 0.432, 0.229, 0.167, 0.157
+        for lam in (1.0, 8.0, 64.0, 512.0):
+            assert pole_margin_check(lam) >= 0.07
 
     def test_hypothesis_violations_raise(self):
         with pytest.raises(ValueError):
             pole_margin_check(0.5)  # needs lam >= 1
+
+
+class TestNonFiniteLambda:
+    """NaN and inf fail every lam >= 1 check, before any quadrature: a NaN
+    once made the near-zone panel width 0 and the panel loop endless."""
+
+    @pytest.mark.parametrize("lam", [np.nan, np.inf])
+    @pytest.mark.parametrize("fn", [
+        lambda lam: estimate_C(lam, 1.0),
+        lambda lam: estimate_C_sup(lam),
+        pole_margin_check,
+        c_analytic_bound,
+        lambda lam: survival_from_transform(lam, 1.0),
+    ], ids=["estimate_C", "estimate_C_sup", "pole_margin_check",
+            "c_analytic_bound", "survival_from_transform"])
+    def test_rejected(self, fn, lam):
         with pytest.raises(ValueError):
-            pole_margin_check(4.0, gamma=1.0)  # gamma >= 1/(lam + sqrt(2))
-        with pytest.raises(ValueError):
-            pole_margin_check(4.0, eps=1.0)  # eps > 1/(136 lam)
+            fn(lam)
 
 
 class TestRoundTripConstant:
@@ -124,7 +140,3 @@ class TestSurvivalFromTransform:
         for t, mc in oracle.items():
             val = survival_from_transform(2.0, t)
             assert abs(val - mc) < 3e-3
-
-    def test_bad_abscissa(self):
-        with pytest.raises(ValueError):
-            survival_from_transform(2.0, 1.0, abscissa=-0.1)

@@ -83,6 +83,12 @@ class TestPdmp:
         with pytest.raises(ValueError):
             sim_pdmp(-1.0, make_stream(0, 0, 0))
 
+    @pytest.mark.parametrize("lam", [np.nan, np.inf])
+    def test_non_finite_rate_raises(self, lam):
+        # NaN and inf rates once looped forever
+        with pytest.raises(ValueError):
+            sim_pdmp(lam, make_stream(0, 0, 0))
+
 
 class TestReflectedBm:
     def test_matches_series_at_unit_time(self):
@@ -102,6 +108,13 @@ class TestReflectedBm:
     def test_bad_dt(self):
         with pytest.raises(ValueError):
             sim_reflected_bm(make_stream(0, 0, 0), size=10, dt=0.0)
+
+    @pytest.mark.parametrize("dt", [np.nan, np.inf, 20.0])
+    def test_dt_without_a_step_raises(self, dt):
+        # an infinite dt, or one beyond t_max = 10, rounds the step count
+        # to 0, which once reported survival 1 at every t
+        with pytest.raises(ValueError):
+            sim_reflected_bm(make_stream(0, 0, 0), size=10, dt=dt)
 
 
 class TestSurvivalCurve:
