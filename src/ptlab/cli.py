@@ -1,13 +1,13 @@
 """Command-line front end.
 
 Subcommands: sample, tune, gcb, bounds, hitting, laplace, ising-validate,
-diagnose.  Every run prints a JSON summary to stdout.  All but gcb and
-diagnose also write plot-ready files to the output directory; this module
-is the only one in the package that writes or reads files, every CSV
-through _write_csv and every JSON file through _write_json.  Exit codes:
-0 success, 1 invalid arguments/configuration, 2 runtime failure.  Errors
-are emitted as JSON on stderr.  Flags may also be supplied through a JSON
-file via --config; explicit flags override file values.
+clt, scaling, diagnose.  Every run prints a JSON summary to stdout; all
+but gcb, clt, scaling and diagnose also write plot-ready files to the
+output directory.  This is the only module in the package that parses
+flags or reads or writes files, every CSV through _write_csv and every
+JSON file through _write_json.  Exit codes: 0 success, 1 invalid
+arguments/configuration, 2 runtime failure, with the error as JSON on
+stderr.  --config supplies flags from a JSON file; explicit flags win.
 """
 
 import argparse
@@ -22,10 +22,13 @@ from . import bounds as bounds_mod
 from . import laplace as laplace_mod
 from . import walks as walks_mod
 from .core import AnnealingSchedule
-from .diagnostics import asymptotic_variance, lag1_energy_autocorr
+from .diagnostics import (AD_LEVELS, asymptotic_variance,
+                          batch_mean_normality, lag1_energy_autocorr)
 from .engine import PTConfig, rejection_rates, restart_count, run_pt
 from .experiments import (
     MODELS,
+    bimodal_clt_runs,
+    finite_vs_infinite,
     gcb,
     ising_tv_experiment,
     tune,
@@ -219,7 +222,20 @@ def cmd_bounds(args):
     })
 
 
+# the flags each hitting process reads, and their defaults
+_HITTING_FLAGS = {"nrpt": {"N": 30, "r": 0.1}, "rpt": {"N": 30, "r": 0.1},
+                  "pdmp": {"lam": 4.0}, "bm": {"dt": 1e-4}}
+
+
 def cmd_hitting(args):
+    own = _HITTING_FLAGS[args.process]
+    stray = [f"--{k}" for k in ("N", "r", "lam", "dt")
+             if k not in own and getattr(args, k) is not None]
+    if stray:
+        raise CliError(f"--process {args.process} does not read "
+                       + ", ".join(stray))
+    vars(args).update({k: v for k, v in own.items()
+                       if getattr(args, k) is None})
     if not 0.0 <= args.tmin <= args.tmax < np.inf:
         raise CliError("need 0 <= --tmin <= --tmax < inf, got "
                        f"--tmin {args.tmin} --tmax {args.tmax}")
@@ -253,10 +269,11 @@ def cmd_laplace(args):
     files = []
     table = {}
     t_grid = laplace_mod.default_t_grid()
-    for lam in lams:
+    # c_analytic_bound rejects a bad Lambda: all are checked before any curve
+    analytic = [laplace_mod.c_analytic_bound(lam) for lam in lams]
+    for lam, bound in zip(lams, analytic):
         sup, t_at, curve = laplace_mod.estimate_C_sup(lam)
-        table[str(lam)] = {"C": sup, "argmax_t": t_at,
-                           "analytic_bound": laplace_mod.c_analytic_bound(lam)}
+        table[str(lam)] = {"C": sup, "argmax_t": t_at, "analytic_bound": bound}
         if args.curves:
             path = os.path.join(args.out, f"c_curve_lam{lam:g}.csv")
             _write_csv(path, ["t", "C"], [t_grid, curve])
@@ -298,6 +315,29 @@ def cmd_ising_validate(args):
         "tv_below_bound": ok,
         "files": [path],
     })
+
+
+def cmd_clt(args):
+    zs = bimodal_clt_runs(n_runs=args.runs, n=args.chains - 1,
+                          n_iters=args.iters, seed=args.seed)
+    passed, stat, crit = batch_mean_normality(zs, level=args.level)
+    _emit({
+        "command": "clt",
+        "n_runs": int(zs.size),
+        "mean_z": float(np.mean(zs)),
+        "sd_z": float(np.std(zs)),
+        "anderson_darling_stat": stat,
+        "critical_value": crit,
+        "normality_passed": passed,
+    })
+
+
+def cmd_scaling(args):
+    res = finite_vs_infinite(lam=args.lam,
+                             n_values=_parse_float_list(args.n_values),
+                             n_rep=args.replicas, seed=args.seed)
+    _emit({"command": "scaling",
+           **{k: v for k, v in res.items() if "_sup_diff_N" in k}})
 
 
 def cmd_diagnose(args):
@@ -391,10 +431,10 @@ def build_parser():
     p = sub.add_parser("hitting", help="Monte Carlo survival curves")
     p.add_argument("--process", default="nrpt",
                    choices=["nrpt", "rpt", "pdmp", "bm"])
-    p.add_argument("--N", type=int, default=30)
-    p.add_argument("--r", type=float, default=0.1)
-    p.add_argument("--lam", type=float, default=4.0)
-    p.add_argument("--dt", type=float, default=1e-4)
+    p.add_argument("--N", type=int, help="nrpt and rpt only")
+    p.add_argument("--r", type=float, help="nrpt and rpt only")
+    p.add_argument("--lam", type=float, help="pdmp only")
+    p.add_argument("--dt", type=float, help="bm only")
     p.add_argument("--replicas", type=int, default=100_000)
     p.add_argument("--tmin", type=float, default=1.0)
     p.add_argument("--tmax", type=float, default=200.0)
@@ -421,6 +461,23 @@ def build_parser():
     p.add_argument("--explorer", default="gibbs", choices=["gibbs", "ideal"])
     _add_common(p)
     p.set_defaults(func=cmd_ising_validate)
+
+    p = sub.add_parser("clt", help="batch-means CLT check, bimodal target")
+    p.add_argument("--runs", type=int, default=500)
+    p.add_argument("--chains", type=int, default=7)
+    p.add_argument("--iters", type=int, default=2000)
+    p.add_argument("--level", type=float, default=0.01,
+                   choices=AD_LEVELS.tolist())
+    _add_common(p)
+    p.set_defaults(func=cmd_clt)
+
+    p = sub.add_parser("scaling", help="finite-chain tails vs their limits")
+    p.add_argument("--lam", type=float, default=4.0)
+    p.add_argument("--n-values", default="10,30,100",
+                   help="comma-separated chain counts")
+    p.add_argument("--replicas", type=int, default=200_000)
+    _add_common(p)
+    p.set_defaults(func=cmd_scaling)
 
     p = sub.add_parser("diagnose", help="diagnostics over an exported trace")
     p.add_argument("--trace", required=True, help="path to trace.csv")

@@ -1,7 +1,8 @@
 """Desk-scale experiment recipes wiring the modules together.
 
-Each function returns a plain dict of arrays/floats so the CLI can dump it
-as JSON/CSV and the test-suite can assert on it directly.
+Most recipes return a plain dict of arrays/floats; bimodal_clt_runs returns
+an array, and tune and index_process_hitting_times tuples (see each
+docstring).  The CLI dumps results as JSON/CSV and tests assert on them.
 """
 
 from dataclasses import dataclass
@@ -195,9 +196,14 @@ def bimodal_clt_runs(n_runs=500, n=6, n_iters=2000, seed=0):
     runs `n_runs` independent NRPT instances on it (as the replica
     dimension) and returns one standardized statistic per run:
     z = sqrt(T) * mean(f) / sigma_hat with sigma_hat from batch means.
+    Needs n_iters >= 1000 (batch means) and n_runs >= 2 (A^2 needs a
+    sample standard deviation), checked before any tuning.
     """
     from .diagnostics import asymptotic_variance
 
+    if not (n_iters >= 1000 and n_runs >= 2):
+        raise ValueError("need n_iters >= 1000 and n_runs >= 2, got "
+                         f"n_iters={n_iters!r}, n_runs={n_runs!r}")
     model, explorer = _spec("bimodal").build()
     schedule, _, _ = tune("bimodal", n, seed=seed)
     cfg = PTConfig("nrpt", schedule, n_iters=n_iters, n_replicas=n_runs,
@@ -225,8 +231,15 @@ def finite_vs_infinite(lam=4.0, n_values=(10, 30, 100), n_rep=200_000,
     Monte Carlo survival of the continuum persistent walk, for 39 points t
     in [1, 20]; reversible: exact tail at floor(t N^2) versus the Brownian
     series, for 30 points t in [0.05, 3].
-    Returns sup-differences per N for both schemes.
+    Returns sup-differences per N for both schemes.  Needs finite lam >= 0
+    and integer N >= 1 with lam/N < 1, checked before any simulation.
     """
+    if not 0.0 <= lam < np.inf:
+        raise ValueError(f"lam must be finite and non-negative, got {lam!r}")
+    if not all(float(n).is_integer() and n >= 1 and lam / n < 1.0
+               for n in n_values):
+        raise ValueError("need integer N >= 1 with lam/N < 1, got "
+                         f"lam={lam!r}, N={list(n_values)}")
     t_grid = np.linspace(1.0, 20.0, 39)
     pdmp = walks.survival_curve(
         lambda rng, size: walks.sim_pdmp(lam, rng, size), t_grid, n_rep, seed
@@ -237,7 +250,7 @@ def finite_vs_infinite(lam=4.0, n_values=(10, 30, 100), n_rep=200_000,
     series = bounds.rpt_infinite_tail(t_bm)
     out["t_bm"] = t_bm
     out["bm_series"] = series
-    for n in n_values:
+    for n in map(int, n_values):
         r = lam / n
         steps = np.floor(t_grid * n).astype(int)
         tails = bounds.hitting_tail("nrpt", n, r, steps)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -5,10 +6,10 @@ import os
 import numpy as np
 import pytest
 
-from ptlab.cli import export_run, main, read_trace_csv
+from ptlab.cli import build_parser, export_run, main, read_trace_csv
 from ptlab.core import AnnealingSchedule
 from ptlab.engine import PTConfig, run_pt
-from ptlab.experiments import gaussian_equal_rate_mu
+from ptlab.experiments import MODELS, gaussian_equal_rate_mu
 from ptlab.explorers import GaussianPathExplorer
 from ptlab.models import gaussian_shift_pair
 
@@ -70,8 +71,33 @@ class TestExitCodes:
                               (["--tmin", "-1"], "--tmin"),
                               (["--tmax", "inf"], "--tmax"))
     ] + [
+        # a flag the process does not read is an error, not ignored
+        pytest.param(["hitting", "--process", process, flag, value], None,
+                     flag, id=f"hitting-{process}{flag}={value}")
+        for process, flag, value in (("nrpt", "--lam", "nan"),
+                                     ("nrpt", "--dt", "inf"),
+                                     ("rpt", "--lam", "4"),
+                                     ("bm", "--lam", "4"),
+                                     ("pdmp", "--N", "30"),
+                                     ("bm", "--r", "0.1"),
+                                     ("pdmp", "--dt", "1e-4"))
+    ] + [
         pytest.param(["bounds", "--tmax", "-3"], None, "--tmax",
                      id="bounds-tmax=-3"),
+    ] + [
+        # each is rejected before any tuning or simulation at default sizes
+        pytest.param(["clt", "--iters", "500"], None, "n_iters",
+                     id="clt-iters=500"),
+        pytest.param(["clt", "--runs", "1"], None, "n_runs",
+                     id="clt-runs=1"),
+        pytest.param(["clt", "--level", "0.5"], None, "--level",
+                     id="clt-level=0.5"),
+        pytest.param(["scaling", "--n-values", "0"], None, "N >= 1",
+                     id="scaling-n-values=0"),
+        pytest.param(["scaling", "--n-values", "10,x"], None, "10,x",
+                     id="scaling-n-values=10,x"),
+        pytest.param(["scaling", "--n-values", "2", "--lam", "4"], None,
+                     "lam/N < 1", id="scaling-n-values=2-lam=4"),
     ])
     def test_validation_error(self, capsys, tmp_path, argv, config, needle):
         out_dir = tmp_path / "out"
@@ -122,6 +148,24 @@ class TestExitCodes:
         payload = json.loads(err)
         assert payload["kind"] == "runtime"
         assert "singular" in payload["error"]
+
+    def test_laplace_checks_every_lam_before_any_curve(self, capsys,
+                                                       tmp_path, monkeypatch):
+        def never(lam):
+            raise AssertionError(f"C curve computed for lam={lam}")
+
+        monkeypatch.setattr("ptlab.laplace.estimate_C_sup", never)
+        rc, out, err = run_cli(capsys, [
+            "laplace", "--lam", "1,nan", "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert json.loads(err)["kind"] == "validation"
+        assert out == "" and not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", list(build_parser()[1]))
+    def test_help(self, capsys, command):
+        rc, out, _ = run_cli(capsys, [command, "--help"])
+        assert rc == 0
+        assert "usage:" in out
 
     def test_argparse_usage_error(self, capsys):
         rc, out, err = run_cli(capsys, ["bounds", "--N", "not-a-number"])
@@ -294,6 +338,30 @@ class TestSubcommandOutputs:
             return json.loads(out)["lambda_hat"]
 
         assert lam_hat("0.2") != lam_hat("0.9")
+
+    def test_scaling_summary(self, capsys):
+        rc, out, _ = run_cli(capsys, [
+            "scaling", "--n-values", "10,30", "--replicas", "2000"])
+        assert rc == 0
+        summary = json.loads(out)
+        assert list(summary) == ["command", "nrpt_sup_diff_N10",
+                                 "rpt_sup_diff_N10", "nrpt_sup_diff_N30",
+                                 "rpt_sup_diff_N30"]
+        assert all(0.0 <= summary[k] <= 1.0 for k in list(summary)[1:])
+
+    def test_clt_summary(self, capsys, monkeypatch):
+        # small tuning runs; the recipe's work is covered in
+        # test_acceptance.py
+        spec = MODELS["bimodal"]
+        monkeypatch.setitem(MODELS, "bimodal", dataclasses.replace(
+            spec, base_iters=4, tune_replicas=16))
+        rc, out, _ = run_cli(capsys, [
+            "clt", "--runs", "8", "--chains", "3", "--iters", "1000"])
+        assert rc == 0
+        summary = json.loads(out)
+        assert summary["command"] == "clt" and summary["n_runs"] == 8
+        assert summary["critical_value"] > 0.0
+        assert isinstance(summary["normality_passed"], bool)
 
     def test_laplace_table(self, capsys, tmp_path):
         rc, out, _ = run_cli(capsys, [
