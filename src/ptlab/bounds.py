@@ -119,7 +119,7 @@ def tv_bound_finite(scheme, n, r, t):
     if np.any(t_arr < 1):
         raise ValueError("t must be >= 1")
     out = hitting_tail(scheme, n, r, t_arr - 1)
-    return out if np.ndim(t) else float(out)
+    return out if np.ndim(t) else float(out[0])
 
 
 def coarse_bound(scheme, n, r, t):

@@ -248,8 +248,9 @@ def cmd_hitting(args):
         "rpt": lambda rng, size: walks_mod.sim_seo_walk(
             args.N, args.r, rng, size),
         "pdmp": lambda rng, size: walks_mod.sim_pdmp(args.lam, rng, size),
+        # the simulation stops at the last time the curve reads
         "bm": lambda rng, size: walks_mod.sim_reflected_bm(
-            rng, size, dt=args.dt),
+            rng, size, dt=args.dt, t_max=max(args.tmax, args.dt)),
     }
     curve = walks_mod.survival_curve(sims[args.process], t_grid,
                                      args.replicas, args.seed)
@@ -380,6 +381,17 @@ def _burn_in(text):
     return value
 
 
+def _chains(text):
+    """argparse type: a chain count, at least two (reference and target)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"must be >= 2, got {text!r}")
+    return value
+
+
 def _add_common(p):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="output directory")
@@ -394,7 +406,7 @@ def build_parser():
     p = sub.add_parser("sample", help="run PT and export the trace")
     p.add_argument("--model", default="bimodal", choices=list(MODELS))
     p.add_argument("--scheme", default="nrpt", choices=["nrpt", "rpt"])
-    p.add_argument("--chains", type=int, default=7)
+    p.add_argument("--chains", type=_chains, default=7)
     p.add_argument("--iters", type=int, default=200)
     p.add_argument("--replicas", type=int, default=1)
     p.add_argument("--schedule", default=None,
@@ -405,7 +417,7 @@ def build_parser():
 
     p = sub.add_parser("tune", help="equi-acceptance schedule adaptation")
     p.add_argument("--model", default="bimodal", choices=list(MODELS))
-    p.add_argument("--chains", type=int, default=13)
+    p.add_argument("--chains", type=_chains, default=13)
     p.add_argument("--rounds", type=int, default=None,
                    help="tuning rounds (default: the model's own count)")
     _add_common(p)
@@ -413,7 +425,7 @@ def build_parser():
 
     p = sub.add_parser("gcb", help="communication-barrier estimate")
     p.add_argument("--model", default="bimodal", choices=list(MODELS))
-    p.add_argument("--chains", type=int, default=13)
+    p.add_argument("--chains", type=_chains, default=13)
     p.add_argument("--iters", type=int, default=256)
     p.add_argument("--replicas", type=int, default=5000)
     p.add_argument("--burn-in", type=_burn_in, default=0.2)
@@ -453,7 +465,7 @@ def build_parser():
     p.set_defaults(func=cmd_laplace)
 
     p = sub.add_parser("ising-validate", help="Ising TV-vs-bound experiment")
-    p.add_argument("--chains", type=int, default=6)
+    p.add_argument("--chains", type=_chains, default=6)
     p.add_argument("--iters", type=int, default=25)
     p.add_argument("--replicas", type=int, default=100_000)
     p.add_argument("--init", default="all-minus",
@@ -464,7 +476,7 @@ def build_parser():
 
     p = sub.add_parser("clt", help="batch-means CLT check, bimodal target")
     p.add_argument("--runs", type=int, default=500)
-    p.add_argument("--chains", type=int, default=7)
+    p.add_argument("--chains", type=_chains, default=7)
     p.add_argument("--iters", type=int, default=2000)
     p.add_argument("--level", type=float, default=0.01,
                    choices=AD_LEVELS.tolist())

@@ -125,49 +125,74 @@ def sim_pdmp(lam, rng, size=1):
     return times
 
 
+def leap_steps(x, sdt, left):
+    """Steps each live replica of sim_reflected_bm takes in one round.
+
+    One step inside the bridge-tested fringe, within 20 step widths sdt of
+    the boundary.  Beyond it, the largest k whose leap standard deviation
+    sqrt(k) sdt is at most a tenth of the distance d = 1 - x, so that
+    100 k dt <= d^2; the factor 1 - 1e-6 keeps float32 rounding from
+    raising k past that.  No replica goes beyond the `left` steps it has
+    before t_max.  Returns float64 step counts.
+    """
+    c = np.float32(0.1 * (1.0 - 1e-6)) / sdt
+    k = np.where(x < 1.0 - 20.0 * sdt, np.floor(np.square((1.0 - x) * c)),
+                 np.float32(1.0))
+    return np.minimum(k, left)
+
+
 def sim_reflected_bm(rng, size=1, dt=1e-4, t_max=10.0):
     """First-passage times to 1 of reflected Brownian motion from 0.
 
-    The step size sets the time grid, not a bias.  A step folds a Gaussian
-    increment of variance dt, x' = |x + sqrt(dt) Z|; since |W| is
-    Brownian motion reflected at 0, this is its exact transition.  Given
-    the endpoints, the path crosses 1 within the step with the bridge
-    probability exp(-2(1-x)(1-x')/dt), which is drawn whenever both
-    endpoints lie within 20 step widths of 1.  Per step, what the draw
-    leaves out has probability below exp(-1/(2 dt)) for bridges that reach
-    -1 or paths that reach 1 and fall below 0, and below 1e-22 for the
-    fringe cut, which needs a jump of 10 step widths.  Survival
-    Pr(tau > k dt) is therefore exact at multiples of dt up to those terms
-    and float32 rounding.  Trajectories still alive at t_max are reported
-    as +inf.  Needs 0 < dt <= t_max, so that at least one step is taken.
+    The step size sets the time grid, not a bias.  Each round a replica
+    takes k steps at once (see leap_steps): one step within 20 step widths
+    of 1, otherwise up to (d / (10 sqrt(dt)))^2 steps at distance d from 1.
+    A leap folds a Gaussian increment of variance k dt, x' =
+    |x + sqrt(k dt) Z|; since |W| is Brownian motion reflected at 0, this
+    is its exact transition.  Given the endpoints of a single step, the path
+    crosses 1 within it with the bridge probability exp(-2(1-x)(1-x')/dt),
+    which is drawn whenever both endpoints lie within the fringe.  What
+    the draws leave out has probability, per step, below exp(-1/(2 dt)) for
+    bridges that reach -1 or paths that reach 1 and fall below 0, and below
+    1e-22 for the fringe cut, which needs a jump of 10 step widths; per
+    leap, a passage needs a move of 10 leap standard deviations up to 1 or
+    down to -1, which has probability at most 4 P(Z >= 10) < 3.1e-23.  A
+    passage in step k is reported as the step's midpoint (k - 1/2) dt, so
+    Pr(tau > t) counts exactly the passages after step k for any t within
+    dt/2 of k dt, free of float rounding of k dt.  Survival at multiples of
+    dt is therefore exact up to those terms and float32 rounding.  When
+    dt >= 1/400 the fringe covers [0, 1] and every round is one step.
+    Trajectories still alive at t_max are reported as +inf.  Needs
+    0 < dt <= t_max < inf, so that at least one and finitely many steps
+    are taken.
     """
-    if not 0.0 < dt <= t_max:
-        raise ValueError(f"need 0 < dt <= t_max = {t_max}, got dt={dt!r}")
+    if not 0.0 < dt <= t_max < np.inf:
+        raise ValueError(f"need 0 < dt <= t_max < inf, got dt={dt!r}, "
+                         f"t_max={t_max!r}")
     sdt = np.float32(np.sqrt(dt))
+    # bridge probabilities underflow unless both endpoints of a step sit
+    # within a few step widths of the boundary, so only that fringe is tested
+    edge = 1.0 - 20.0 * sdt
+    n_steps = int(round(t_max / dt))
     x = np.zeros(size, dtype=np.float32)
+    left = np.full(size, float(n_steps))
     times = np.full(size, np.inf)
     alive_idx = np.arange(size)
-    n_steps = int(round(t_max / dt))
-    for step in range(1, n_steps + 1):
-        m = alive_idx.size
-        if m == 0:
-            break
-        z = rng.standard_normal(m, dtype=np.float32)
-        x_new = np.abs(x + sdt * z)
+    while alive_idx.size:
+        k = leap_steps(x, sdt, left)
+        z = rng.standard_normal(alive_idx.size, dtype=np.float32)
+        x_new = np.abs(x + (np.sqrt(k) * sdt).astype(np.float32) * z)
         hit = x_new >= 1.0
-        # bridge correction: crossing probability between sub-1 endpoints.
-        # exp(-2(1-x)(1-x')/dt) underflows unless both endpoints sit within
-        # a few step widths of the boundary, so only that fringe is tested.
-        fringe = 20.0 * sdt
-        sub = np.flatnonzero(~hit & (x_new > 1.0 - fringe) & (x > 1.0 - fringe))
+        sub = np.flatnonzero(~hit & (x_new > edge) & (x > edge))
         if sub.size:
             p = np.exp(-2.0 * (1.0 - x[sub]) * (1.0 - x_new[sub]) / np.float32(dt))
             hit[sub] = rng.random(sub.size) < p
-        if hit.any():
-            times[alive_idx[hit]] = step * dt
-            keep = ~hit
-            alive_idx = alive_idx[keep]
-            x = x_new[keep]
+        left -= k
+        done = hit | (left == 0.0)
+        if done.any():
+            times[alive_idx[hit]] = (n_steps - left[hit] - 0.5) * dt
+            keep = ~done
+            alive_idx, x, left = alive_idx[keep], x_new[keep], left[keep]
         else:
             x = x_new
     return times

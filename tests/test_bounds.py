@@ -111,6 +111,12 @@ class TestFiniteBounds:
             tv_bound_finite("nrpt", 4, 0.4, ts),
             hitting_tail("nrpt", 4, 0.4, ts - 1), atol=0)
 
+    def test_tv_bound_scalar_t_is_a_float(self):
+        # a scalar t once raised TypeError from float() of a 1-element array
+        out = tv_bound_finite("nrpt", 5, 0.3, 10)
+        assert isinstance(out, float)
+        assert out == hitting_tail("nrpt", 5, 0.3, 9)
+
     def test_tv_bound_requires_positive_t(self):
         with pytest.raises(ValueError):
             tv_bound_finite("nrpt", 4, 0.4, 0)

@@ -34,6 +34,11 @@ class TestExitCodes:
         pytest.param([cmd, "--model", "ising-typo"], None, "ising-typo",
                      id=cmd) for cmd in ("sample", "tune", "gcb")
     ] + [
+        # one chain once failed deep in AnnealingSchedule, naming no flag
+        pytest.param([cmd, "--chains", "1"], None, "--chains",
+                     id=f"{cmd}-chains=1")
+        for cmd in ("sample", "tune", "gcb", "ising-validate", "clt")
+    ] + [
         pytest.param([cmd, "--burn-in", value], None, "--burn-in",
                      id=f"{cmd}-burn-in={value}")
         for cmd in ("sample", "gcb") for value in ("-0.5", "1.0")

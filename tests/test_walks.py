@@ -4,6 +4,7 @@ import pytest
 from ptlab.bounds import hitting_tail, rpt_infinite_tail
 from ptlab.rng import make_stream
 from ptlab.walks import (
+    leap_steps,
     sim_pdmp,
     sim_persistent_walk,
     sim_reflected_bm,
@@ -90,14 +91,93 @@ class TestPdmp:
             sim_pdmp(lam, make_stream(0, 0, 0))
 
 
+def stepwise_reflected_bm(rng, size, dt, t_max):
+    """The step-by-step simulator sim_reflected_bm replaced, kept as the
+    reference its leaps must reproduce when every round is one step.
+    Reports a passage in step k as k dt."""
+    sdt = np.float32(np.sqrt(dt))
+    x = np.zeros(size, dtype=np.float32)
+    times = np.full(size, np.inf)
+    alive_idx = np.arange(size)
+    n_steps = int(round(t_max / dt))
+    for step in range(1, n_steps + 1):
+        m = alive_idx.size
+        if m == 0:
+            break
+        z = rng.standard_normal(m, dtype=np.float32)
+        x_new = np.abs(x + sdt * z)
+        hit = x_new >= 1.0
+        fringe = 20.0 * sdt
+        sub = np.flatnonzero(~hit & (x_new > 1.0 - fringe) & (x > 1.0 - fringe))
+        if sub.size:
+            p = np.exp(-2.0 * (1.0 - x[sub]) * (1.0 - x_new[sub]) / np.float32(dt))
+            hit[sub] = rng.random(sub.size) < p
+        if hit.any():
+            times[alive_idx[hit]] = step * dt
+            keep = ~hit
+            alive_idx = alive_idx[keep]
+            x = x_new[keep]
+        else:
+            x = x_new
+    return times
+
+
+def _bm_z(dt, grid, n_rep, seed, t_max=3.0):
+    curve = survival_curve(
+        lambda rng, size: sim_reflected_bm(rng, size, dt=dt, t_max=t_max),
+        grid, n_rep, seed=seed)
+    return (curve.survival - rpt_infinite_tail(grid)) / curve.stderr
+
+
 class TestReflectedBm:
     def test_matches_series_at_unit_time(self):
         ts = sim_reflected_bm(make_stream(0, 0, 0), size=100_000, dt=1e-3)
         exact = rpt_infinite_tail(1.0)
         mc = (ts > 1.0).mean()
         se = np.sqrt(exact * (1 - exact) / ts.size)
-        # 2*sqrt(dt) covers the Euler discretization bias
-        assert abs(mc - exact) < 4 * se + 2 * np.sqrt(1e-3)
+        assert abs(mc - exact) < 4 * se
+
+    @pytest.mark.parametrize("dt", [1e-2, 4e-3])
+    def test_one_step_rounds_reproduce_stepwise_simulator(self, dt):
+        # for dt >= 1/400 the fringe covers [0, 1]: same draws, same steps
+        new = sim_reflected_bm(make_stream(3, 0, 0), 20_000, dt=dt, t_max=2.0)
+        old = stepwise_reflected_bm(make_stream(3, 0, 0), 20_000, dt, 2.0)
+        np.testing.assert_array_equal(np.isinf(new), np.isinf(old))
+        done = np.isfinite(old)
+        np.testing.assert_array_equal(np.rint(new[done] / dt + 0.5),
+                                      np.rint(old[done] / dt))
+
+    def test_matches_series_where_leaps_are_taken(self):
+        z = _bm_z(1e-4, np.array([0.5, 1.0, 2.0]), 100_000, seed=5,
+                  t_max=2.0)
+        assert np.all(np.abs(z) <= 3)
+
+    def test_grid_times_off_step_multiples(self):
+        # linspace(0.1, 3, 30)[6] is just below 0.7 while 70 * 0.01 is just
+        # above it; passages reported at k dt were counted as survivors
+        z = _bm_z(1e-2, np.linspace(0.1, 3.0, 30), 200_000, seed=6)
+        assert np.all(np.abs(z) <= 4)
+
+    @pytest.mark.parametrize("dt", [1e-2, 1e-3, 1e-4, 1e-6])
+    def test_leap_rule(self, dt):
+        sdt = np.float32(np.sqrt(dt))
+        x = np.concatenate([
+            make_stream(0, 0, 0).random(100_000, dtype=np.float32),
+            np.linspace(0.0, 1.0, 100_001, dtype=np.float32)])
+        k = leap_steps(x, sdt, np.full(x.size, 1e12))
+        d = 1.0 - x.astype(float)
+        far = d >= 20 * np.sqrt(dt)
+        assert np.all(k[~far] == 1)
+        assert np.all(100 * k[far] * dt <= d[far] ** 2)
+        assert np.all(k == np.floor(k)) and np.all(k >= 1)
+        # for dt >= 1/400 the fringe covers [0, 1] and nothing leaps
+        assert np.any(k > 1) == (dt < 1 / 400)
+
+    def test_leaps_stop_at_t_max(self):
+        # from 0 the uncapped leap is floor((1 / 0.03)^2) = 1111 steps
+        k = leap_steps(np.zeros(3, dtype=np.float32), np.float32(3e-3),
+                       np.array([1.0, 7.0, 1e6]))
+        np.testing.assert_array_equal(k, [1, 7, 1111])
 
     def test_unfinished_reported_infinite(self):
         ts = sim_reflected_bm(make_stream(0, 0, 0), size=2000, dt=1e-3, t_max=0.05)
