@@ -9,9 +9,19 @@ C(Lambda, t) is recovered by numerical Bromwich inversion along the
 vertical contour Re(z) = -1/(Lambda+2).  The rightmost singularity of F
 lies on the negative real axis at Re(z) <= -1/(Lambda+sqrt(2)), a distance
 O(1/Lambda^2) from the contour, so the integrand has a sharp near-pole
-spike at x ~ 0 that the quadrature resolves with geometrically refined
-panels; away from the origin the integrand is smooth on a scale ~x and is
-handled by oscillation-capped composite rules.
+spike at x ~ 0.  On [0, 2] it is integrated by Gauss-Legendre panels,
+geometrically refined toward x = 0; beyond 2 it is smooth on a scale ~x and
+is integrated by composite Simpson on the uniform grid 2 + j h.
+
+The transform does not depend on t; only the factor e^{ixt} does.  Each t
+is given the dyadic step h = 0.25 * 2^-k, the largest at or below
+min(0.25, pi/(8t)) (16 or more steps per period of e^{ixt}), and the t of
+one step level share one node set: the near panels (width at most h) and
+the far grid out to the group's longest truncation point.  F is evaluated
+once per level on those nodes, in blocks of _BLOCK nodes, and each t takes
+the near nodes plus the Simpson prefix that first reaches its own
+truncation point.  A t's nodes depend only on its level, so its value does
+not depend on which other t are computed with it.
 """
 
 import numpy as np
@@ -20,6 +30,9 @@ _GL4_X = np.array([-0.8611363115940526, -0.3399810435848563,
                    0.3399810435848563, 0.8611363115940526])
 _GL4_W = np.array([0.3478548451374538, 0.6521451548625461,
                    0.6521451548625461, 0.3478548451374538])
+
+_BLOCK = 1 << 14  # nodes per evaluation of F; even, so blocks start at even j
+_SIMPSON = np.tile([2.0, 4.0], _BLOCK // 2)  # interior weights, even j first
 
 
 def eval_D(x, z, lam):
@@ -30,11 +43,11 @@ def eval_D(x, z, lam):
     """
     z = np.asarray(z, dtype=complex)
     w = x * np.sqrt(z * z + 2.0 * lam * z)
-    aw = np.abs(w)
-    small = aw < 1e-4
+    small = np.abs(w) < 1e-4
     wsafe = np.where(small, 1.0, w)
-    sinhc = np.where(small, 1.0 + w * w / 6.0 + w**4 / 120.0,
-                     np.sinh(wsafe) / wsafe)
+    sinhc = np.asarray(np.sinh(wsafe) / wsafe)
+    ws = w[small]
+    sinhc[small] = 1.0 + ws * ws / 6.0 + ws**4 / 120.0
     return np.cosh(w) + z * x * sinhc
 
 
@@ -54,24 +67,6 @@ def eval_F(z, lam):
     return (1.0 - np.exp(z) / d) / z
 
 
-def pole_margin_check(lam):
-    """Minimum of |D(1, -gamma + ix)| over 400 points x in [0, eps], with
-    gamma = 1/(lam + 2) and eps = 1/(136 lam).
-
-    The analytic bound requires this margin to stay >= 0.07 on the
-    hypothesis region lam >= 1, 1/(4 lam) <= gamma < 1/(lam + sqrt(2)),
-    0 < eps <= 1/(136 lam), which holds at these gamma and eps for every
-    finite lam >= 1.
-    """
-    if not 1.0 <= lam < np.inf:
-        raise ValueError(f"requires finite lam >= 1, got {lam!r}")
-    gamma = 1.0 / (lam + 2.0)
-    eps = 1.0 / (136.0 * lam)
-    xs = np.linspace(0.0, eps, 400)
-    vals = np.abs(eval_D(1.0, -gamma + 1j * xs, lam))
-    return float(vals.min())
-
-
 def d_real_axis(lam, gamma):
     """Closed-form D(1, -gamma) = cos(s) - (gamma/s) sin(s), s = sqrt(gamma(2 lam - gamma))."""
     if not 0.0 < gamma < 2.0 * lam:
@@ -80,76 +75,99 @@ def d_real_axis(lam, gamma):
     return np.cos(s) - (gamma / s) * np.sin(s)
 
 
-def _near_panel_edges(x_split, delta, osc_cap):
-    """Panel edges on [0, x_split]: width min(max(x/8, delta/8), osc_cap, 0.25)."""
+def _near_panel_edges(delta, h):
+    """Panel edges on [0, 2]: width min(max(x/8, delta/8), h)."""
     edges = [0.0]
     x = 0.0
-    while x < x_split:
-        w = min(max(x / 8.0, delta / 8.0), osc_cap, 0.25)
-        x = min(x + w, x_split)
+    while x < 2.0 and max(x, delta) < 8.0 * h:
+        x = min(x + max(x, delta) / 8.0, 2.0)
         edges.append(x)
-    return np.asarray(edges)
+    # every further panel has width h
+    n = int(np.ceil((2.0 - x) / h))
+    return np.append(edges, np.minimum(x + h * np.arange(1, n + 1), 2.0))
 
 
-def _bromwich_integral(lam, t, a, tail_tol):
-    """(1/pi) * int_0^R Re(e^{ixt} (F(a+ix) - c/(a+ix))) dx.
+def _g(x, lam, a, c):
+    """F(a+ix) - c/(a+ix) on the nodes x, evaluated _BLOCK nodes at a time."""
+    out = np.empty(x.size, dtype=complex)
+    for s in range(0, x.size, _BLOCK):
+        z = a + 1j * x[s:s + _BLOCK]
+        out[s:s + _BLOCK] = eval_F(z, lam) - c / z
+    return out
+
+
+def _bromwich(lam, t, a, tail_tol):
+    """(1/pi) * int_0^R(t) Re(e^{ixt} (F(a+ix) - c/(a+ix))) dx for each t.
 
     The subtracted term c/(a+ix), c = 1 - e^{-lam}, carries the O(1/x)
     far-field of F, so the remainder decays like 1/x^2 and the truncation
-    point R can be chosen from the decay constant of |zF - c|.
+    point R(t) can be chosen from the decay constant of |zF - c|.
     """
-    c = 1.0 - np.exp(-lam)
-    decay = 765.0 * lam * np.exp(-0.75 * lam)  # |z F(z) - c| <= decay/|Im z|
-    b0 = np.sqrt(6.0) * (lam + 1.0)
-    if t <= 0:
-        raise ValueError("t must be positive")
-    # truncation: plain bound decay/(pi R), or via integration by parts
-    # ~ 3 decay / (pi t R^2) for oscillatory t
-    r_plain = decay / (np.pi * tail_tol)
-    r_osc = np.sqrt(3.0 * decay / (np.pi * t * tail_tol)) if decay > 0 else 0.0
-    r_max = max(b0, min(r_plain, r_osc))
-    osc_cap = np.pi / (8.0 * t)
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    bad = ~(np.isfinite(t) & (t > 0))
+    if bad.any():
+        raise ValueError(
+            f"t must be finite and positive, got {float(t[bad][0])!r}")
     # distance from the contour to the rightmost singularity of F
     delta = a + 1.0 / (lam + np.sqrt(2.0))
     if delta <= 0:
         raise ValueError("contour lies left of the pole-free strip")
-    x_split = min(2.0, r_max)
-
-    def g(x):
-        z = a + 1j * x
-        return eval_F(z, lam) - c / z
-
-    # near zone: Gauss-Legendre panels, geometrically refined toward x = 0
-    edges = _near_panel_edges(x_split, delta, osc_cap)
-    lo, hi = edges[:-1], edges[1:]
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    xn = (mid[:, None] + half[:, None] * _GL4_X).ravel()
-    wn = (half[:, None] * _GL4_W).ravel()
-    total = float(np.sum(wn * np.real(np.exp(1j * xn * t) * g(xn))))
-    # far zone: uniform composite Simpson with oscillation-capped step
-    if r_max > x_split:
-        h_target = min(0.25, osc_cap)
-        n_iv = int(np.ceil((r_max - x_split) / h_target))
-        n_iv += n_iv % 2  # Simpson needs an even interval count
-        xs = np.linspace(x_split, r_max, n_iv + 1)
-        f = np.real(np.exp(1j * xs * t) * g(xs))
-        h = xs[1] - xs[0]
-        total += h / 3.0 * (f[0] + f[-1] + 4.0 * f[1:-1:2].sum()
-                            + 2.0 * f[2:-2:2].sum())
-    return total / np.pi
+    c = 1.0 - np.exp(-lam)
+    decay = 765.0 * lam * np.exp(-0.75 * lam)  # |z F(z) - c| <= decay/|Im z|
+    b0 = np.sqrt(6.0) * (lam + 1.0)  # > 2, so every far zone is non-empty
+    # truncation: plain bound decay/(pi R), or via integration by parts
+    # ~ 3 decay / (pi t R^2) for oscillatory t
+    r_plain = decay / (np.pi * tail_tol)
+    r_osc = np.sqrt(3.0 * decay / (np.pi * t * tail_tol))
+    r_max = np.maximum(b0, np.minimum(r_plain, r_osc))
+    # step level: the smallest k >= 0 with 0.25 * 2^-k <= pi/(8t)
+    osc_cap = np.pi / (8.0 * t)
+    level = np.maximum(0, np.ceil(np.log2(0.25 / osc_cap))).astype(int)
+    level += np.ldexp(0.25, -level) > osc_cap
+    out = np.empty(t.size)
+    for k in np.unique(level):
+        group = np.flatnonzero(level == k)
+        ts = t[group]
+        h = np.ldexp(0.25, -int(k))
+        # near zone: Gauss-Legendre panels on [0, 2]
+        edges = _near_panel_edges(delta, h)
+        lo, hi = edges[:-1], edges[1:]
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        xn = (mid[:, None] + half[:, None] * _GL4_X).ravel()
+        wgn = (half[:, None] * _GL4_W).ravel() * _g(xn, lam, a, c)
+        near = np.array([np.sum(np.exp(1j * xn * ti) * wgn).real for ti in ts])
+        # far zone: composite Simpson on 2 + j h for j = 0 .. last, the
+        # first even j at or past r_max.  In the block of nodes starting at
+        # j = s, e^{ixt} = e^{i x_s t} * base[j - s] with base[m] = e^{imht}.
+        last = 2 * np.ceil((r_max[group] - 2.0) / (2.0 * h)).astype(int)
+        base = [np.exp(1j * (h * ti * np.arange(min(_BLOCK, n + 1))))
+                for ti, n in zip(ts, last)]
+        far = np.zeros(group.size, dtype=complex)
+        for s in range(0, last.max() + 1, _BLOCK):
+            xb = 2.0 + h * np.arange(s, min(s + _BLOCK, last.max() + 1))
+            gb = _g(xb, lam, a, c)
+            wgb = _SIMPSON[:gb.size] * gb
+            if s == 0:
+                wgb[0] = gb[0]
+            for i in np.flatnonzero(last >= s):
+                m = min(_BLOCK, last[i] - s + 1)
+                part = np.sum(base[i][:m] * wgb[:m])
+                if s + m - 1 == last[i]:
+                    part -= base[i][m - 1] * gb[m - 1]  # end weight 1, not 2
+                far[i] += np.exp(1j * (xb[0] * ts[i])) * part
+        out[group] = (near + h / 3.0 * far.real) / np.pi
+    return out
 
 
 def estimate_C(lam, t):
     """C(Lambda, t): Bromwich inversion along Re(z) = -1/(Lambda+2).
 
-    Scalar or array in t.  The truncation error budget of the oscillatory
-    integral is 4e-3.
+    Scalar or array in t; every t must be finite and positive.  The
+    truncation error budget of the oscillatory integral is 4e-3.
     """
     if not 1.0 <= lam < np.inf:
         raise ValueError(f"requires finite lam >= 1, got {lam!r}")
-    a = -1.0 / (lam + 2.0)
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    out = np.array([_bromwich_integral(lam, ti, a, 4e-3) for ti in t_arr])
+    out = _bromwich(lam, t, -1.0 / (lam + 2.0), 4e-3)
     return out if np.ndim(t) else float(out[0])
 
 
@@ -181,8 +199,7 @@ def survival_from_transform(lam, t):
         raise ValueError(f"requires finite lam >= 0, got {lam!r}")
     c = 1.0 - np.exp(-lam)
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    out = np.array([np.exp(0.1 * ti) * _bromwich_integral(lam, ti, 0.1, 1e-3) + c
-                    for ti in t_arr])
+    out = np.exp(0.1 * t_arr) * _bromwich(lam, t_arr, 0.1, 1e-3) + c
     return out if np.ndim(t) else float(out[0])
 
 
