@@ -205,13 +205,3 @@ def rpt_infinite_bound(t):
     out = 2.0 * np.exp(-np.pi**2 * t_arr / 8.0)
     return out if np.ndim(t) else float(out)
 
-
-def mixing_time_bound(c, rho, eps):
-    """Smallest t with C * rho^t <= eps: ceil(max{0, (log eps - log C)/log rho})."""
-    if not 0.0 < rho < 1.0:
-        raise ValueError("rho must lie in (0, 1)")
-    if c < 0 or eps <= 0:
-        raise ValueError("need c >= 0 and eps > 0")
-    if c == 0 or eps >= c:
-        return 0
-    return int(np.ceil(max(0.0, (np.log(eps) - np.log(c)) / np.log(rho))))

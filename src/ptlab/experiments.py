@@ -54,7 +54,7 @@ class ModelSpec:
     """A built-in model and the constants of its schedule tuning.
 
     ``build()`` returns a fresh (model, explorer) pair on every call, so the
-    per-beta tables an explorer caches live no longer than one run.
+    per-beta tables an explorer holds live no longer than one run.
     Tuning round k runs ``tune_replicas`` replicas for
     ``base_iters * 2**k`` iterations; ``rounds`` is the default round count.
     """

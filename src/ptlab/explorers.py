@@ -6,9 +6,10 @@ along the second, ``betas`` has shape (n,), and ``rngs`` holds one stream
 per chain, in chain order.  Chain k draws only from ``rngs[k]``, so each
 chain's draws do not depend on which other chains share the call.  Every
 explorer but the i.i.d. reference sampler leaves the path distribution
-pi_beta invariant at each chain's beta.  Explorers are immutable after
-construction (per-beta tables are cached, but caching is idempotent), so
-one explorer object can serve many runs.
+pi_beta invariant at each chain's beta.  The ideal explorers hold
+inverse-CDF tables for the betas of their last call only; a lookup gives
+the same cells whatever the tables held, so one explorer object can serve
+many runs.
 """
 
 import numpy as np
@@ -82,41 +83,96 @@ class IsingGibbsExplorer:
         return np.ascontiguousarray(np.moveaxis(2 * up - 1, 0, -1))
 
 
-class _CdfCache:
-    """Normalised CDF tables of exp(log_weights(beta)), one per beta,
-    built on first use."""
+GUIDE_SIZE = 1 << 16  # a power of two, so u * GUIDE_SIZE is exact
+
+
+class _InverseCdf:
+    """Inverse-CDF lookup over a block of chains, with guide tables.
+
+    ``cells(betas, u)`` returns ``np.searchsorted(cdf_k, u[k])`` for every
+    chain k in one vectorized pass, where cdf_k is the normalised CDF of
+    exp(log_weights(betas[k])) and ``u`` (n, R) lies in [0, 1).  A beta's
+    table holds the distinct CDF values, the first cell of each (so a
+    plateau of zero-weight cells is one entry) and a guide of
+    GUIDE_SIZE + 1 entries, guide[j] = #(values < j / GUIDE_SIZE) (Chen &
+    Asau 1974; Devroye 1986, sec. III.2.4).  A key in guide slot
+    j = floor(u GUIDE_SIZE) has its answer in [guide[j], guide[j + 1]]; a
+    bisection over the keys whose range is not empty finishes it.  The
+    chains' tables are concatenated; chain k's guide entries are offset
+    by the start of its table, in int64, when a key is looked up.
+
+    Only the tables of the last call's betas are held.  When the betas
+    change, every table is rebuilt from the caller's exact beta.
+    """
 
     def __init__(self, log_weights):
         self.log_weights = log_weights
-        self._tables = {}
+        self.betas = ()  # the betas whose tables are held, in chain order
 
-    def __call__(self, beta):
-        key = round(float(beta), 12)
-        if key not in self._tables:
-            logw = self.log_weights(beta)
-            w = np.exp(logw - logw.max())
-            cdf = np.cumsum(w)
-            cdf /= cdf[-1]
-            self._tables[key] = cdf
-        return self._tables[key]
+    def _build(self, beta):
+        logw = self.log_weights(beta)
+        cdf = np.cumsum(np.exp(logw - logw.max()))
+        cdf /= cdf[-1]
+        first = np.flatnonzero(np.r_[True, cdf[1:] != cdf[:-1]])
+        values = cdf[first]
+        per_slot = np.bincount((values * GUIDE_SIZE).astype(np.intp),
+                               minlength=GUIDE_SIZE + 1)
+        guide = np.zeros(GUIDE_SIZE + 1, dtype=np.int32)
+        np.cumsum(per_slot[:GUIDE_SIZE], out=guide[1:])
+        return values, first.astype(np.int32), guide
+
+    def _load(self, betas):
+        # drop the old tables before building, and each array's parts as
+        # soon as they are joined, so that only one array is held twice
+        self.betas, self._values, self._first, self._guide = (), None, None, None
+        values, first, guide = zip(*[self._build(b) for b in betas])
+        self._starts = np.cumsum([0] + [len(v) for v in values])
+        self._values = np.concatenate(values)
+        del values
+        self._first = np.concatenate(first)
+        del first
+        self._guide = np.stack(guide)
+        self.betas = betas
+
+    def cells(self, betas, u):
+        betas = tuple(float(b) for b in betas)
+        if betas != self.betas:
+            self._load(betas)
+        slot = (u * GUIDE_SIZE).astype(np.intp)
+        slot += (GUIDE_SIZE + 1) * np.arange(len(betas))[:, None]
+        start = self._starts[:-1, None]
+        lo = (self._guide.take(slot) + start).ravel()
+        hi = (self._guide.take(slot + 1) + start).ravel()
+        # bisect [lo, hi] for the first value >= u, over the keys still open
+        open_ = np.flatnonzero(lo < hi)
+        key = u.ravel()[open_]
+        a, b = lo[open_], hi[open_]
+        while open_.size:
+            mid = (a + b) >> 1
+            below = self._values[mid] < key
+            a = np.where(below, mid + 1, a)
+            b = np.where(below, b, mid)
+            lo[open_] = a
+            more = a < b
+            open_, key, a, b = open_[more], key[more], a[more], b[more]
+        return self._first[lo].reshape(u.shape)
 
 
 class IdealIsingExplorer:
     """Exact i.i.d. sampling from pi_beta over all 65,536 Ising states.
 
-    The per-beta CDF table (0.5 MB) is built on first use and cached, so
-    the kernel renews the energy i.i.d. — the idealized-exploration model
-    holds exactly.
+    A state is one inverse-CDF lookup in the chain's table of
+    exp(beta * bond sum) over all states, so the kernel renews the energy
+    i.i.d. — the idealized-exploration model holds exactly.
     """
 
     def __init__(self):
-        self._cdf = _CdfCache(
+        self._cdf = _InverseCdf(
             lambda beta: beta * ising_bond_sums().astype(float))
 
     def step(self, x, betas, rngs):
-        codes = np.stack([np.searchsorted(self._cdf(b), g.random(x.shape[1]))
-                          for b, g in zip(betas, rngs)])
-        return spins_from_codes(codes)
+        u = np.stack([g.random(x.shape[1]) for g in rngs])
+        return spins_from_codes(self._cdf.cells(betas, u))
 
 
 class IdealGridExplorer:
@@ -132,18 +188,17 @@ class IdealGridExplorer:
         self.model = model
         self.edges = np.linspace(lo, hi, n_cells + 1)
         self.mids = 0.5 * (self.edges[:-1] + self.edges[1:])
-        self._cdf = _CdfCache(
+        self._cdf = _InverseCdf(
             lambda beta: log_path_density(self.model, beta, self.mids))
 
     def step(self, x, betas, rngs):
         # per chain, the uniforms that pick the cells, then the offsets
-        u = np.stack([(g.random(x.shape[1]), g.random(x.shape[1]))
-                      for g in rngs])
-        cells = np.stack([np.searchsorted(self._cdf(b), uc)
-                          for b, uc in zip(betas, u[:, 0])])
+        r = x.shape[1]
+        u = np.stack([g.random(2 * r) for g in rngs])
+        cells = self._cdf.cells(betas, u[:, :r])
         left = self.edges[cells]
         width = self.edges[cells + 1] - left
-        return left + width * u[:, 1]
+        return left + width * u[:, r:]
 
 
 class GaussianPathExplorer:

@@ -7,7 +7,6 @@ from ptlab.bounds import (
     build_transition,
     coarse_bound,
     hitting_tail,
-    mixing_time_bound,
     nrpt_infinite_bound,
     pdmp_loose_bound,
     rpt_infinite_bound,
@@ -187,20 +186,3 @@ class TestInfiniteLimits:
         assert pdmp_loose_bound(lam, 1.9) == 1.0
         np.testing.assert_allclose(pdmp_loose_bound(lam, 2.0),
                                    1.0 - np.exp(-2 * lam), atol=1e-15)
-
-
-class TestMixingTime:
-    def test_zero_when_already_mixed(self):
-        assert mixing_time_bound(0.5, 0.9, 0.5) == 0
-        assert mixing_time_bound(0.0, 0.9, 0.1) == 0
-
-    def test_smallest_t(self):
-        c, rho, eps = 106.0, np.exp(-1.0 / 6.0), 0.01
-        t = mixing_time_bound(c, rho, eps)
-        assert c * rho**t <= eps < c * rho ** (t - 1)
-
-    def test_bad_args(self):
-        with pytest.raises(ValueError):
-            mixing_time_bound(1.0, 1.0, 0.1)
-        with pytest.raises(ValueError):
-            mixing_time_bound(1.0, 0.5, 0.0)

@@ -44,6 +44,24 @@ def _replay_by_direction(accepts, parities):
     return index, direction
 
 
+def per_machine_restart_count(trace):
+    """Reference restart count, straight from the definition: for each
+    machine, walk its slot path and count the arrivals at N whose last
+    boundary touched before was 0."""
+    idx = trace.index
+    n = trace.n_intervals
+    count = 0
+    for path in idx.reshape(idx.shape[0], -1).T.tolist():
+        last = None
+        for slot in path:
+            if slot == n:
+                count += last == 0
+                last = n
+            elif slot == 0:
+                last = 0
+    return count
+
+
 def _gaussian_run(scheme, n, r, n_iters, n_replicas, seed=0, **kw):
     mu = gaussian_equal_rate_mu(n, r)
     model = gaussian_shift_pair(mu)
@@ -339,6 +357,15 @@ class TestRestartsAndAncestry:
         np.testing.assert_array_equal(tr.index[:, :, 0],
                                       [[0, 1, 2], [1, 0, 2], [2, 0, 1]])
         assert restart_count(tr) == 1
+        assert per_machine_restart_count(tr) == 1
+
+    @pytest.mark.parametrize("scheme", ["nrpt", "rpt"])
+    @pytest.mark.parametrize("n,r", [(1, 0.2), (3, 0.4), (6, 0.1)])
+    def test_restart_count_matches_definition(self, scheme, n, r):
+        tr = _gaussian_run(scheme, n, r, 120, 50, seed=n)
+        count = restart_count(tr)
+        assert count > 0
+        assert count == per_machine_restart_count(tr)
 
     def test_ancestral_survival_bounds(self):
         tr = _gaussian_run("nrpt", 3, 0.4, 30, 200)

@@ -1,13 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ptlab import explorers
+from ptlab.core import log_path_density
 from ptlab.diagnostics import empirical_tv_discrete
 from ptlab.explorers import (
+    GUIDE_SIZE,
     GaussianPathExplorer,
     IIDReferenceExplorer,
     IdealGridExplorer,
     IdealIsingExplorer,
     IsingGibbsExplorer,
+    _InverseCdf,
     lag1_independence_check,
 )
 from ptlab.models import (
@@ -16,6 +22,7 @@ from ptlab.models import (
     bimodal_pair,
     codes_from_spins,
     gaussian_shift_pair,
+    ising_bond_sums,
     ising_exact_distribution,
     ising_model,
     spins_from_codes,
@@ -145,6 +152,155 @@ class TestIdealGrid:
         x = k.step(np.zeros((1, 100_000)), [0.0], [make_stream(7, 0, 0)])[0]
         assert abs(x.mean()) < 1.5
         assert abs(x.std() - np.sqrt(100.0**2 + 1)) < 1.0
+
+
+def normalised_cdf(log_weights):
+    cdf = np.cumsum(np.exp(log_weights - log_weights.max()))
+    cdf /= cdf[-1]
+    return cdf
+
+
+def ising_log_weights(beta):
+    return beta * ising_bond_sums().astype(float)
+
+
+def searchsorted_ising_step(x, betas, rngs):
+    """Reference Ising kernel: per chain, one g.random(R) and one
+    np.searchsorted in the chain's full CDF over the 65,536 states."""
+    return spins_from_codes(np.stack([
+        np.searchsorted(normalised_cdf(ising_log_weights(b)),
+                        g.random(x.shape[1]))
+        for b, g in zip(betas, rngs)]))
+
+
+def searchsorted_grid_step(k, x, betas, rngs):
+    """Reference grid kernel: per chain, two g.random(R) calls and one
+    np.searchsorted in the chain's full CDF over the grid cells."""
+    r = x.shape[1]
+    u = np.stack([(g.random(r), g.random(r)) for g in rngs])
+    cells = np.stack([
+        np.searchsorted(normalised_cdf(log_path_density(k.model, b, k.mids)),
+                        uc)
+        for b, uc in zip(betas, u[:, 0])])
+    left = k.edges[cells]
+    width = k.edges[cells + 1] - left
+    return left + width * u[:, 1]
+
+
+def searchsorted_cells(log_weights, betas, u):
+    return np.stack([np.searchsorted(normalised_cdf(log_weights(b)), uk)
+                     for b, uk in zip(betas, u)])
+
+
+def grid_log_weights():
+    mids = IdealGridExplorer(bimodal_pair(), lo=-600.0, hi=600.0).mids
+    return lambda beta: log_path_density(bimodal_pair(), beta, mids)
+
+
+class TestInverseCdf:
+    def test_grid_step_matches_searchsorted(self):
+        k = IdealGridExplorer(bimodal_pair(), lo=-600.0, hi=600.0)
+        betas = np.array([0.0, 4e-4, 0.06, 1.0])
+        x = np.zeros((4, 2000))
+
+        def streams():
+            return [make_stream(11, c, 0) for c in range(4)]
+
+        np.testing.assert_array_equal(
+            k.step(x, betas, streams()),
+            searchsorted_grid_step(k, x, betas, streams()))
+
+    def test_ising_step_matches_searchsorted(self):
+        betas = np.array([0.0, 0.37, 1.0])
+        x = np.ones((3, 2000, 16), dtype=np.int8)
+
+        def streams():
+            return [make_stream(12, c, 0) for c in range(3)]
+
+        np.testing.assert_array_equal(
+            IdealIsingExplorer().step(x, betas, streams()),
+            searchsorted_ising_step(x, betas, streams()))
+
+    @pytest.mark.parametrize("log_weights,betas", [
+        (grid_log_weights(), (0.0, 4e-4, 0.06, 1.0)),
+        (ising_log_weights, (0.0, 0.37, 1.0)),
+    ], ids=["grid", "ising"])
+    def test_cells_on_random_edge_and_tied_keys(self, log_weights, betas):
+        g = make_stream(13, 0)
+        keys = []
+        for b in betas:
+            cdf = normalised_cdf(log_weights(b))
+            ties = cdf[cdf < 1.0]
+            ties = ties[np.linspace(0, ties.size - 1, 3000).astype(int)]
+            keys.append(np.concatenate([
+                g.random(100_000),
+                [0.0, np.nextafter(1.0, 0.0)],
+                np.arange(0, GUIDE_SIZE, 97) / GUIDE_SIZE,  # slot edges
+                ties, np.nextafter(ties, 0.0), np.nextafter(ties, 1.0),
+            ]))
+        u = np.minimum(np.stack(keys), np.nextafter(1.0, 0.0))
+        np.testing.assert_array_equal(
+            _InverseCdf(log_weights).cells(betas, u),
+            searchsorted_cells(log_weights, betas, u))
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_cells_on_random_monotone_cdfs(self, data):
+        # -inf and weights below exp(-745) give zero-weight cells: leading
+        # zeros and interior plateaus of the CDF
+        log_w = st.lists(st.one_of(st.just(-np.inf), st.floats(-800.0, 0.0)),
+                         min_size=1, max_size=300)
+        n_chains = data.draw(st.integers(1, 3))
+        tables = {}
+        for k in range(n_chains):
+            lead = data.draw(st.integers(0, 40))
+            tables[float(k)] = np.concatenate(
+                [np.full(lead, -np.inf), data.draw(log_w), [0.0]])
+        keys = st.lists(st.floats(0.0, 1.0, exclude_max=True),
+                        min_size=64, max_size=64)
+        u = np.array([data.draw(keys) for _ in range(n_chains)])
+        for k, log_weights in enumerate(tables.values()):
+            ties = normalised_cdf(log_weights)
+            ties = ties[ties < 1.0][::3][:32]
+            u[k, :ties.size] = ties
+        betas = tuple(tables)
+        np.testing.assert_array_equal(
+            _InverseCdf(tables.__getitem__).cells(betas, u),
+            searchsorted_cells(tables.__getitem__, betas, u))
+
+
+class TestTableCache:
+    def test_tables_of_the_last_betas_only(self, monkeypatch):
+        # perfbench counts grid CDF builds by patching this module global
+        built = []
+
+        def counted(model, beta, x):
+            built.append(beta)
+            return log_path_density(model, beta, x)
+
+        monkeypatch.setattr(explorers, "log_path_density", counted)
+        model = bimodal_pair()
+        k = IdealGridExplorer(model, lo=-600.0, hi=600.0)
+
+        def step(betas):
+            k.step(np.zeros((3, 10)), np.asarray(betas),
+                   [make_stream(14, c, 0) for c in range(3)])
+
+        step([0.1, 0.5, 1.0])
+        assert built == [0.1, 0.5, 1.0]
+        step([0.1, 0.5, 1.0])
+        assert built == [0.1, 0.5, 1.0]
+        step([0.2, 0.6, 1.0])  # a new schedule rebuilds every table
+        assert built == [0.1, 0.5, 1.0, 0.2, 0.6, 1.0]
+
+        tables = k._cdf
+        assert tables.betas == (0.2, 0.6, 1.0)
+        held = [np.unique(normalised_cdf(log_path_density(model, b, k.mids)))
+                for b in tables.betas]
+        np.testing.assert_array_equal(tables._values, np.concatenate(held))
+        nbytes = (tables._values.nbytes + tables._first.nbytes
+                  + tables._guide.nbytes)
+        assert nbytes <= 3 * (12 * k.mids.size + 4 * (GUIDE_SIZE + 1))
 
 
 class TestGaussianPath:
