@@ -24,7 +24,8 @@ from . import walks as walks_mod
 from .core import AnnealingSchedule
 from .diagnostics import (AD_LEVELS, asymptotic_variance,
                           batch_mean_normality, lag1_energy_autocorr)
-from .engine import PTConfig, rejection_rates, restart_count, run_pt
+from .engine import (PTConfig, rejection_rates, restart_count, run_pt,
+                     slot_direction)
 from .experiments import (
     MODELS,
     bimodal_clt_runs,
@@ -95,6 +96,9 @@ def export_run(trace, out_dir):
     n_chains = trace.betas.size
     t_iters = trace.n_iters
     v = trace.energies[:, :, 0]
+    index = trace.index[1:, :, 0]
+    direction = slot_direction(index, trace.parities[1:, 0, None],
+                               trace.n_intervals)
     paths = [os.path.join(out_dir, name)
              for name in ("trace.csv", "pairs.csv", "summary.json")]
     _write_csv(paths[0],
@@ -104,7 +108,7 @@ def export_run(trace, out_dir):
                + [f"eps{c}" for c in range(n_chains)]
                + [f"accept{p}" for p in range(n_chains - 1)],
                [range(t_iters), trace.parities[:t_iters, 0], *v.T,
-                *trace.index[1:, :, 0].T, *trace.direction[1:, :, 0].T,
+                *index.T, *direction.T,
                 *trace.accepts[:, :, 0].T.astype(np.int8)])
     _write_csv(paths[1], ["v_t", "v_next"], [v[:-1, -1], v[1:, -1]])
     stats = rejection_rates(trace)

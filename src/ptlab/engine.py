@@ -98,10 +98,15 @@ class PTTrace:
 
     @property
     def direction(self):
-        index = self.index
-        upward = (_proposed(index, self.parities[:, None, :])
-                  & (index < self.n_intervals))
-        return np.where(upward, np.int8(1), np.int8(-1))
+        return slot_direction(self.index, self.parities[:, None, :],
+                              self.n_intervals)
+
+
+def slot_direction(index, parity, n_intervals):
+    """+1 where slot ``index`` proposes an upward swap at ``parity`` (which
+    broadcasts against it), else -1; the top slot n_intervals is always -1."""
+    upward = _proposed(index, parity) & (index < n_intervals)
+    return np.where(upward, np.int8(1), np.int8(-1))
 
 
 def _proposed(pair, parity):

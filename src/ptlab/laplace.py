@@ -8,31 +8,42 @@ of r enter D, so the square-root branch is immaterial and D is entire.
 C(Lambda, t) is recovered by numerical Bromwich inversion along the
 vertical contour Re(z) = -1/(Lambda+2).  The rightmost singularity of F
 lies on the negative real axis at Re(z) <= -1/(Lambda+sqrt(2)), a distance
-O(1/Lambda^2) from the contour, so the integrand has a sharp near-pole
-spike at x ~ 0.  On [0, 2] it is integrated by Gauss-Legendre panels,
-geometrically refined toward x = 0; beyond 2 it is smooth on a scale ~x and
-is integrated by composite Simpson on the uniform grid 2 + j h.
+O(1/Lambda^2) from the contour, so the remainder g = F - c/z has a sharp
+near-pole spike at x ~ 0.  On [0, 2] g is interpolated by cubics on
+Gauss-Legendre panels, geometrically refined toward x = 0; beyond 2 it is
+smooth on a scale ~x and is interpolated by quadratics on pairs of steps
+of the uniform grid 2 + j _FAR_STEP.
 
-The transform does not depend on t; only the factor e^{ixt} does.  Each t
-is given the dyadic step h = 0.25 * 2^-k, the largest at or below
-min(0.25, pi/(8t)) (16 or more steps per period of e^{ixt}), and the t of
-one step level share one node set: the near panels (width at most h) and
-the far grid out to the group's longest truncation point.  F is evaluated
-once per level on those nodes, in blocks of _BLOCK nodes, and each t takes
-the near nodes plus the Simpson prefix that first reaches its own
-truncation point.  A t's nodes depend only on its level, so its value does
-not depend on which other t are computed with it.
+Only the factor e^{ixt} depends on t, and Filon quadrature integrates it
+exactly against each interpolant, from the moments of u^m e^{i theta u}
+on [-1, 1].  So the steps need only resolve g, not e^{ixt}: one node set
+serves every t, and F is evaluated once per call on it.  Each t sums its
+panels out to its own truncation point, which does not depend on the
+steps, and its value does not depend on which other t share the call.
 """
+
+import math
 
 import numpy as np
 
 _GL4_X = np.array([-0.8611363115940526, -0.3399810435848563,
                    0.3399810435848563, 0.8611363115940526])
-_GL4_W = np.array([0.3478548451374538, 0.6521451548625461,
-                   0.6521451548625461, 0.3478548451374538])
+# column i holds the u^0 .. u^3 coefficients of the cubic Lagrange basis
+# polynomial that is 1 at _GL4_X[i] and 0 at the other nodes
+_GL4_TO_MONO = np.array([np.poly(np.delete(_GL4_X, i))[::-1]
+                         / np.prod(x - np.delete(_GL4_X, i))
+                         for i, x in enumerate(_GL4_X)]).T
 
-_BLOCK = 1 << 14  # nodes per evaluation of F; even, so blocks start at even j
-_SIMPSON = np.tile([2.0, 4.0], _BLOCK // 2)  # interior weights, even j first
+_NEAR_CAP = 0.125  # widest near-zone panel
+_FAR_STEP = 0.0625  # far-zone step; a power of 2, at most 1/8
+_BLOCK = 1 << 14  # nodes per evaluation of F, which bounds its temporaries
+
+# Taylor coefficients in theta^2 of mu_m(theta) for |theta| < 1: mu_m is
+# sum_j (-1)^j theta^2j / (2j)! * 2/(m+2j+1) for even m, and
+# i theta sum_j (-1)^j theta^2j / (2j+1)! * 2/(m+2j+2) for odd m
+_TAYLOR = [[(-1) ** j * 2.0 / (math.factorial(2 * j + m % 2)
+                               * (m + 2 * j + 1 + m % 2)) for j in range(10)]
+           for m in range(4)]
 
 
 def eval_D(x, z, lam):
@@ -75,16 +86,17 @@ def d_real_axis(lam, gamma):
     return np.cos(s) - (gamma / s) * np.sin(s)
 
 
-def _near_panel_edges(delta, h):
-    """Panel edges on [0, 2]: width min(max(x/8, delta/8), h)."""
+def _near_panel_edges(delta):
+    """Panel edges on [0, 2]: width min(max(x, delta)/8, _NEAR_CAP)."""
     edges = [0.0]
     x = 0.0
-    while x < 2.0 and max(x, delta) < 8.0 * h:
+    while x < 2.0 and max(x, delta) < 8.0 * _NEAR_CAP:
         x = min(x + max(x, delta) / 8.0, 2.0)
         edges.append(x)
-    # every further panel has width h
-    n = int(np.ceil((2.0 - x) / h))
-    return np.append(edges, np.minimum(x + h * np.arange(1, n + 1), 2.0))
+    # every further panel has width _NEAR_CAP
+    n = int(np.ceil((2.0 - x) / _NEAR_CAP))
+    tail = np.minimum(x + _NEAR_CAP * np.arange(1, n + 1), 2.0)
+    return np.append(edges, tail)
 
 
 def _g(x, lam, a, c):
@@ -94,6 +106,45 @@ def _g(x, lam, a, c):
         z = a + 1j * x[s:s + _BLOCK]
         out[s:s + _BLOCK] = eval_F(z, lam) - c / z
     return out
+
+
+def _moments(theta):
+    """mu_m(theta) = int_{-1}^{1} u^m e^{i theta u} du for m = 0..3, on a new
+    first axis.
+
+    The forward recursion mu_m = (e^{i theta} - (-1)^m e^{-i theta}
+    - m mu_{m-1}) / (i theta) cancels catastrophically as theta -> 0, so
+    |theta| < 1 sums the Taylor series instead.
+    """
+    theta = np.asarray(theta, dtype=float)
+    small = np.abs(theta) < 1.0
+    th = np.where(small, 1.0, theta)
+    ep = np.exp(1j * th)
+    em = np.conj(ep)
+    rec = [(ep - em) / (1j * th)]
+    for m in range(1, 4):
+        rec.append((ep - (-1) ** m * em - m * rec[-1]) / (1j * th))
+    s = np.where(small, theta, 0.0)
+    s2 = s * s
+    mu = np.empty((4,) + theta.shape, dtype=complex)
+    for m, coef in enumerate(_TAYLOR):
+        series = coef[-1]
+        for cj in coef[-2::-1]:
+            series = series * s2 + cj
+        if m % 2:
+            series = 1j * s * series
+        mu[m] = np.where(small, series, rec[m])
+    return mu
+
+
+def _phases(t, x0, dx, n):
+    """e^{i t (x0 + k dx)} for k < n, as the outer product of two tables of
+    about sqrt(n) exponentials each: one complex product per k, not one
+    complex exponential."""
+    b = math.isqrt(n) + 1
+    inner = np.exp(1j * t * dx * np.arange(b))
+    outer = np.exp(1j * t * (x0 + dx * b * np.arange(-(-n // b))))
+    return (outer[:, None] * inner).ravel()[:n]
 
 
 def _bromwich(lam, t, a, tail_tol):
@@ -120,42 +171,35 @@ def _bromwich(lam, t, a, tail_tol):
     r_plain = decay / (np.pi * tail_tol)
     r_osc = np.sqrt(3.0 * decay / (np.pi * t * tail_tol))
     r_max = np.maximum(b0, np.minimum(r_plain, r_osc))
-    # step level: the smallest k >= 0 with 0.25 * 2^-k <= pi/(8t)
-    osc_cap = np.pi / (8.0 * t)
-    level = np.maximum(0, np.ceil(np.log2(0.25 / osc_cap))).astype(int)
-    level += np.ldexp(0.25, -level) > osc_cap
+    # R(t) is r_max rounded up to a multiple of 1/4, whatever the steps, so
+    # refining them leaves the truncation alone; n_pairs far pairs reach it
+    pairs_per_quarter = round(0.125 / _FAR_STEP)
+    n_pairs = np.ceil(4.0 * r_max - 8.0).astype(int) * pairs_per_quarter
+    edges = _near_panel_edges(delta)
+    lo, hi = edges[:-1], edges[1:]
+    mid_n, half_n = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    x_n = (mid_n[:, None] + half_n[:, None] * _GL4_X).ravel()
+    x_f = 2.0 + _FAR_STEP * np.arange(2 * n_pairs.max() + 1)
+    g = _g(np.concatenate([x_n, x_f]), lam, a, c)
+    # u^m coefficients of the interpolants: cubic through each panel's
+    # four nodes, quadratic through each far pair's nodes at u = -1, 0, 1
+    g_n, g_f = g[:x_n.size], g[x_n.size:]
+    coef_n = _GL4_TO_MONO @ g_n.reshape(-1, 4).T
+    g_lo, g_mid, g_hi = g_f[:-1:2], g_f[1::2], g_f[2::2]
+    coef_f = np.array([g_mid, 0.5 * (g_hi - g_lo),
+                       0.5 * (g_hi + g_lo) - g_mid])
+    # Filon: a panel of half-width h about x contributes
+    # h e^{ixt} sum_m coef_m mu_m(h t).  All work on t is elementwise or a
+    # sum over that t's own panels, so no t depends on the others.
+    mu_n = _moments(half_n * t[:, None])
+    near = half_n * np.exp(1j * t[:, None] * mid_n) * sum(
+        coef_n[m] * mu_n[m] for m in range(4))
+    mu_f = _FAR_STEP * _moments(_FAR_STEP * t)[:3]
     out = np.empty(t.size)
-    for k in np.unique(level):
-        group = np.flatnonzero(level == k)
-        ts = t[group]
-        h = np.ldexp(0.25, -int(k))
-        # near zone: Gauss-Legendre panels on [0, 2]
-        edges = _near_panel_edges(delta, h)
-        lo, hi = edges[:-1], edges[1:]
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        xn = (mid[:, None] + half[:, None] * _GL4_X).ravel()
-        wgn = (half[:, None] * _GL4_W).ravel() * _g(xn, lam, a, c)
-        near = np.array([np.sum(np.exp(1j * xn * ti) * wgn).real for ti in ts])
-        # far zone: composite Simpson on 2 + j h for j = 0 .. last, the
-        # first even j at or past r_max.  In the block of nodes starting at
-        # j = s, e^{ixt} = e^{i x_s t} * base[j - s] with base[m] = e^{imht}.
-        last = 2 * np.ceil((r_max[group] - 2.0) / (2.0 * h)).astype(int)
-        base = [np.exp(1j * (h * ti * np.arange(min(_BLOCK, n + 1))))
-                for ti, n in zip(ts, last)]
-        far = np.zeros(group.size, dtype=complex)
-        for s in range(0, last.max() + 1, _BLOCK):
-            xb = 2.0 + h * np.arange(s, min(s + _BLOCK, last.max() + 1))
-            gb = _g(xb, lam, a, c)
-            wgb = _SIMPSON[:gb.size] * gb
-            if s == 0:
-                wgb[0] = gb[0]
-            for i in np.flatnonzero(last >= s):
-                m = min(_BLOCK, last[i] - s + 1)
-                part = np.sum(base[i][:m] * wgb[:m])
-                if s + m - 1 == last[i]:
-                    part -= base[i][m - 1] * gb[m - 1]  # end weight 1, not 2
-                far[i] += np.exp(1j * (xb[0] * ts[i])) * part
-        out[group] = (near + h / 3.0 * far.real) / np.pi
+    for i, (ti, n) in enumerate(zip(t, n_pairs)):
+        phase = _phases(ti, x_f[1], 2.0 * _FAR_STEP, n)
+        far = mu_f[:, i] @ (coef_f[:, :n] @ phase)
+        out[i] = (np.sum(near[i]) + far).real / np.pi
     return out
 
 
@@ -185,22 +229,6 @@ def estimate_C_sup(lam):
     curve = estimate_C(lam, t_grid)
     i = int(np.argmax(curve))
     return float(curve[i]), float(t_grid[i]), curve
-
-
-def survival_from_transform(lam, t):
-    """Reconstruct Pr(tau_inf > t + 1) by inversion along Re(z) = 0.1 with
-    a truncation error budget of 1e-3 (a consistency check against Monte
-    Carlo, not used by the C(Lambda) pipeline).
-
-    On a contour with Re(z) = a > 0 the subtracted c/z term inverts to the
-    constant c, which is added back.
-    """
-    if not 0.0 <= lam < np.inf:
-        raise ValueError(f"requires finite lam >= 0, got {lam!r}")
-    c = 1.0 - np.exp(-lam)
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    out = np.exp(0.1 * t_arr) * _bromwich(lam, t_arr, 0.1, 1e-3) + c
-    return out if np.ndim(t) else float(out[0])
 
 
 def c_analytic_bound(lam):

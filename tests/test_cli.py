@@ -397,6 +397,19 @@ class TestExportRoundTrip:
             np.testing.assert_array_equal(cols[f"V{c}"],
                                           trace.energies[:, c, 0])
 
+    @pytest.mark.parametrize("scheme", ["nrpt", "rpt"])
+    def test_slot_columns_are_replica_0(self, scheme, tmp_path):
+        mu = gaussian_equal_rate_mu(3, 0.4)
+        cfg = PTConfig(scheme, AnnealingSchedule.uniform(3), n_iters=60,
+                       n_replicas=3, seed=0)
+        trace = run_pt(cfg, gaussian_shift_pair(mu), GaussianPathExplorer(mu))
+        export_run(trace, str(tmp_path))
+        cols = read_trace_csv(str(tmp_path / "trace.csv"))
+        for c in range(4):
+            np.testing.assert_array_equal(cols[f"I{c}"], trace.index[1:, c, 0])
+            np.testing.assert_array_equal(cols[f"eps{c}"],
+                                          trace.direction[1:, c, 0])
+
     def test_summary_contents(self, trace, tmp_path):
         export_run(trace, str(tmp_path))
         with open(tmp_path / "summary.json") as fh:
