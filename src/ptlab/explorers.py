@@ -194,7 +194,9 @@ class IdealGridExplorer:
     def step(self, x, betas, rngs):
         # per chain, the uniforms that pick the cells, then the offsets
         r = x.shape[1]
-        u = np.stack([g.random(2 * r) for g in rngs])
+        u = np.empty((len(rngs), 2 * r))
+        for k, g in enumerate(rngs):
+            g.random(out=u[k])
         cells = self._cdf.cells(betas, u[:, :r])
         left = self.edges[cells]
         width = self.edges[cells + 1] - left

@@ -159,9 +159,11 @@ def _bromwich(lam, t, a, tail_tol):
     if bad.any():
         raise ValueError(
             f"t must be finite and positive, got {float(t[bad][0])!r}")
+    if not np.isfinite(lam):
+        raise ValueError(f"lam must be finite, got {lam!r}")
     # distance from the contour to the rightmost singularity of F
     delta = a + 1.0 / (lam + np.sqrt(2.0))
-    if delta <= 0:
+    if not delta > 0:
         raise ValueError("contour lies left of the pole-free strip")
     c = 1.0 - np.exp(-lam)
     decay = 765.0 * lam * np.exp(-0.75 * lam)  # |z F(z) - c| <= decay/|Im z|

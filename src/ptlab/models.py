@@ -187,10 +187,21 @@ def bimodal_pair():
         return -0.5 * x**2 / s2 - 0.5 * np.log(2 * np.pi * s2)
 
     def log_target_unnorm(x):
+        # logaddexp(a, b) is max(a, b) + log1p(exp(-|a - b|)) with a, b the
+        # two modes' terms.  For |x| >= 4, |a - b| = 200|x| >= 800 and exp
+        # underflows to 0 (or, at huge |x|, the correction is below the
+        # rounding of the max), so the result is the nearer mode's term,
+        # which rounds symmetrically to -(|x| - 100)^2 / 2.  Only the
+        # middle, and NaN, take logaddexp; the result equals logaddexp on
+        # every state bit for bit.
         x = np.asarray(x, dtype=float)
-        a = -0.5 * (x + 100.0) ** 2
-        b = -0.5 * (x - 100.0) ** 2
-        return np.logaddexp(a, b) + np.log(0.5) - 0.5 * np.log(2 * np.pi)
+        d = np.abs(x)
+        out = np.asarray(-0.5 * (d - 100.0) ** 2)
+        near = ~(d >= 4.0)
+        xn = x[near]
+        out[near] = np.logaddexp(-0.5 * (xn + 100.0) ** 2,
+                                 -0.5 * (xn - 100.0) ** 2)
+        return out + np.log(0.5) - 0.5 * np.log(2 * np.pi)
 
     def sample_reference(rng, size):
         return np.sqrt(s2) * rng.standard_normal(size)

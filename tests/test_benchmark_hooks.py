@@ -5,6 +5,9 @@ import importlib.util
 import inspect
 import os
 
+import numpy as np
+import pytest
+
 import ptlab.engine as engine
 import ptlab.experiments as experiments
 import ptlab.walks as walks
@@ -34,6 +37,24 @@ def test_install_and_restore_every_hook():
         tracer.restore()
     assert (engine.run_pt, engine.update_index_process,
             experiments.tuning_rounds) == originals
+
+
+@pytest.mark.parametrize("factory, x", [
+    ("bimodal_pair", np.array([-100.0, 0.0, 100.0])),
+    ("ising_model", np.ones((3, 16), dtype=np.int8)),
+])
+def test_model_log_target_is_traced(factory, x):
+    # models.log_target.s is timed only through the models experiments builds
+    tracing = _load_tracing()
+    tracer = tracing.Tracer(0)
+    try:
+        tracing.install(tracer)
+        log_target = getattr(experiments, factory)().log_target_unnorm
+        assert log_target.__wrapped__.__name__ == "log_target_unnorm"
+        log_target(x)
+    finally:
+        tracer.restore()
+    assert [span[0] for span in tracer.spans] == ["models.log_target"]
 
 
 def test_reflected_bm_parameters_read_by_name():

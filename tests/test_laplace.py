@@ -186,10 +186,16 @@ class TestNonFiniteLambda:
         lambda lam: estimate_C(lam, 1.0),
         lambda lam: estimate_C_sup(lam),
         c_analytic_bound,
-    ], ids=["estimate_C", "estimate_C_sup", "c_analytic_bound"])
+        lambda lam: _bromwich(lam, [1.0], 0.1, 1e-3),
+    ], ids=["estimate_C", "estimate_C_sup", "c_analytic_bound", "_bromwich"])
     def test_rejected(self, fn, lam):
         with pytest.raises(ValueError):
             fn(lam)
+
+    def test_nan_contour_rejected(self):
+        # a NaN abscissa makes delta NaN, which must fail `delta > 0`
+        with pytest.raises(ValueError, match="pole-free strip"):
+            _bromwich(1.0, [1.0], np.nan, 1e-3)
 
 
 class TestInvalidT:

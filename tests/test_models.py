@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from ptlab.core import energy
+from ptlab.experiments import _bimodal_grid
 from ptlab.models import (
     N_SITES,
     SITE_NEIGHBOURS,
@@ -109,6 +110,15 @@ class TestGaussianShiftPair:
         assert abs(x.mean()) < 0.02 and abs(x.std() - 1.0) < 0.02
 
 
+def _logaddexp_log_target(x):
+    """bimodal_pair's log target as first written, with np.logaddexp on
+    every state: the reference its exact far branch must match bit for bit."""
+    x = np.asarray(x, dtype=float)
+    a = -0.5 * (x + 100.0) ** 2
+    b = -0.5 * (x - 100.0) ** 2
+    return np.logaddexp(a, b) + np.log(0.5) - 0.5 * np.log(2 * np.pi)
+
+
 class TestBimodalPair:
     def test_target_symmetric(self):
         model = bimodal_pair()
@@ -123,6 +133,36 @@ class TestBimodalPair:
             -150, -50)
         # each mode carries probability 1/2
         np.testing.assert_allclose(val, 0.5, rtol=1e-8)
+
+    def test_exact_far_branch_is_bitwise_logaddexp(self):
+        model = bimodal_pair()
+        rng = make_stream(2, 0, 0)
+        sweep = np.linspace(3.5, 4.5, 200_001)
+        huge = np.geomspace(4.0, 1e308, 20_001)
+        x = np.concatenate([
+            _bimodal_grid()[1].mids,
+            model.sample_reference(rng, 100_000),
+            -100.0 + rng.standard_normal(100_000),
+            100.0 + rng.standard_normal(100_000),
+            sweep, -sweep, huge, -huge,
+            [0.0, -0.0, 100.0, -100.0, np.inf, -np.inf, np.nan, -np.nan],
+        ])
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = model.log_target_unnorm(x)
+            ref = _logaddexp_log_target(x)
+        np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64))
+
+    @pytest.mark.parametrize("x", [3.0, -250.0, [1.5, -99.0],
+                                   np.linspace(-300.0, 300.0, 13_000)
+                                   .reshape(13, 1000)])
+    def test_shape_and_type_unchanged(self, x):
+        got = bimodal_pair().log_target_unnorm(x)
+        ref = _logaddexp_log_target(x)
+        assert type(got) is type(ref)
+        assert np.shape(got) == np.shape(ref)
+        assert got.dtype == ref.dtype == np.float64
+        if np.ndim(x) == 0:
+            assert isinstance(got, np.float64)
 
     def test_reference_dominates_modes(self):
         model = bimodal_pair()
