@@ -385,15 +385,24 @@ def _burn_in(text):
     return value
 
 
-def _chains(text):
-    """argparse type: a chain count, at least two (reference and target)."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"must be >= 2, got {text!r}")
-    return value
+def _at_least(minimum):
+    """argparse type: an integer count of at least `minimum`."""
+    def count(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"not an integer: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {minimum}, got {text!r}")
+        return value
+
+    return count
+
+
+_chains = _at_least(2)  # a chain count: reference and target at least
+_positive = _at_least(1)
 
 
 def _add_common(p):
@@ -470,8 +479,8 @@ def build_parser():
 
     p = sub.add_parser("ising-validate", help="Ising TV-vs-bound experiment")
     p.add_argument("--chains", type=_chains, default=6)
-    p.add_argument("--iters", type=int, default=25)
-    p.add_argument("--replicas", type=int, default=100_000)
+    p.add_argument("--iters", type=_positive, default=25)
+    p.add_argument("--replicas", type=_positive, default=100_000)
     p.add_argument("--init", default="all-minus",
                    choices=["all-minus", "random"])
     p.add_argument("--explorer", default="gibbs", choices=["gibbs", "ideal"])

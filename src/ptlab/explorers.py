@@ -4,12 +4,14 @@ Every explorer exposes ``step(x, betas, rngs) -> x`` over a block of chains:
 ``x`` has shape (n, R, ...) with chain along the first axis and replicas
 along the second, ``betas`` has shape (n,), and ``rngs`` holds one stream
 per chain, in chain order.  Chain k draws only from ``rngs[k]``, so each
-chain's draws do not depend on which other chains share the call.  Every
-explorer but the i.i.d. reference sampler leaves the path distribution
-pi_beta invariant at each chain's beta.  The ideal explorers hold
-inverse-CDF tables for the betas of their last call only; a lookup gives
-the same cells whatever the tables held, so one explorer object can serve
-many runs.
+chain's draws do not depend on which other chains share the call.  The
+ideal and Gaussian explorers leave the path distribution pi_beta invariant
+at each chain's beta; the Gibbs explorer rounds p(+1) up to a multiple of
+2^-32, so each of its site updates moves pi_beta by less than 2^-32 in
+total variation.  The i.i.d. reference sampler ignores beta.  The ideal
+explorers hold inverse-CDF tables for the betas of their last call only;
+a lookup gives the same cells whatever the tables held, so one explorer
+object can serve many runs.
 """
 
 import numpy as np
@@ -36,18 +38,54 @@ class IIDReferenceExplorer:
                          for g in rngs])
 
 
+DRAW_BUFFER_BYTES = 1 << 20  # the uint32 draws of one block, all chains
+
+
+def gibbs_thresholds(betas):
+    """The (n, 5) uint32 thresholds T = ceil(p 2^32) of the Gibbs kernel.
+
+    Row k holds chain k's T for j = 0..4 neighbours up, with
+    p = 1 / (1 + exp(-2 beta s)) and neighbour sum s = 2 j - 4.  p 2^32
+    is exact, so T is the ceil of the exact product, and T / 2^32 lies in
+    [p, p + 2^-32).  T is clamped to 2^32 - 1, so that p > 1 - 2^-32
+    (beta > 2.77) cannot overflow the cast.
+    """
+    beta = np.asarray(betas, dtype=float)[:, None]
+    p_plus = 1.0 / (1.0 + np.exp(-2.0 * beta * np.arange(-4, 5, 2)))
+    return np.minimum(np.ceil(p_plus * 2.0**32),
+                      2.0**32 - 1).astype(np.uint32)
+
+
+def uint32_draws(g, size):
+    """The next `size` 32-bit draws of `g`, `size` even, in one call.
+
+    Two draws per Philox output, low half first on a little-endian host:
+    numpy's own ``next_uint32`` order, so on a stream with no half-word
+    buffered they equal ``g.integers(0, 2**32, size, dtype=np.uint32)``,
+    at about half its cost.
+    """
+    return g.bit_generator.random_raw(size // 2).view(np.uint32)
+
+
 class IsingGibbsExplorer:
     """Systematic-scan single-site Gibbs sweeps on the 4x4 torus.
 
     Each call performs `sweeps` full raster-order passes; every site is
     resampled from its conditional under pi_beta given its 4 neighbours,
     p(+1) = 1 / (1 + exp(-2 beta s)) with s the neighbour sum.  s is one
-    of -4, -2, 0, 2, 4, so each call tabulates p(+1) once per chain, a
-    5-entry row, and a site update is one lookup in that table.  For the
-    call the spins are held site-major, (16, n, R), as 0/1.  The draws
-    are those of the raster scan: per site, one uniform per replica from
-    each chain's stream, in chain order; the site becomes +1 where its
-    uniform falls below p(+1).  ``x`` must hold +-1 spins.
+    of -4, -2, 0, 2, 4, so each call tabulates once per chain a 5-entry
+    row of thresholds T = ceil(p(+1) 2^32) (``gibbs_thresholds``), and a
+    site update is one lookup in that table.  For the call the spins are
+    held site-major, (16, n, R), as 0/1.  The draws are 32-bit
+    (``uint32_draws``): per site, one uint32 u per replica from each
+    chain's stream, in raster order.  The site becomes +1 where u < T, so
+    P(+1) = T / 2^32 lies in [p, p + 2^-32).  A chain's draws for a block
+    of sites come from one call.  A block holds as many sites as fit
+    DRAW_BUFFER_BYTES over all chains, at least one; when R is odd the
+    count is made even, at least two.  A call's 16 × sweeps sites are even
+    in number too, so no block ends inside a Philox output and the draws
+    do not depend on the blocking.
+    ``x`` must hold +-1 spins.
     """
 
     def __init__(self, sweeps=3):
@@ -58,28 +96,31 @@ class IsingGibbsExplorer:
         n, r = x.shape[:2]
         up = np.empty((N_SITES, n, r), dtype=np.int8)  # 1 where x = +1
         np.greater(np.moveaxis(x, -1, 0), 0, out=up)
-        beta = np.asarray(betas, dtype=float)[:, None]
-        s = np.arange(-4, 5, 2)
-        p_table = (1.0 / (1.0 + np.exp(-2.0 * beta * s))).ravel()
-        # chain k's p(+1) with j of 4 neighbours up is p_table[5 k + j]
+        t_table = gibbs_thresholds(betas).ravel()
+        # chain k's threshold with j of 4 neighbours up is t_table[5 k + j]
         row = 5 * np.arange(n)[:, None]
         n_up = np.empty((n, r), dtype=np.int8)
         idx = np.empty((n, r), dtype=np.intp)
-        p_plus = np.empty((n, r))
-        u = np.empty((n, r))
-        draws = list(zip(rngs, u))
+        thresh = np.empty((n, r), dtype=np.uint32)
+        per_block = max(1, DRAW_BUFFER_BYTES // (4 * n * r))
+        if r % 2:
+            per_block = max(2, per_block - per_block % 2)
+        u = np.empty((n, per_block * r), dtype=np.uint32)
+        u_site = [u[:, j * r:(j + 1) * r] for j in range(per_block)]
         scan = [(up[site], [up[j] for j in SITE_NEIGHBOURS[site]])
-                for site in range(N_SITES)]
-        for _ in range(self.sweeps):
-            for spin, (a, b, c, d) in scan:
+                for site in range(N_SITES)] * self.sweeps
+        for start in range(0, len(scan), per_block):
+            block = scan[start:start + per_block]
+            m = len(block) * r  # even: see the class docstring
+            for k, g in enumerate(rngs):
+                u[k, :m] = uint32_draws(g, m)
+            for u_j, (spin, (a, b, c, d)) in zip(u_site, block):
                 np.add(a, b, out=n_up)
                 n_up += c
                 n_up += d
                 np.add(n_up, row, out=idx)
-                np.take(p_table, idx, out=p_plus, mode="clip")
-                for g, u_k in draws:
-                    g.random(out=u_k)
-                np.less(u, p_plus, out=spin)
+                t_table.take(idx, out=thresh, mode="clip")
+                np.less(u_j, thresh, out=spin)
         return np.ascontiguousarray(np.moveaxis(2 * up - 1, 0, -1))
 
 

@@ -87,6 +87,14 @@ class TestExitCodes:
                                      ("bm", "--r", "0.1"),
                                      ("pdmp", "--dt", "1e-4"))
     ] + [
+        # a negative count once failed in numpy, naming no flag
+        pytest.param(["ising-validate", flag, value], None, flag,
+                     id=f"ising-validate{flag}={value}")
+        for flag in ("--replicas", "--iters") for value in ("-5", "0")
+    ] + [
+        pytest.param(["ising-validate"], {"replicas": -5}, "--replicas",
+                     id="ising-validate-config-replicas=-5"),
+    ] + [
         pytest.param(["bounds", "--tmax", "-3"], None, "--tmax",
                      id="bounds-tmax=-3"),
     ] + [

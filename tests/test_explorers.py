@@ -14,7 +14,9 @@ from ptlab.explorers import (
     IdealIsingExplorer,
     IsingGibbsExplorer,
     _InverseCdf,
+    gibbs_thresholds,
     lag1_independence_check,
+    uint32_draws,
 )
 from ptlab.models import (
     N_SITES,
@@ -91,7 +93,8 @@ class TestIdealIsing:
 
 def raster_scan_gibbs(x, betas, rngs, sweeps):
     """Reference Gibbs kernel: per site, its neighbour sum, p(+1) from the
-    exp formula and one g.random(R) per chain, in raster order."""
+    exp formula, its threshold ceil(p(+1) 2^32) and one plain 32-bit draw
+    g.integers(0, 2**32, R, dtype=np.uint32) per chain, in raster order."""
     x = np.array(x, dtype=np.int8)
     beta = np.asarray(betas, dtype=float)[:, None]
     for _ in range(sweeps):
@@ -99,15 +102,27 @@ def raster_scan_gibbs(x, betas, rngs, sweeps):
             nb_sum = x[:, :, SITE_NEIGHBOURS[site]].sum(axis=2,
                                                         dtype=np.int32)
             p_plus = 1.0 / (1.0 + np.exp(-2.0 * beta * nb_sum))
-            u = np.stack([g.random(x.shape[1]) for g in rngs])
-            x[:, :, site] = np.where(u < p_plus, 1, -1)
+            u = np.stack([g.integers(0, 2**32, x.shape[1], dtype=np.uint32)
+                          for g in rngs])
+            x[:, :, site] = np.where(u < np.ceil(p_plus * 2.0**32), 1, -1)
     return x
 
 
 class TestIsingGibbs:
     @pytest.mark.parametrize("sweeps", [1, 3])
-    def test_matches_raster_scan_bit_for_bit(self, sweeps):
-        x = spins_from_codes(make_stream(9, 1).integers(0, 65536, (3, 40)))
+    @pytest.mark.parametrize("replicas", [40, 41])
+    @pytest.mark.parametrize("buffer_bytes", [None, 4, 3 * 4 * 3 * 41],
+                             ids=["one-block", "one-site-blocks",
+                                  "three-site-blocks"])
+    def test_matches_raster_scan_bit_for_bit(self, monkeypatch, sweeps,
+                                             replicas, buffer_bytes):
+        # a cap below one site's draws forces a block per site, or per two
+        # sites at odd R; the larger cap gives blocks of three sites at
+        # R = 40 and two at R = 41.  The draws must not depend on blocking
+        if buffer_bytes is not None:
+            monkeypatch.setattr(explorers, "DRAW_BUFFER_BYTES", buffer_bytes)
+        x = spins_from_codes(make_stream(9, 1).integers(0, 65536,
+                                                        (3, replicas)))
         betas = np.array([0.0, 0.37, 1.0])
 
         def streams():
@@ -118,14 +133,35 @@ class TestIsingGibbs:
         np.testing.assert_array_equal(
             out, raster_scan_gibbs(x, betas, streams(), sweeps))
 
-    def test_preserves_exact_distribution(self):
-        # start from exact pi_1 samples; TV must stay at the noise floor
+    @pytest.mark.parametrize("beta", [0.0, 0.37, 1.0])
+    def test_thresholds_round_p_up_by_less_than_2_to_minus_32(self, beta):
+        t = gibbs_thresholds([beta])[0]
+        p_plus = 1.0 / (1.0 + np.exp(-2.0 * beta * np.arange(-4, 5, 2)))
+        excess = t / 2.0**32 - p_plus
+        assert np.all(excess >= 0.0) and np.all(excess < 2.0**-32)
+        if beta == 0.0:
+            np.testing.assert_array_equal(t, np.full(5, 2**31))
+
+    def test_thresholds_clamp_instead_of_overflowing(self):
+        # p(+1) at s = 4 rounds to 1.0 in float64 at beta = 5
+        assert gibbs_thresholds([5.0])[0, -1] == 2**32 - 1
+
+    def test_draws_are_numpys_uint32_order(self):
+        # two draws per Philox output, low half first, as g.integers does
+        draws = uint32_draws(make_stream(15, 0, 0), 10_000)
+        np.testing.assert_array_equal(
+            draws, make_stream(15, 0, 0).integers(0, 2**32, 10_000,
+                                                  dtype=np.uint32))
+
+    @pytest.mark.parametrize("beta", [0.37, 1.0])
+    def test_preserves_exact_distribution(self, beta):
+        # start from exact pi_beta samples; TV must stay at the noise floor
         k_exact = IdealIsingExplorer()
         k = IsingGibbsExplorer(sweeps=2)
-        x = k_exact.step(np.zeros((1, 100_000, 16), dtype=np.int8), [1.0],
+        x = k_exact.step(np.zeros((1, 100_000, 16), dtype=np.int8), [beta],
                          [make_stream(3, 0, 0)])
-        x = k.step(x, [1.0], [make_stream(4, 0, 0)])[0]
-        exact = ising_exact_distribution(1.0)
+        x = k.step(x, [beta], [make_stream(4, 0, 0)])[0]
+        exact = ising_exact_distribution(beta)
         tv, floor = empirical_tv_discrete(codes_from_spins(x), exact)
         assert tv < 4 * floor
 
