@@ -403,6 +403,7 @@ def _at_least(minimum):
 
 _chains = _at_least(2)  # a chain count: reference and target at least
 _positive = _at_least(1)
+_replicates = _at_least(100)  # walks.survival_curve's minimum
 
 
 def _add_common(p):
@@ -420,8 +421,8 @@ def build_parser():
     p.add_argument("--model", default="bimodal", choices=list(MODELS))
     p.add_argument("--scheme", default="nrpt", choices=["nrpt", "rpt"])
     p.add_argument("--chains", type=_chains, default=7)
-    p.add_argument("--iters", type=int, default=200)
-    p.add_argument("--replicas", type=int, default=1)
+    p.add_argument("--iters", type=_positive, default=200)
+    p.add_argument("--replicas", type=_positive, default=1)
     p.add_argument("--schedule", default=None,
                    help="comma-separated schedule points")
     p.add_argument("--burn-in", type=_burn_in, default=0.2)
@@ -439,8 +440,8 @@ def build_parser():
     p = sub.add_parser("gcb", help="communication-barrier estimate")
     p.add_argument("--model", default="bimodal", choices=list(MODELS))
     p.add_argument("--chains", type=_chains, default=13)
-    p.add_argument("--iters", type=int, default=256)
-    p.add_argument("--replicas", type=int, default=5000)
+    p.add_argument("--iters", type=_positive, default=256)
+    p.add_argument("--replicas", type=_positive, default=5000)
     p.add_argument("--burn-in", type=_burn_in, default=0.2)
     _add_common(p)
     p.set_defaults(func=cmd_gcb)
@@ -460,7 +461,7 @@ def build_parser():
     p.add_argument("--r", type=float, help="nrpt and rpt only")
     p.add_argument("--lam", type=float, help="pdmp only")
     p.add_argument("--dt", type=float, help="bm only")
-    p.add_argument("--replicas", type=int, default=100_000)
+    p.add_argument("--replicas", type=_replicates, default=100_000)
     p.add_argument("--tmin", type=float, default=1.0)
     p.add_argument("--tmax", type=float, default=200.0)
     p.add_argument("--points", type=int, default=100)
@@ -500,7 +501,7 @@ def build_parser():
     p.add_argument("--lam", type=float, default=4.0)
     p.add_argument("--n-values", default="10,30,100",
                    help="comma-separated chain counts")
-    p.add_argument("--replicas", type=int, default=200_000)
+    p.add_argument("--replicas", type=_replicates, default=200_000)
     _add_common(p)
     p.set_defaults(func=cmd_scaling)
 

@@ -14,6 +14,8 @@ a lookup gives the same cells whatever the tables held, so one explorer
 object can serve many runs.
 """
 
+import functools
+
 import numpy as np
 
 from .core import energy, log_path_density
@@ -23,6 +25,7 @@ from .models import (
     ising_bond_sums,
     spins_from_codes,
 )
+from .rng import uint32_draws
 
 
 class IIDReferenceExplorer:
@@ -40,6 +43,11 @@ class IIDReferenceExplorer:
 
 DRAW_BUFFER_BYTES = 1 << 20  # the uint32 draws of one block, all chains
 
+# storage row of site s in the Gibbs kernel's site-major array; every
+# anti-diagonal of the torus, i + j = const (mod 4), is four adjacent rows
+SITE_ROW = (11 * np.arange(N_SITES) + 3) % N_SITES
+ROW_SITE = (3 * np.arange(N_SITES) + 7) % N_SITES  # 3 * 11 = 1 (mod 16)
+
 
 def gibbs_thresholds(betas):
     """The (n, 5) uint32 thresholds T = ceil(p 2^32) of the Gibbs kernel.
@@ -48,7 +56,8 @@ def gibbs_thresholds(betas):
     p = 1 / (1 + exp(-2 beta s)) and neighbour sum s = 2 j - 4.  p 2^32
     is exact, so T is the ceil of the exact product, and T / 2^32 lies in
     [p, p + 2^-32).  T is clamped to 2^32 - 1, so that p > 1 - 2^-32
-    (beta > 2.77) cannot overflow the cast.
+    (beta > 2.77) cannot overflow the cast.  For beta >= 0 each row is
+    nondecreasing in j.
     """
     beta = np.asarray(betas, dtype=float)[:, None]
     p_plus = 1.0 / (1.0 + np.exp(-2.0 * beta * np.arange(-4, 5, 2)))
@@ -56,15 +65,76 @@ def gibbs_thresholds(betas):
                       2.0**32 - 1).astype(np.uint32)
 
 
-def uint32_draws(g, size):
-    """The next `size` 32-bit draws of `g`, `size` even, in one call.
+def _slice(seq):
+    """The slice that lists the arithmetic progression `seq`."""
+    step = seq[1] - seq[0] if len(seq) > 1 else 1
+    stop = seq[-1] + step
+    return slice(seq[0], stop if stop >= 0 else None, step)
 
-    Two draws per Philox output, low half first on a little-endian host:
-    numpy's own ``next_uint32`` order, so on a stream with no half-word
-    buffered they equal ``g.integers(0, 2**32, size, dtype=np.uint32)``,
-    at about half its cost.
+
+def _runs(*columns):
+    """Cut equal-length index columns into maximal runs over which every
+    column is an arithmetic progression with a nonzero step; give each run
+    as one slice per column."""
+    size = len(columns[0])
+    runs, lo = [], 0
+    for hi in range(1, size + 1):
+        if hi < size:
+            steps = [c[hi] - c[hi - 1] for c in columns]
+            if all(steps) and (hi - lo == 1 or
+                               steps == [c[lo + 1] - c[lo] for c in columns]):
+                continue
+        runs.append(tuple(_slice(c[lo:hi]) for c in columns))
+        lo = hi
+    return tuple(runs)
+
+
+@functools.lru_cache(maxsize=None)
+def gibbs_schedule(n_updates, per_block):
+    """The dependency levels of `n_updates` raster-scan site updates drawn
+    in blocks of `per_block`, compiled to slices.
+
+    Update p resamples site p mod 16.  Within a block, its level is one
+    more than the highest level among the last earlier updates of its own
+    site and of its 4 neighbours (Lamport's hyperplane method); an update
+    with none of those in its block is at level 0.  The sites of one
+    level are distinct and pairwise non-adjacent, so at most 8, and its
+    updates commute: doing them together, level by level, gives the
+    raster scan bit for bit.  A level's updates are ordered by storage
+    row (``SITE_ROW``); slot i of the level holds its i-th update.
+
+    Returns one ``(start, stop, levels)`` per block of updates
+    [start, stop).  A level is ``(pairs, adds, writes)``:
+    ``(slots, row_a, row_b)`` in ``pairs`` and then ``(slots, row)`` in
+    ``adds`` sum the 4 neighbour rows of each slot, and
+    ``(slots, row, draw)`` in ``writes`` stores each slot's update in its
+    storage row from its draw (update p - start of the block).
     """
-    return g.bit_generator.random_raw(size // 2).view(np.uint32)
+    blocks = []
+    for start in range(0, n_updates, per_block):
+        stop = min(start + per_block, n_updates)
+        level, last = {}, {}
+        for p in range(start, stop):
+            site = p % N_SITES
+            level[p] = 1 + max((level[last[s]]
+                                for s in (site, *SITE_NEIGHBOURS[site])
+                                if s in last), default=-1)
+            last[site] = p
+        members = [[] for _ in range(max(level.values()) + 1)]
+        for p in sorted(level, key=lambda p: SITE_ROW[p % N_SITES]):
+            members[level[p]].append(p)
+        levels = []
+        for ps in members:
+            sites = [p % N_SITES for p in ps]
+            slots = range(len(ps))
+            right, left, down, up = SITE_ROW[SITE_NEIGHBOURS[sites].T]
+            # right and left first: the fewest slices for a full block
+            levels.append((_runs(slots, right, left),
+                           _runs(slots, down) + _runs(slots, up),
+                           _runs(slots, SITE_ROW[sites],
+                                 [p - start for p in ps])))
+        blocks.append((start, stop, tuple(levels)))
+    return tuple(blocks)
 
 
 class IsingGibbsExplorer:
@@ -74,17 +144,28 @@ class IsingGibbsExplorer:
     resampled from its conditional under pi_beta given its 4 neighbours,
     p(+1) = 1 / (1 + exp(-2 beta s)) with s the neighbour sum.  s is one
     of -4, -2, 0, 2, 4, so each call tabulates once per chain a 5-entry
-    row of thresholds T = ceil(p(+1) 2^32) (``gibbs_thresholds``), and a
-    site update is one lookup in that table.  For the call the spins are
-    held site-major, (16, n, R), as 0/1.  The draws are 32-bit
-    (``uint32_draws``): per site, one uint32 u per replica from each
-    chain's stream, in raster order.  The site becomes +1 where u < T, so
-    P(+1) = T / 2^32 lies in [p, p + 2^-32).  A chain's draws for a block
-    of sites come from one call.  A block holds as many sites as fit
-    DRAW_BUFFER_BYTES over all chains, at least one; when R is odd the
-    count is made even, at least two.  A call's 16 × sweeps sites are even
-    in number too, so no block ends inside a Philox output and the draws
-    do not depend on the blocking.
+    row of thresholds T = ceil(p(+1) 2^32) (``gibbs_thresholds``).  The
+    draws are 32-bit (``uint32_draws``): per site update, one uint32 u per
+    replica from each chain's stream, in raster order.  The site becomes
+    +1 where u < T, so P(+1) = T / 2^32 lies in [p, p + 2^-32).
+
+    A chain's draws for a block of updates come from one call.  A block
+    holds as many updates as fit DRAW_BUFFER_BYTES over all chains, at
+    least one and at most the call's; when R is odd the count is made
+    even, at least two.  A call's 16 × sweeps updates are even in number
+    too, so no block ends inside a Philox output and the draws do not
+    depend on the blocking.
+
+    Each block runs level by level (``gibbs_schedule``): a full 3-sweep
+    block has 15 levels of 1, 2, 3, 4, ..., 4, 3, 2, 1 updates, the
+    anti-diagonals of the torus.  For the call the spins are held
+    site-major, (16, n, R), as 0/1, site s in row SITE_ROW[s] =
+    (11 s + 3) mod 16, so each level of a full block is 4 adjacent rows
+    or fewer, and its draws are every third update of the block.  Each
+    row of T is nondecreasing in j (beta >= 0), so u < T[j] exactly when
+    j >= L(u) = #{j : T[j] <= u}.  The block's level codes L are five
+    compares of its draws, in int8 and chain-major like the draws, and a
+    level's update is one compare of its neighbour counts with its codes.
     ``x`` must hold +-1 spins.
     """
 
@@ -94,34 +175,43 @@ class IsingGibbsExplorer:
     def step(self, x, betas, rngs):
         x = np.asarray(x, dtype=np.int8)
         n, r = x.shape[:2]
+        t = gibbs_thresholds(betas)[:, :, None, None]
+        if np.any(t[:, 1:] < t[:, :-1]):
+            raise ValueError("the Gibbs kernel needs beta >= 0")
         up = np.empty((N_SITES, n, r), dtype=np.int8)  # 1 where x = +1
-        np.greater(np.moveaxis(x, -1, 0), 0, out=up)
-        t_table = gibbs_thresholds(betas).ravel()
-        # chain k's threshold with j of 4 neighbours up is t_table[5 k + j]
-        row = 5 * np.arange(n)[:, None]
-        n_up = np.empty((n, r), dtype=np.int8)
-        idx = np.empty((n, r), dtype=np.intp)
-        thresh = np.empty((n, r), dtype=np.uint32)
-        per_block = max(1, DRAW_BUFFER_BYTES // (4 * n * r))
+        np.take(np.moveaxis(x, -1, 0), ROW_SITE, axis=0, out=up, mode="clip")
+        up_b = up.view(bool)
+        np.greater(up, 0, out=up_b)
+        n_updates = N_SITES * self.sweeps
+        per_block = max(1, min(n_updates, DRAW_BUFFER_BYTES // (4 * n * r)))
         if r % 2:
             per_block = max(2, per_block - per_block % 2)
-        u = np.empty((n, per_block * r), dtype=np.uint32)
-        u_site = [u[:, j * r:(j + 1) * r] for j in range(per_block)]
-        scan = [(up[site], [up[j] for j in SITE_NEIGHBOURS[site]])
-                for site in range(N_SITES)] * self.sweeps
-        for start in range(0, len(scan), per_block):
-            block = scan[start:start + per_block]
-            m = len(block) * r  # even: see the class docstring
+        u = np.empty((n, per_block, r), dtype=np.uint32)
+        codes = np.empty((n, per_block, r), dtype=np.int8)
+        at_least = np.empty((n, per_block, r), dtype=bool)
+        # a level's neighbours up, per slot; a level has at most 8 sites
+        n_up = np.empty((N_SITES // 2, n, r), dtype=np.int8)
+        for start, stop, levels in gibbs_schedule(n_updates, per_block):
+            m = stop - start  # m * r is even: see the class docstring
             for k, g in enumerate(rngs):
-                u[k, :m] = uint32_draws(g, m)
-            for u_j, (spin, (a, b, c, d)) in zip(u_site, block):
-                np.add(a, b, out=n_up)
-                n_up += c
-                n_up += d
-                np.add(n_up, row, out=idx)
-                t_table.take(idx, out=thresh, mode="clip")
-                np.less(u_j, thresh, out=spin)
-        return np.ascontiguousarray(np.moveaxis(2 * up - 1, 0, -1))
+                u[k, :m] = uint32_draws(g, m * r).reshape(m, r)
+            u_m, c, ge = u[:, :m], codes[:, :m], at_least[:, :m]
+            # level codes L(u) = #{j : T[j] <= u}
+            np.greater_equal(u_m, t[:, 0], out=c.view(bool))
+            for j in range(1, 5):
+                np.greater_equal(u_m, t[:, j], out=ge)
+                c += ge.view(np.int8)
+            c = c.transpose(1, 0, 2)  # by update, as the schedule's draws
+            for pairs, adds, writes in levels:
+                for slots, a, b in pairs:
+                    np.add(up[a], up[b], out=n_up[slots])
+                for slots, a in adds:
+                    n_up[slots] += up[a]
+                for slots, row, draw in writes:
+                    np.greater_equal(n_up[slots], c[draw], out=up_b[row])
+        up *= 2
+        up -= 1
+        return np.ascontiguousarray(np.moveaxis(up[SITE_ROW], 0, -1))
 
 
 GUIDE_SIZE = 1 << 16  # a power of two, so u * GUIDE_SIZE is exact

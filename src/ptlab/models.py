@@ -11,6 +11,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .core import TargetModel
+from .rng import uint32_draws
 
 # ---------------------------------------------------------------------------
 # 4x4 torus Ising model
@@ -133,7 +134,10 @@ def ising_model():
         return s.astype(float)
 
     def sample_reference(rng, size):
-        return (2 * rng.integers(0, 2, size=(size, N_SITES)) - 1).astype(np.int8)
+        # rng.integers(0, 2) is the top bit of numpy's next_uint32 (Lemire's
+        # method with range 2 keeps (u 2) >> 32), so these are its spins
+        bits = (uint32_draws(rng, size * N_SITES) >> 31).astype(np.int8)
+        return (2 * bits - 1).reshape(size, N_SITES)
 
     return TargetModel(
         log_reference=log_reference,

@@ -95,6 +95,19 @@ class TestExitCodes:
         pytest.param(["ising-validate"], {"replicas": -5}, "--replicas",
                      id="ising-validate-config-replicas=-5"),
     ] + [
+        # counts are checked at parse time, not after the tuning rounds
+        pytest.param([cmd, flag, value], None, flag,
+                     id=f"{cmd}{flag}={value}")
+        for cmd in ("sample", "gcb") for flag in ("--replicas", "--iters")
+        for value in ("-3", "0")
+    ] + [
+        pytest.param(["gcb"], {"iters": -3}, "--iters",
+                     id="gcb-config-iters=-3"),
+    ] + [
+        pytest.param([cmd, "--replicas", value], None, "--replicas",
+                     id=f"{cmd}-replicas={value}")
+        for cmd in ("hitting", "scaling") for value in ("-5", "99")
+    ] + [
         pytest.param(["bounds", "--tmax", "-3"], None, "--tmax",
                      id="bounds-tmax=-3"),
     ] + [

@@ -13,10 +13,12 @@ from ptlab.explorers import (
     IdealGridExplorer,
     IdealIsingExplorer,
     IsingGibbsExplorer,
+    ROW_SITE,
+    SITE_ROW,
     _InverseCdf,
+    gibbs_schedule,
     gibbs_thresholds,
     lag1_independence_check,
-    uint32_draws,
 )
 from ptlab.models import (
     N_SITES,
@@ -108,30 +110,51 @@ def raster_scan_gibbs(x, betas, rngs, sweeps):
     return x
 
 
+BETAS = {
+    "mixed": [0.0, 0.37, 1.0],
+    "zero": [0.0] * 3,  # all five thresholds 2^31
+    "five": [5.0] * 3,  # clamped thresholds
+    "one-chain": [0.37],
+    "one-chain-zero": [0.0],
+    "one-chain-five": [5.0],
+}
+
+
 class TestIsingGibbs:
     @pytest.mark.parametrize("sweeps", [1, 3])
-    @pytest.mark.parametrize("replicas", [40, 41])
-    @pytest.mark.parametrize("buffer_bytes", [None, 4, 3 * 4 * 3 * 41],
-                             ids=["one-block", "one-site-blocks",
-                                  "three-site-blocks"])
+    @pytest.mark.parametrize("replicas", [1, 40, 41])
+    @pytest.mark.parametrize("betas", list(BETAS))
+    @pytest.mark.parametrize("per_block", [1, 2, 3, 8, 16, 48])
     def test_matches_raster_scan_bit_for_bit(self, monkeypatch, sweeps,
-                                             replicas, buffer_bytes):
-        # a cap below one site's draws forces a block per site, or per two
-        # sites at odd R; the larger cap gives blocks of three sites at
-        # R = 40 and two at R = 41.  The draws must not depend on blocking
-        if buffer_bytes is not None:
-            monkeypatch.setattr(explorers, "DRAW_BUFFER_BYTES", buffer_bytes)
+                                             replicas, betas, per_block):
+        # the buffer cap sets how many site updates share a block of draws
+        # (made even, at least two, at odd R); the draws and the result
+        # must not depend on the blocking or on the level schedule in it
+        betas = np.array(BETAS[betas])
+        n = betas.size
+        monkeypatch.setattr(explorers, "DRAW_BUFFER_BYTES",
+                            per_block * 4 * n * replicas)
         x = spins_from_codes(make_stream(9, 1).integers(0, 65536,
-                                                        (3, replicas)))
-        betas = np.array([0.0, 0.37, 1.0])
+                                                        (3, replicas)))[:n]
 
         def streams():
-            return [make_stream(9, 0, c) for c in range(3)]
+            return [make_stream(9, 0, c) for c in range(n)]
 
         out = IsingGibbsExplorer(sweeps=sweeps).step(x, betas, streams())
-        assert out.dtype == np.int8
+        assert out.dtype == np.int8 and out.flags.c_contiguous
         np.testing.assert_array_equal(
             out, raster_scan_gibbs(x, betas, streams(), sweeps))
+
+    def test_negative_beta_rejected(self):
+        # the level codes need thresholds nondecreasing in the neighbour sum
+        with pytest.raises(ValueError, match="beta >= 0"):
+            IsingGibbsExplorer(sweeps=1).step(
+                np.ones((1, 4, 16), dtype=np.int8), [-0.1],
+                [make_stream(9, 0, 0)])
+
+    def test_thresholds_nondecreasing_in_neighbours_up(self):
+        t = gibbs_thresholds(np.linspace(0.0, 10.0, 100_001))
+        assert np.all(t[:, 1:] >= t[:, :-1])
 
     @pytest.mark.parametrize("beta", [0.0, 0.37, 1.0])
     def test_thresholds_round_p_up_by_less_than_2_to_minus_32(self, beta):
@@ -145,13 +168,6 @@ class TestIsingGibbs:
     def test_thresholds_clamp_instead_of_overflowing(self):
         # p(+1) at s = 4 rounds to 1.0 in float64 at beta = 5
         assert gibbs_thresholds([5.0])[0, -1] == 2**32 - 1
-
-    def test_draws_are_numpys_uint32_order(self):
-        # two draws per Philox output, low half first, as g.integers does
-        draws = uint32_draws(make_stream(15, 0, 0), 10_000)
-        np.testing.assert_array_equal(
-            draws, make_stream(15, 0, 0).integers(0, 2**32, 10_000,
-                                                  dtype=np.uint32))
 
     @pytest.mark.parametrize("beta", [0.37, 1.0])
     def test_preserves_exact_distribution(self, beta):
@@ -170,6 +186,84 @@ class TestIsingGibbs:
         x = k.step(np.full((1, 50_000, 16), -1, dtype=np.int8), [0.0],
                    [make_stream(5, 0, 0)])[0]
         assert abs(x.mean()) < 0.02
+
+
+def expand(sl, size):
+    return list(range(*sl.indices(size)))
+
+
+class TestGibbsSchedule:
+    @pytest.mark.parametrize("sweeps", [1, 2, 3])
+    def test_levels_keep_the_raster_scan(self, sweeps):
+        n_updates = N_SITES * sweeps
+        for per_block in range(1, 49):
+            when = {}  # update -> (block, level)
+            stops = [0]
+            for b, (start, stop, levels) in enumerate(
+                    gibbs_schedule(n_updates, per_block)):
+                # blocks of per_block updates, in raster order
+                assert (start, stop) == (
+                    stops[-1], min(start + per_block, n_updates))
+                stops.append(stop)
+                draws = []
+                for lv, (pairs, adds, writes) in enumerate(levels):
+                    written = {}
+                    for slots, row, draw in writes:
+                        for i, r, d in zip(expand(slots, 8),
+                                           expand(row, N_SITES),
+                                           expand(draw, stop - start)):
+                            # update start + d is drawn with the block's
+                            # d-th draw and stored in its site's row
+                            p = start + d
+                            assert ROW_SITE[r] == p % N_SITES
+                            assert p not in when and i not in written
+                            when[p] = (b, lv)
+                            written[i] = p
+                            draws.append(d)
+                    assert sorted(written) == list(range(len(written)))
+                    # each slot sums its 4 neighbour rows, the first two
+                    # in one add
+                    summed = {i: [] for i in written}
+                    for slots, a, c in pairs:
+                        for i, ra, rc in zip(expand(slots, 8),
+                                             expand(a, N_SITES),
+                                             expand(c, N_SITES)):
+                            assert summed[i] == []
+                            summed[i] += [ra, rc]
+                    for slots, a in adds:
+                        for i, ra in zip(expand(slots, 8),
+                                         expand(a, N_SITES)):
+                            assert len(summed[i]) >= 2
+                            summed[i].append(ra)
+                    for i, p in written.items():
+                        assert sorted(summed[i]) == sorted(
+                            SITE_ROW[SITE_NEIGHBOURS[p % N_SITES]])
+                assert sorted(draws) == list(range(stop - start))
+            assert stops[-1] == n_updates
+            assert sorted(when) == list(range(n_updates))
+            for p in range(n_updates):
+                site = p % N_SITES
+                for s in (site, *SITE_NEIGHBOURS[site]):
+                    earlier = [q for q in range(p) if q % N_SITES == s]
+                    if earlier:
+                        assert when[earlier[-1]] < when[p], (per_block, p)
+
+    def test_full_block_is_fifteen_row_slices(self):
+        (start, stop, levels), = gibbs_schedule(48, 48)
+        assert (start, stop) == (0, 48)
+        sizes = []
+        for pairs, adds, writes in levels:
+            (slots, row, draw), = writes
+            assert row.step == 1 and (slots.stop == 1 or draw.step == 3)
+            sizes.append(slots.stop)
+        assert sizes == [1, 2, 3] + [4] * 9 + [3, 2, 1]
+
+    def test_two_update_blocks_are_the_raster_scan(self):
+        # a block holds 2 updates at 5 chains x 20,000 replicas
+        order = [start + draw.start
+                 for start, _, levels in gibbs_schedule(48, 2)
+                 for _, _, ((_, _, draw),) in levels]
+        assert order == list(range(48))
 
 
 class TestIdealGrid:

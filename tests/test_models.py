@@ -69,6 +69,23 @@ class TestIsingCoding:
         assert s[codes_from_spins(one_flip)[0]] == 24
 
 
+class TestIsingReference:
+    @pytest.mark.parametrize("size", [1, 3, 256, 20_000])
+    def test_spins_and_stream_match_integers(self, size):
+        # the reference draws 32-bit words and keeps their top bits; numpy's
+        # integers(0, 2) gives the same spins from the same words
+        ours, theirs = make_stream(16, 0, 0), make_stream(16, 0, 0)
+        x = ising_model().sample_reference(ours, size)
+        ref = (2 * theirs.integers(0, 2, size=(size, N_SITES)) - 1
+               ).astype(np.int8)
+        assert x.dtype == np.int8 and x.shape == (size, N_SITES)
+        np.testing.assert_array_equal(x, ref)
+        # both streams are left at the same point
+        assert ours.random() == theirs.random()
+        np.testing.assert_array_equal(ours.integers(0, 2**32, 5),
+                                      theirs.integers(0, 2**32, 5))
+
+
 class TestIsingExactDistribution:
     def test_beta_zero_uniform(self):
         d = ising_exact_distribution(0.0)

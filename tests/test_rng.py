@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ptlab.rng import make_stream
+from ptlab.rng import make_stream, uint32_draws
 
 
 class TestMakeStream:
@@ -43,3 +43,12 @@ class TestMakeStream:
         x = make_stream(0, 0, 0).standard_normal(100_000)
         y = make_stream(0, 1, 0).standard_normal(100_000)
         assert abs(np.corrcoef(x, y)[0, 1]) < 0.01
+
+
+class TestUint32Draws:
+    def test_draws_are_numpys_uint32_order(self):
+        # two draws per Philox output, low half first, as g.integers does
+        draws = uint32_draws(make_stream(15, 0, 0), 10_000)
+        np.testing.assert_array_equal(
+            draws, make_stream(15, 0, 0).integers(0, 2**32, 10_000,
+                                                  dtype=np.uint32))
