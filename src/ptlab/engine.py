@@ -12,11 +12,12 @@ sample from the model's reference, so an accepted swap into it is a
 genuine restart; chains 1..N move under one explorer in a single call,
 each chain on its own stream.  One energy call covers the whole array.
 The swap rule is stated once, as the slot map of a swap round
-(``slot_map``).  The run gathers states and energies through it and
-records only its decisions, parities and accepts.  The index process
-(the slot of each machine), from which restarts and ancestral survival
-are derived, is the same map replayed on first read, and a machine's
-direction is derived from its slot and the parity.  A run is fully
+(``slot_map``).  The run gathers states and energies through it, by one
+flat take over the (N+1)*R rows, and records only its decisions,
+parities and accepts.  The index process (the slot of each machine),
+from which restarts and ancestral survival are derived, is the same map
+replayed by the same gather on first read, and a machine's direction is
+derived from its slot and the parity.  A run is fully
 determined by (config, model, explorer).
 """
 
@@ -153,7 +154,23 @@ def update_index_process(index, accepts):
     ``index`` (N+1, R) holds the slot of each machine; the machine in slot
     n moves to slot_map(accepts)[n].
     """
-    return slot_map(accepts)[index, np.arange(index.shape[1])]
+    return _gather(slot_map(accepts), _slot_rows(index))
+
+
+def _slot_rows(slots):
+    """Rows of entries [slots[n, i], i] in an (N+1, R, ...) array viewed as
+    ((N+1)*R, ...) rows, so that taking them (``_gather``) is
+    a[slots, arange(R)] in one flat gather."""
+    r = slots.shape[1]
+    # intp first: int16 slots times R would overflow in int16
+    rows = slots.astype(np.intp, copy=False) * r
+    rows += np.arange(r)
+    return rows
+
+
+def _gather(a, rows):
+    """a[slots, arange(R)] for the rows ``_slot_rows(slots)``."""
+    return a.reshape((-1,) + a.shape[2:]).take(rows, axis=0)
 
 
 def run_pt(config, model, explorer, init_states=None):
@@ -202,7 +219,6 @@ def run_pt(config, model, explorer, init_states=None):
     energies = np.zeros((t_iters, n_chains, r)) if config.record_energies else None
     target_states = (np.zeros((t_iters,) + states.shape[1:], dtype=states.dtype)
                      if config.record_target_states else None)
-    replicas = np.arange(r)
 
     for t in range(t_iters):
         # same_kind: an explorer returning floats into integer states raises
@@ -215,9 +231,9 @@ def run_pt(config, model, explorer, init_states=None):
         v = energy(model, states)
         accepts[t] = communication_step(v, config.schedule, parities[t],
                                         comm_rng)
-        src = slot_map(accepts[t])
-        states = states[src, replicas]
-        v = v[src, replicas]
+        rows = _slot_rows(slot_map(accepts[t]))
+        states = _gather(states, rows)
+        v = _gather(v, rows)
         if energies is not None:
             energies[t] = v
         if target_states is not None:

@@ -165,9 +165,9 @@ def ising_tv_experiment(n=5, n_iters=25, n_replicas=50_000, init="all-minus",
     ts = np.arange(1, n_iters + 1)
     tv = np.empty(ts.size)
     floor = np.empty(ts.size)
+    codes = codes_from_spins(trace.target_states)
     for i, t in enumerate(ts):
-        codes = codes_from_spins(trace.target_states[t - 1])
-        tv[i], floor[i] = empirical_tv_discrete(codes, exact)
+        tv[i], floor[i] = empirical_tv_discrete(codes[t - 1], exact)
     bound = bounds.tv_bound_finite("nrpt", n, r_bar, ts)
     return {
         "t": ts,

@@ -56,16 +56,51 @@ SITE_NEIGHBOURS = _site_neighbours()
 
 def spins_from_codes(codes):
     """Decode 16-bit state codes into +-1 spin arrays of shape (..., 16)."""
-    codes = np.asarray(codes)
-    bits = (codes[..., None] >> np.arange(N_SITES)) & 1
-    return (2 * bits - 1).astype(np.int8)
+    # bit k of a code is spin k: the code's two little-endian bytes,
+    # unpacked low bit first, are the 16 bits in site order
+    code_bytes = np.asarray(codes).astype("<u2")[..., None].view(np.uint8)
+    bits = np.unpackbits(code_bytes, axis=-1, bitorder="little").view(np.int8)
+    return 2 * bits - 1
+
+
+def _sign_byte(w):
+    """The sign bits of the 8 int8 spins in each uint64 word of w, gathered
+    into one byte, spin k at bit k."""
+    # bit 7 of each byte is its sign: keep one bit per byte, then one
+    # multiply lifts the 8 bits into the top byte
+    b = w >> 7
+    b &= 0x0101010101010101
+    b *= 0x0102040810204080
+    b >>= 56
+    return b
+
+
+def _minus_code(x):
+    """The 16-bit code with bit k set where spin k of x (..., 16) is -1.
+
+    More generally, bit k is set where x[..., k], read as int8, is negative.
+    The spins, as int8 bytes, are read as two little-endian 64-bit words
+    (so the result does not depend on the host's byte order), and the sign
+    bits of each are gathered by one multiply (a broadword gather; Knuth,
+    TAOCP 4A, 7.1.3).  The low word holds spins 0-7, the high word 8-15.
+    One word at a time, with the low byte narrowed to uint8 before the
+    high word is read, the temporaries stay at half the input's size.
+    """
+    w = np.ascontiguousarray(x, dtype=np.int8).view("<u8")
+    # slices, not w[..., k]: one state's words would be numpy scalars,
+    # whose multiply warns on the intended wrap-around
+    lo = _sign_byte(w[..., :1]).astype(np.uint8)
+    code = _sign_byte(w[..., 1:])
+    code <<= 8
+    code |= lo
+    return code.view(np.int64)[..., 0]
 
 
 def codes_from_spins(spins):
     """Encode +-1 spin arrays of shape (..., 16) into 16-bit codes."""
-    spins = np.asarray(spins)
-    bits = ((spins + 1) // 2).astype(np.int64)
-    return (bits << np.arange(N_SITES)).sum(axis=-1)
+    code = _minus_code(spins)
+    code ^= 0xFFFF  # in place: a second array of codes would double the peak
+    return code[()]  # a numpy scalar for one state, as a reduction gives
 
 
 def _all_bond_sums():
@@ -118,6 +153,10 @@ def ising_model():
 
     States are +-1 spin arrays of shape (..., 16).  The energy convention is
     V(x) = log pi_0(x) - log gamma_1(x) = const - sum_{i~j} x_i x_j.
+    The bond sum is one lookup in ``ising_bond_sums()``: each state is
+    packed into a 16-bit code by viewing its int8 spins as two
+    little-endian 64-bit words (``"<u8"``) and gathering their sign bits
+    with one multiply per word (``_minus_code``).
     """
     log_unif = -N_SITES * np.log(2.0)
 
@@ -125,13 +164,10 @@ def ising_model():
         x = np.asarray(x)
         return np.full(x.shape[:-1], log_unif)
 
-    # each site's right and down neighbours: the 32 bonds of TORUS_EDGES
-    right, down = SITE_NEIGHBOURS[:, 0], SITE_NEIGHBOURS[:, 2]
-
     def log_target_unnorm(x):
-        x = np.asarray(x)
-        s = (x * (x[..., right] + x[..., down])).sum(axis=-1, dtype=np.int32)
-        return s.astype(float)
+        # the bond sum is even under a global flip, so the complement of
+        # the state's code reads the same table entry
+        return ising_bond_sums().take(_minus_code(x)).astype(float)
 
     def sample_reference(rng, size):
         # rng.integers(0, 2) is the top bit of numpy's next_uint32 (Lemire's

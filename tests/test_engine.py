@@ -6,6 +6,8 @@ from ptlab.core import AnnealingSchedule, TargetModel, energy
 from ptlab.engine import (
     PTConfig,
     PTTrace,
+    _gather,
+    _slot_rows,
     ancestral_survival,
     communication_step,
     rejection_rates,
@@ -185,6 +187,46 @@ class TestIndexProcess:
         for rep in range(3):
             np.testing.assert_array_equal(tr.parities[:, rep],
                                           np.arange(10) % 2)
+
+
+def _random_accepts(n, r, seed):
+    """Accepts of one swap round at a random parity per replica."""
+    rng = np.random.default_rng(seed)
+    parity = rng.integers(0, 2, size=r)
+    pairs = np.arange(n)[:, None]
+    return (pairs % 2 == parity) & (rng.random((n, r)) < 0.5)
+
+
+class TestFlatGather:
+    """One flat take through the slot rows is the two-array fancy index
+    a[slots, arange(R)] on every layout the engine gathers."""
+
+    @pytest.mark.parametrize("shape, dtype", [
+        ((13, 1000), float),        # the bimodal / Gaussian chain states
+        ((6, 256, N_SITES), np.int8),  # Ising states
+        ((4, 1), float),            # one replica
+        ((4, 1, N_SITES), np.int8),
+    ])
+    def test_matches_fancy_index(self, shape, dtype):
+        rng = np.random.default_rng(sum(shape))
+        a = rng.integers(-100, 100, size=shape).astype(dtype)
+        src = slot_map(_random_accepts(shape[0] - 1, shape[1], sum(shape)))
+        got = _gather(a, _slot_rows(src))
+        assert got.dtype == a.dtype and got.flags.c_contiguous
+        np.testing.assert_array_equal(got, a[src, np.arange(shape[1])])
+
+    def test_index_replay_at_large_r(self):
+        # 7 chains, R = 20000: int16 slots times R leave int16 from slot 2
+        # on, so the rows must be computed in intp
+        n_chains, r = 7, 20_000
+        rng = np.random.default_rng(7)
+        index = np.argsort(rng.random((n_chains, r)), axis=0).astype(np.int16)
+        accepts = _random_accepts(n_chains - 1, r, 7)
+        got = update_index_process(index, accepts)
+        np.testing.assert_array_equal(
+            got, slot_map(accepts)[index, np.arange(r)])
+        np.testing.assert_array_equal(
+            _gather(slot_map(accepts), _slot_rows(index)), got)
 
 
 class TestRunPt:

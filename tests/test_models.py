@@ -10,6 +10,7 @@ from ptlab.models import (
     N_SITES,
     SITE_NEIGHBOURS,
     TORUS_EDGES,
+    _minus_code,
     bimodal_pair,
     codes_from_spins,
     gaussian_shift_barrier,
@@ -42,6 +43,99 @@ class TestTorusGeometry:
             deg[b] += 1
             assert b in SITE_NEIGHBOURS[a] and a in SITE_NEIGHBOURS[b]
         assert all(deg[i] == 4 for i in range(N_SITES))
+
+
+def gather_bond_sums(x):
+    """Reference Ising bond sums: each site's right and down neighbours
+    gathered along the site axis, the 32 bonds of TORUS_EDGES summed in
+    int32."""
+    x = np.asarray(x)
+    right, down = SITE_NEIGHBOURS[:, 0], SITE_NEIGHBOURS[:, 2]
+    return (x * (x[..., right] + x[..., down])).sum(axis=-1, dtype=np.int32)
+
+
+def shift_codes(spins):
+    """Reference encoder: bit k of the code is 1 where spin k is +1."""
+    spins = np.asarray(spins)
+    bits = ((spins + 1) // 2).astype(np.int64)
+    return (bits << np.arange(N_SITES)).sum(axis=-1)
+
+
+def shift_spins(codes):
+    """Reference decoder: spin k is +1 where bit k of the code is 1."""
+    codes = np.asarray(codes)
+    bits = (codes[..., None] >> np.arange(N_SITES)) & 1
+    return (2 * bits - 1).astype(np.int8)
+
+
+def _random_spins(shape, seed=0):
+    rng = np.random.default_rng(seed)
+    return (2 * rng.integers(0, 2, size=shape) - 1).astype(np.int8)
+
+
+PACKED_CASES = {
+    "all-states": shift_spins(np.arange(65536)),
+    "one-state": _random_spins((16,), 1),
+    "rows": _random_spins((3, 16), 2),
+    "tuning-block": _random_spins((6, 256, 16), 3),
+    "4-d": _random_spins((2, 3, 5, 16), 4),
+    "strided": _random_spins((6, 40, 16), 5)[:, ::2],
+    "int32": _random_spins((4, 9, 16), 6).astype(np.int32),
+    "int64": _random_spins((4, 9, 16), 7).astype(np.int64),
+    "empty": np.ones((0, 16), dtype=np.int8),
+}
+
+
+class TestPackedCode:
+    """The energy and the encoder read one packed 16-bit code; they must
+    match the gather and shift references bit for bit, dtype included."""
+
+    @pytest.mark.parametrize("case", PACKED_CASES)
+    def test_energy_matches_gather(self, case):
+        x = PACKED_CASES[case]
+        got = ising_model().log_target_unnorm(x)
+        ref = gather_bond_sums(x).astype(float)
+        assert np.shape(got) == np.shape(ref) == x.shape[:-1]
+        assert np.asarray(got).dtype == np.float64
+        np.testing.assert_array_equal(got, ref)
+
+    @pytest.mark.parametrize("case", PACKED_CASES)
+    def test_codes_match_shift(self, case):
+        x = PACKED_CASES[case]
+        got, ref = codes_from_spins(x), shift_codes(x)
+        assert np.shape(got) == np.shape(ref) == x.shape[:-1]
+        assert np.asarray(got).dtype == np.int64
+        np.testing.assert_array_equal(got, ref)
+
+    def test_code_bits_are_int8_signs(self):
+        # every int8 value, not only +-1: the gather must read bit 7, the
+        # sign, of each byte (bits 1-6 also tell +1 from -1)
+        x = np.random.default_rng(9).integers(-128, 128, size=(500, 16),
+                                              dtype=np.int8)
+        x[:16, :] = np.arange(-128, 128, dtype=np.int8).reshape(16, 16)
+        ref = ((x < 0).astype(np.int64) << np.arange(N_SITES)).sum(axis=-1)
+        np.testing.assert_array_equal(_minus_code(x), ref)
+
+    def test_inputs_left_unchanged(self):
+        x = _random_spins((3, 7, 16), 8)
+        before = x.copy()
+        ising_model().log_target_unnorm(x)
+        codes_from_spins(x)
+        np.testing.assert_array_equal(x, before)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint16])
+    def test_spins_match_shift_on_all_codes(self, dtype):
+        codes = np.arange(65536).astype(dtype)
+        got = spins_from_codes(codes)
+        assert got.dtype == np.int8 and got.shape == (65536, N_SITES)
+        np.testing.assert_array_equal(got, shift_spins(codes))
+
+    @pytest.mark.parametrize("codes", [5, [[0, 65535], [1, 40000]],
+                                       np.zeros((0,), dtype=np.int64)])
+    def test_spins_keep_the_code_shape(self, codes):
+        got = spins_from_codes(codes)
+        assert got.dtype == np.int8
+        np.testing.assert_array_equal(got, shift_spins(codes))
 
 
 class TestIsingCoding:
