@@ -25,7 +25,10 @@ class TargetModel:
     log_target_unnorm : callable
         x -> log gamma_1(x), unnormalized target log-density, batched.
     sample_reference : callable or None
-        (rng, size) -> array of i.i.d. draws from pi_0.
+        (rng, size) -> array of i.i.d. draws from pi_0, drawn replica by
+        replica: a call of size a + b returns what a call of size a
+        followed by one of size b returns.  ``engine.run_pt`` relies on
+        this to draw chain 0 for a block of iterations in one call.
     """
 
     log_reference: Callable
@@ -66,12 +69,14 @@ def energy(model, x):
     """
     lr = np.asarray(model.log_reference(x), dtype=float)
     lt = np.asarray(model.log_target_unnorm(x), dtype=float)
-    if np.any(np.isnan(lr)) or np.any(np.isnan(lt)):
-        raise ValueError("NaN log-density: invalid model at supplied state")
     with np.errstate(invalid="ignore"):
         v = lr - lt
     # lr finite on support; lt = -inf gives v = +inf, which is meaningful.
-    if np.any(np.isnan(v)):
+    # v is NaN exactly where lr or lt is NaN or both are infinities of one
+    # sign, so one scan of v finds every bad state.
+    if np.isnan(v).any():
+        if np.isnan(lr).any() or np.isnan(lt).any():
+            raise ValueError("NaN log-density: invalid model at supplied state")
         raise ValueError("indeterminate energy (inf - inf)")
     return v
 

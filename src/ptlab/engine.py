@@ -17,8 +17,11 @@ flat take over the (N+1)*R rows, and records only its decisions,
 parities and accepts.  The index process (the slot of each machine),
 from which restarts and ancestral survival are derived, is the same map
 replayed by the same gather on first read, and a machine's direction is
-derived from its slot and the parity.  A run is fully
-determined by (config, model, explorer).
+derived from its slot and the parity.  When the explorer renews its state
+(``renews = True``, see ``explorers``), iterations do not read one
+another's states, and a block of them runs as one wide iteration over
+their replicas side by side.  A run is fully determined by (config,
+model, explorer), whatever the block size.
 """
 
 from dataclasses import dataclass
@@ -33,6 +36,8 @@ from .rng import make_stream
 
 NRPT = "nrpt"
 RPT = "rpt"
+
+BLOCK_BYTES = 1 << 20  # one block of iterations, counted at 8 bytes a state
 
 
 @dataclass
@@ -135,7 +140,9 @@ def communication_step(energies, schedule, parity, rng):
     ``energies`` is (N+1, R), or (N+1,) for a single replica; ``parity``
     is 0 (even pairs) or 1 (odd pairs), scalar or per-replica vector of
     shape (R,).  Acceptance depends on the energies only, never on the
-    states.
+    states.  The uniforms are drawn replica by replica, N per replica, so
+    one call over the columns of b rounds side by side draws what b calls
+    would.
     """
     v = np.asarray(energies, dtype=float)
     v = v.reshape(v.shape[0], -1)
@@ -143,7 +150,7 @@ def communication_step(energies, schedule, parity, rng):
         raise ValueError("need at least two chains")
     n_pairs = v.shape[0] - 1
     betas = schedule.betas[:, None]
-    u = rng.random((n_pairs, v.shape[1]))
+    u = rng.random((v.shape[1], n_pairs)).T
     alpha = swap_acceptance(betas[:-1], betas[1:], v[:-1], v[1:])
     return _proposed(np.arange(n_pairs)[:, None], parity) & (u < alpha)
 
@@ -181,9 +188,11 @@ def run_pt(config, model, explorer, init_states=None):
     config : PTConfig
     model : TargetModel; it must expose ``sample_reference``, which draws
         chain 0 afresh every iteration.
-    explorer : kernel for chains 1..N, called once per iteration as
+    explorer : kernel for chains 1..N, called as
         ``explorer.step(states[1:], betas[1:], rngs)`` with chain c on
-        the stream keyed (c, 0).
+        the stream keyed (c, 0).  An explorer whose class sets
+        ``renews = True`` (see ``explorers``) is called once per block of
+        b iterations with (N, b*R) columns; any other once per iteration.
     init_states : array of shape (N+1, R, ...) or a list of per-chain
         arrays with leading axis R, or None to initialize every chain from
         the reference sampler.
@@ -191,6 +200,16 @@ def run_pt(config, model, explorer, init_states=None):
     Returns
     -------
     PTTrace
+
+    Notes
+    -----
+    When the explorer renews its state, iteration t's draws and swap
+    decisions do not depend on earlier iterations, so a block of b
+    iterations runs as one iteration over b*R columns, column
+    (t - t0)*R + i being replica i at iteration t: one reference and one
+    explorer call, one energy call, one swap round and one slot map.  All
+    draws are made replica by replica (see ``rng``), so the trace does not
+    depend on b, which is max(1, BLOCK_BYTES // (8*(N+1)*R)).
     """
     reference = IIDReferenceExplorer(model)
     betas = config.schedule.betas
@@ -207,6 +226,7 @@ def run_pt(config, model, explorer, init_states=None):
     states = np.stack(init_states)
     if states.shape[0] != n_chains:
         raise ValueError("init_states must have one entry per chain")
+    site_shape = states.shape[2:]
 
     if config.scheme == NRPT:
         parities = np.broadcast_to(
@@ -217,27 +237,37 @@ def run_pt(config, model, explorer, init_states=None):
 
     accepts = np.zeros((t_iters, n, r), dtype=bool)
     energies = np.zeros((t_iters, n_chains, r)) if config.record_energies else None
-    target_states = (np.zeros((t_iters,) + states.shape[1:], dtype=states.dtype)
+    target_states = (np.zeros((t_iters, r) + site_shape, dtype=states.dtype)
                      if config.record_target_states else None)
 
-    for t in range(t_iters):
+    block = 1
+    if getattr(explorer, "renews", False):
+        block = max(1, BLOCK_BYTES // (8 * n_chains * r))
+
+    for t0 in range(0, t_iters, block):
+        t1 = min(t0 + block, t_iters)
+        b = t1 - t0
+        # a renewing explorer ignores its input's values, so a block of
+        # several iterations starts from an empty array
+        x = states if b == 1 else np.empty((n_chains, b * r) + site_shape,
+                                           dtype=states.dtype)
         # same_kind: an explorer returning floats into integer states raises
-        np.copyto(states[:1], reference.step(states[:1], betas[:1],
-                                             explore_rngs[:1]),
+        np.copyto(x[:1], reference.step(x[:1], betas[:1], explore_rngs[:1]),
                   casting="same_kind")
-        np.copyto(states[1:], explorer.step(states[1:], betas[1:],
-                                            explore_rngs[1:]),
+        np.copyto(x[1:], explorer.step(x[1:], betas[1:], explore_rngs[1:]),
                   casting="same_kind")
-        v = energy(model, states)
-        accepts[t] = communication_step(v, config.schedule, parities[t],
-                                        comm_rng)
-        rows = _slot_rows(slot_map(accepts[t]))
-        states = _gather(states, rows)
-        v = _gather(v, rows)
+        v = energy(model, x)
+        acc = communication_step(v, config.schedule,
+                                 parities[t0:t1].reshape(b * r), comm_rng)
+        accepts[t0:t1] = acc.reshape(n, b, r).swapaxes(0, 1)
+        rows = _slot_rows(slot_map(acc))
         if energies is not None:
-            energies[t] = v
+            energies[t0:t1] = _gather(v, rows).reshape(
+                n_chains, b, r).swapaxes(0, 1)
         if target_states is not None:
-            target_states[t] = states[n]
+            target_states[t0:t1] = _gather(x, rows[n]).reshape(
+                (b, r) + site_shape)
+        states = _gather(x, rows[:, -r:])
 
     return PTTrace(
         scheme=config.scheme,

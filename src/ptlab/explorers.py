@@ -12,6 +12,15 @@ total variation.  The i.i.d. reference sampler ignores beta.  The ideal
 explorers hold inverse-CDF tables for the betas of their last call only;
 a lookup gives the same cells whatever the tables held, so one explorer
 object can serve many runs.
+
+An explorer whose class sets ``renews = True`` promises two things: its
+output ignores the values of its input (only the shape is read), and it
+draws replica by replica, so that one call over a + b replicas returns
+what a call over a replicas followed by a call over b returns.  Such an
+explorer renews the state i.i.d. every call, the paper's model of
+efficient local exploration, and ``engine.run_pt`` steps a block of
+iterations in one call.  The reference, ideal and Gaussian explorers
+renew; the Gibbs explorer reads its input and does not.
 """
 
 import functools
@@ -30,6 +39,8 @@ from .rng import uint32_draws
 
 class IIDReferenceExplorer:
     """Fresh i.i.d. draws from the reference, ignoring the input state."""
+
+    renews = True
 
     def __init__(self, model):
         if model.sample_reference is None:
@@ -153,7 +164,7 @@ class IsingGibbsExplorer:
     holds as many updates as fit DRAW_BUFFER_BYTES over all chains, at
     least one and at most the call's; when R is odd the count is made
     even, at least two.  A call's 16 × sweeps updates are even in number
-    too, so no block ends inside a Philox output and the draws do not
+    too, so no block ends inside a 64-bit output and the draws do not
     depend on the blocking.
 
     Each block runs level by level (``gibbs_schedule``): a full 3-sweep
@@ -297,6 +308,8 @@ class IdealIsingExplorer:
     i.i.d. — the idealized-exploration model holds exactly.
     """
 
+    renews = True
+
     def __init__(self):
         self._cdf = _InverseCdf(
             lambda beta: beta * ising_bond_sums().astype(float))
@@ -312,30 +325,38 @@ class IdealGridExplorer:
     The unnormalized density is tabulated on a fine uniform grid; draws use
     inverse-CDF sampling with uniform placement inside a cell.  Adequate
     whenever the grid resolves every mode (cell width well below the
-    narrowest length scale of the path).
+    narrowest length scale of the path).  Each replica draws its two
+    uniforms together, the one that picks the cell, then the offset.
     """
+
+    renews = True
 
     def __init__(self, model, lo, hi, n_cells=120_000):
         self.model = model
         self.edges = np.linspace(lo, hi, n_cells + 1)
+        self.widths = np.diff(self.edges)
         self.mids = 0.5 * (self.edges[:-1] + self.edges[1:])
         self._cdf = _InverseCdf(
             lambda beta: log_path_density(self.model, beta, self.mids))
 
     def step(self, x, betas, rngs):
-        # per chain, the uniforms that pick the cells, then the offsets
-        r = x.shape[1]
-        u = np.empty((len(rngs), 2 * r))
+        # per chain and replica, the uniform that picks the cell, then the
+        # offset
+        u = np.empty((len(rngs), x.shape[1], 2))
         for k, g in enumerate(rngs):
             g.random(out=u[k])
-        cells = self._cdf.cells(betas, u[:, :r])
-        left = self.edges[cells]
-        width = self.edges[cells + 1] - left
-        return left + width * u[:, r:]
+        cells = self._cdf.cells(betas, u[..., 0])
+        # widths[c] is edges[c + 1] - edges[c] bit for bit
+        x = self.widths.take(cells)
+        x *= u[..., 1]
+        x += self.edges.take(cells)
+        return x
 
 
 class GaussianPathExplorer:
     """Exact sampler for the N(0,1) -> N(mu,1) path: pi_beta = N(beta mu, 1)."""
+
+    renews = True
 
     def __init__(self, mu):
         self.mu = float(mu)

@@ -1,7 +1,7 @@
 """Reproducible random number streams.
 
 Every stochastic routine in this package draws from a stream made by
-``make_stream(seed, *key)``: a Philox generator seeded with
+``make_stream(seed, *key)``: an SFC64 generator seeded with
 ``numpy.random.SeedSequence(seed, spawn_key=key)``.  The master seed is the
 entropy and the key is the spawn key, so each (seed, key) pair is its own
 stream, and keys of different lengths never coincide: ``make_stream(5)``,
@@ -9,6 +9,15 @@ stream, and keys of different lengths never coincide: ``make_stream(5)``,
 seed may also be a key tuple ``(seed, *path)``; its path goes in front of
 ``key``, so ``make_stream((5, 1), 0)`` is ``make_stream(5, 1, 0)``.  A run
 is bit-reproducible from its seed at a fixed replica count.
+
+The reference sampler, the renewing explorers and the swap round draw
+replica by replica: chain c's stream gives replica 0 its draws for an
+iteration, then replica 1, and so on, and the swap stream gives each
+replica its N swap uniforms together.  A block of b iterations over R
+replicas therefore draws exactly what b iterations drawn one at a time
+would, which is what lets ``run_pt`` run such a block as one wide
+iteration (see ``explorers``).  The Gibbs explorer reads its input, so it
+runs one iteration per call and draws site by site.
 
 Key layout, for a schedule of N intervals (N+1 chains):
 
@@ -52,18 +61,19 @@ def make_stream(seed, *key):
     Returns
     -------
     numpy.random.Generator
-        Philox-backed generator; counter-based, so substreams are cheap.
+        SFC64-backed generator; the SeedSequence spawn key keeps the
+        streams of distinct keys apart.
     """
     if isinstance(seed, tuple):
         seed, key = seed[0], seed[1:] + key
     ss = np.random.SeedSequence(seed, spawn_key=key)
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.SFC64(ss))
 
 
 def uint32_draws(g, size):
     """The next `size` 32-bit draws of `g`, `size` even, in one call.
 
-    Two draws per Philox output, low half first on a little-endian host:
+    Two draws per 64-bit output, low half first on a little-endian host:
     numpy's own ``next_uint32`` order, so on a stream with no half-word
     buffered they equal ``g.integers(0, 2**32, size, dtype=np.uint32)``,
     at about half its cost, and leave the stream where it would.

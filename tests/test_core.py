@@ -57,6 +57,20 @@ class TestEnergy:
         with pytest.raises(ValueError):
             energy(model, np.array([-1.0]))
 
+    @pytest.mark.parametrize("lr, lt, message", [
+        ([0.0, np.nan, 0.0], [0.0, 0.0, 0.0], "NaN log-density"),
+        ([0.0, 0.0, 0.0], [0.0, 0.0, np.nan], "NaN log-density"),
+        # a NaN elsewhere is still named, even next to an inf - inf
+        ([np.inf, 0.0, 0.0], [np.inf, np.nan, 0.0], "NaN log-density"),
+        ([0.0, np.inf, 0.0], [0.0, np.inf, 0.0], r"indeterminate energy \(inf - inf\)"),
+        ([0.0, -np.inf, 0.0], [0.0, -np.inf, 0.0], r"indeterminate energy \(inf - inf\)"),
+    ])
+    def test_bad_log_densities_name_their_fault(self, lr, lt, message):
+        model = TargetModel(log_reference=lambda x: np.array(lr),
+                            log_target_unnorm=lambda x: np.array(lt))
+        with pytest.raises(ValueError, match=message):
+            energy(model, np.zeros(3))
+
     def test_infinite_energy_allowed(self):
         model = TargetModel(
             log_reference=lambda x: np.zeros_like(x),

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
+from ptlab import engine
 from ptlab.core import AnnealingSchedule, TargetModel, energy
 from ptlab.engine import (
     PTConfig,
@@ -17,8 +18,13 @@ from ptlab.engine import (
     update_index_process,
 )
 from ptlab.experiments import gaussian_equal_rate_mu
-from ptlab.explorers import GaussianPathExplorer, IsingGibbsExplorer
-from ptlab.models import N_SITES, gaussian_shift_pair, ising_model
+from ptlab.explorers import (
+    GaussianPathExplorer,
+    IdealGridExplorer,
+    IdealIsingExplorer,
+    IsingGibbsExplorer,
+)
+from ptlab.models import N_SITES, bimodal_pair, gaussian_shift_pair, ising_model
 from ptlab.rng import make_stream
 
 
@@ -108,6 +114,22 @@ class TestCommunicationStep:
         acc = communication_step(v, sched, parity, make_stream(0, 0, 0))
         assert acc[0, 0] and not acc[1, 0]
         assert acc[1, 1] and not acc[0, 1]
+
+
+    @pytest.mark.parametrize("scheme", ["nrpt", "rpt"])
+    def test_wide_round_is_rounds_side_by_side(self, scheme):
+        # one call over b*R columns draws what b calls over R draw
+        n, r, b = 4, 5, 3
+        sched = AnnealingSchedule.uniform(n)
+        v = make_stream(1, 0).standard_normal((n + 1, b * r))
+        parity = (np.arange(b * r) // r % 2 if scheme == "nrpt"
+                  else make_stream(2, 0).integers(0, 2, b * r))
+        wide = communication_step(v, sched, parity, make_stream(3, 0))
+        g = make_stream(3, 0)
+        narrow = [communication_step(v[:, k * r:(k + 1) * r], sched,
+                                     parity[k * r:(k + 1) * r], g)
+                  for k in range(b)]
+        np.testing.assert_array_equal(wide, np.concatenate(narrow, axis=1))
 
 
 class TestIndexProcess:
@@ -237,8 +259,11 @@ class TestRunPt:
         np.testing.assert_array_equal(t1.energies, t2.energies)
         np.testing.assert_array_equal(t1.index, t2.index)
 
-    def test_explorer_called_once_per_iteration(self):
-        # one call moves chains 1..N, each on its own stream; chain 0 is
+    @pytest.mark.parametrize("block", [1, 3, 4])
+    def test_renewing_explorer_called_once_per_block(self, monkeypatch,
+                                                     block):
+        # chains 1..N move in one call per block of iterations, each chain
+        # on its own stream, over the block's (N, b*R) columns; chain 0 is
         # always the engine's reference draw
         class Counting(GaussianPathExplorer):
             calls = []
@@ -247,14 +272,60 @@ class TestRunPt:
                 self.calls.append((x.shape, np.array(betas), len(rngs)))
                 return super().step(x, betas, rngs)
 
-        n, r = 3, 5
-        cfg = PTConfig("nrpt", AnnealingSchedule.uniform(n), n_iters=7,
+        n, r, t_iters = 3, 5, 7
+        monkeypatch.setattr(engine, "BLOCK_BYTES", block * 8 * (n + 1) * r)
+        cfg = PTConfig("nrpt", AnnealingSchedule.uniform(n), n_iters=t_iters,
                        n_replicas=r)
         run_pt(cfg, gaussian_shift_pair(1.0), Counting(1.0))
-        assert len(Counting.calls) == 7
-        for shape, betas, n_rngs in Counting.calls:
-            assert shape == (n, r) and n_rngs == n
+        widths = [min(block, t_iters - t0) * r
+                  for t0 in range(0, t_iters, block)]
+        assert len(Counting.calls) == -(-t_iters // block)
+        for (shape, betas, n_rngs), width in zip(Counting.calls, widths):
+            assert shape == (n, width) and n_rngs == n
             np.testing.assert_array_equal(betas, cfg.schedule.betas[1:])
+
+    def test_reading_explorer_called_once_per_iteration(self):
+        # an explorer without ``renews`` reads its input, so every
+        # iteration gets its own (N, R) call whatever the block budget
+        class Counting(IsingGibbsExplorer):
+            calls = []
+
+            def step(self, x, betas, rngs):
+                self.calls.append(x.shape)
+                return super().step(x, betas, rngs)
+
+        n, r = 3, 4
+        cfg = PTConfig("nrpt", AnnealingSchedule.uniform(n), n_iters=7,
+                       n_replicas=r)
+        run_pt(cfg, ising_model(), Counting(sweeps=1))
+        assert Counting.calls == [(n, r, N_SITES)] * 7
+
+    @pytest.mark.parametrize("scheme", ["nrpt", "rpt"])
+    @pytest.mark.parametrize("problem", ["grid", "ideal-ising", "gaussian"])
+    def test_trace_does_not_depend_on_block_size(self, monkeypatch, scheme,
+                                                 problem):
+        # b = 1, b = 3 and the default (one block), over T = 23 iterations
+        n, r, t_iters = 4, 6, 23
+        if problem == "grid":
+            model = bimodal_pair()
+            explorer = IdealGridExplorer(model, lo=-600.0, hi=600.0)
+        elif problem == "ideal-ising":
+            model, explorer = ising_model(), IdealIsingExplorer()
+        else:
+            model, explorer = gaussian_shift_pair(2.0), GaussianPathExplorer(2.0)
+        cfg = PTConfig(scheme, AnnealingSchedule.uniform(n), n_iters=t_iters,
+                       n_replicas=r, seed=5, record_energies=True,
+                       record_target_states=True)
+        traces = []
+        for budget in (1, 3 * 8 * (n + 1) * r, engine.BLOCK_BYTES):
+            monkeypatch.setattr(engine, "BLOCK_BYTES", budget)
+            traces.append(run_pt(cfg, model, explorer))
+        assert 0 < traces[0].accepts.mean() < 1
+        for tr in traces[1:]:
+            for field in ("accepts", "parities", "energies", "target_states",
+                          "final_states", "index"):
+                np.testing.assert_array_equal(getattr(tr, field),
+                                              getattr(traces[0], field))
 
     def test_model_without_reference_sampler_raises(self):
         model = gaussian_shift_pair(1.0)

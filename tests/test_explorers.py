@@ -60,6 +60,46 @@ def test_block_step_matches_chain_by_chain(name):
         np.testing.assert_array_equal(block[c], alone[0])
 
 
+RENEWING = ["iid", "ideal-ising", "grid", "gaussian"]
+
+
+def test_renews_is_set_on_the_renewing_explorers_only():
+    for name, (build, _) in EXPLORERS.items():
+        assert getattr(build(), "renews", False) == (name in RENEWING)
+
+
+@pytest.mark.parametrize("name", RENEWING)
+def test_renewing_step_splits_over_replicas(name):
+    # the renewal contract: the output ignores the input's values, and one
+    # call over a + b replicas is a call over a followed by a call over b
+    build, site_shape = EXPLORERS[name]
+    k = build()
+    betas = np.array([0.25, 1.0])
+    dtype = np.int8 if site_shape else float
+    a, b = 7, 12
+
+    def streams():
+        return [make_stream(9, c, 0) for c in range(2)]
+
+    whole = k.step(np.ones((2, a + b) + site_shape, dtype=dtype), betas,
+                   streams())
+    rngs = streams()
+    first = k.step(-np.ones((2, a) + site_shape, dtype=dtype), betas, rngs)
+    second = k.step(np.zeros((2, b) + site_shape, dtype=dtype), betas, rngs)
+    np.testing.assert_array_equal(whole, np.concatenate([first, second],
+                                                        axis=1))
+
+
+@pytest.mark.parametrize("model", [ising_model, bimodal_pair,
+                                   gaussian_shift_pair])
+def test_sample_reference_splits_over_replicas(model):
+    sample = model().sample_reference
+    whole = sample(make_stream(10, 0, 0), 19)
+    g = make_stream(10, 0, 0)
+    np.testing.assert_array_equal(
+        whole, np.concatenate([sample(g, 7), sample(g, 12)]))
+
+
 class TestIIDReference:
     def test_ignores_input_state(self):
         model = ising_model()
@@ -304,17 +344,17 @@ def searchsorted_ising_step(x, betas, rngs):
 
 
 def searchsorted_grid_step(k, x, betas, rngs):
-    """Reference grid kernel: per chain, two g.random(R) calls and one
-    np.searchsorted in the chain's full CDF over the grid cells."""
-    r = x.shape[1]
-    u = np.stack([(g.random(r), g.random(r)) for g in rngs])
+    """Reference grid kernel: per chain, one g.random((R, 2)) call, each
+    replica's cell uniform and then its offset, and one np.searchsorted in
+    the chain's full CDF over the grid cells."""
+    u = np.stack([g.random((x.shape[1], 2)) for g in rngs])
     cells = np.stack([
         np.searchsorted(normalised_cdf(log_path_density(k.model, b, k.mids)),
                         uc)
-        for b, uc in zip(betas, u[:, 0])])
+        for b, uc in zip(betas, u[..., 0])])
     left = k.edges[cells]
     width = k.edges[cells + 1] - left
-    return left + width * u[:, 1]
+    return left + width * u[..., 1]
 
 
 def searchsorted_cells(log_weights, betas, u):

@@ -47,7 +47,7 @@ class TestMakeStream:
 
 class TestUint32Draws:
     def test_draws_are_numpys_uint32_order(self):
-        # two draws per Philox output, low half first, as g.integers does
+        # two draws per 64-bit output, low half first, as g.integers does
         draws = uint32_draws(make_stream(15, 0, 0), 10_000)
         np.testing.assert_array_equal(
             draws, make_stream(15, 0, 0).integers(0, 2**32, 10_000,
