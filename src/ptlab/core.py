@@ -47,6 +47,8 @@ class AnnealingSchedule:
         object.__setattr__(self, "betas", b)
         if b.ndim != 1 or b.size < 2:
             raise ValueError("schedule needs at least two points")
+        if not np.isfinite(b).all():
+            raise ValueError("schedule points must be finite")
         if b[0] != 0.0 or b[-1] != 1.0:
             raise ValueError("schedule must start at 0 and end at 1")
         if np.any(np.diff(b) <= 0):
@@ -98,22 +100,36 @@ def swap_acceptance(beta_lo, beta_hi, v_lo, v_hi):
     over all arguments: scalar inverse temperatures serve one pair, arrays
     of them (e.g. shape (N, 1) against (N, R) energies) serve every pair
     at once.  Infinite energies are resolved by the clamped formula (never
-    NaN); NaN inputs raise.
+    NaN); NaN inputs raise, and so do inverse temperatures that are NaN,
+    infinite or out of order.
+
+    Six full-width passes: the difference, one NaN scan of it, then the
+    scaling, the clamp and the exp in place.  ``np.fmin`` drops NaN, so a
+    difference inf - inf clamps to 0 and accepts with probability 1.
     """
     beta_lo = np.asarray(beta_lo, dtype=float)
     beta_hi = np.asarray(beta_hi, dtype=float)
-    if np.any(beta_hi <= beta_lo):
+    if not np.all(beta_hi > beta_lo):
         raise ValueError("beta_hi must exceed beta_lo")
+    with np.errstate(over="ignore"):
+        gap = beta_hi - beta_lo
+    if not np.isfinite(gap).all():
+        raise ValueError("inverse temperatures must be finite")
     v_lo = np.asarray(v_lo, dtype=float)
     v_hi = np.asarray(v_hi, dtype=float)
-    if np.any(np.isnan(v_lo)) or np.any(np.isnan(v_hi)):
-        raise ValueError("NaN energy in swap_acceptance")
-    gap = beta_hi - beta_lo
     with np.errstate(invalid="ignore", over="ignore"):
-        diff = v_hi - v_lo
-        # inf - inf: both chains at zero target density; swap is a no-op,
-        # accept with probability 1 (states are exchangeable).
-        diff = np.where(np.isnan(diff), 0.0, diff)
-        logalpha = np.minimum(0.0, gap * diff)
-        alpha = np.exp(logalpha)
+        # a 0-d array for scalar energies, so that every step is in place
+        diff = np.asarray(v_hi - v_lo)
+        # diff is NaN exactly where v_lo or v_hi is NaN or both are
+        # infinities of one sign, so one scan of diff finds every NaN input.
+        # inf - inf: both chains at zero target density; the swap is a
+        # no-op, accepted with probability 1 (the states are exchangeable).
+        if np.isnan(diff).any() and (np.isnan(v_lo).any()
+                                     or np.isnan(v_hi).any()):
+            raise ValueError("NaN energy in swap_acceptance")
+        shape = np.broadcast_shapes(gap.shape, diff.shape)
+        alpha = np.multiply(gap, diff,
+                            out=diff if diff.shape == shape else None)
+        np.fmin(alpha, 0.0, out=alpha)
+        np.exp(alpha, out=alpha)
     return alpha if alpha.ndim else float(alpha)

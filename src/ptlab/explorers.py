@@ -226,6 +226,15 @@ class IsingGibbsExplorer:
 
 
 GUIDE_SIZE = 1 << 16  # a power of two, so u * GUIDE_SIZE is exact
+DEAD_LOG_WEIGHT = -750.0  # exp underflows to 0 below -745.14
+MAX_TABLE_ENTRIES = 1 << 30  # positions and their pairwise sums fit int32
+
+
+def _guide_slots(u):
+    """floor(u GUIDE_SIZE) as intp, cast inside the multiply's buffered
+    loop rather than from a float array of u's size."""
+    return np.multiply(u, GUIDE_SIZE, out=np.empty(u.shape, np.intp),
+                       casting="unsafe")
 
 
 class _InverseCdf:
@@ -240,8 +249,11 @@ class _InverseCdf:
     Asau 1974; Devroye 1986, sec. III.2.4).  A key in guide slot
     j = floor(u GUIDE_SIZE) has its answer in [guide[j], guide[j + 1]]; a
     bisection over the keys whose range is not empty finishes it.  The
-    chains' tables are concatenated; chain k's guide entries are offset
-    by the start of its table, in int64, when a key is looked up.
+    chains' tables are concatenated, and chain k's guide entries hold
+    positions in the joined values (offset by the start of its table when
+    the tables are loaded), in int32: the tables may hold at most
+    MAX_TABLE_ENTRIES values, so that the sum of two positions, a
+    bisection's midpoint, fits too.
 
     Only the tables of the last call's betas are held.  When the betas
     change, every table is rebuilt from the caller's exact beta.
@@ -251,53 +263,70 @@ class _InverseCdf:
         self.log_weights = log_weights
         self.betas = ()  # the betas whose tables are held, in chain order
 
-    def _build(self, beta):
+    def _build(self, beta, guide):
         logw = self.log_weights(beta)
-        cdf = np.cumsum(np.exp(logw - logw.max()))
+        cdf = logw - logw.max()
+        # exp is slow on the cells far below the max and gives exactly 0
+        # there, so it and the cumulative sum run from the first cell to
+        # the last with log weight >= DEAD_LOG_WEIGHT; the CDF is 0 before
+        # them and flat after, as the full sum gives bit for bit
+        live = cdf >= DEAD_LOG_WEIGHT
+        a, b = live.argmax(), live.size - live[::-1].argmax()
+        cdf[:a] = 0.0
+        np.exp(cdf[a:b], out=cdf[a:b])
+        np.cumsum(cdf[a:b], out=cdf[a:b])
+        cdf[b:] = cdf[b - 1]
         cdf /= cdf[-1]
         first = np.flatnonzero(np.r_[True, cdf[1:] != cdf[:-1]])
         values = cdf[first]
-        per_slot = np.bincount((values * GUIDE_SIZE).astype(np.intp),
-                               minlength=GUIDE_SIZE + 1)
-        guide = np.zeros(GUIDE_SIZE + 1, dtype=np.int32)
+        per_slot = np.bincount(_guide_slots(values), minlength=GUIDE_SIZE + 1)
+        guide[0] = 0
         np.cumsum(per_slot[:GUIDE_SIZE], out=guide[1:])
-        return values, first.astype(np.int32), guide
+        return values, first.astype(np.int32)
 
     def _load(self, betas):
-        # drop the old tables before building, and each array's parts as
-        # soon as they are joined, so that only one array is held twice
+        # drop the old tables before building, write each guide into its
+        # row of the joined guide, and drop the other arrays' parts as soon
+        # as they are joined, so that only one array is held twice
         self.betas, self._values, self._first, self._guide = (), None, None, None
-        values, first, guide = zip(*[self._build(b) for b in betas])
-        self._starts = np.cumsum([0] + [len(v) for v in values])
+        guide = np.empty((len(betas), GUIDE_SIZE + 1), dtype=np.int32)
+        values, first = zip(*[self._build(b, g) for b, g in zip(betas, guide)])
+        starts = np.cumsum([0] + [len(v) for v in values])
+        if starts[-1] > MAX_TABLE_ENTRIES:
+            raise ValueError("inverse-CDF tables too large for int32 lookup")
         self._values = np.concatenate(values)
         del values
         self._first = np.concatenate(first)
         del first
-        self._guide = np.stack(guide)
+        guide += starts[:-1, None].astype(np.int32)
+        self._guide = guide
         self.betas = betas
 
     def cells(self, betas, u):
         betas = tuple(float(b) for b in betas)
         if betas != self.betas:
             self._load(betas)
-        slot = (u * GUIDE_SIZE).astype(np.intp)
+        slot = _guide_slots(u)
         slot += (GUIDE_SIZE + 1) * np.arange(len(betas))[:, None]
-        start = self._starts[:-1, None]
-        lo = (self._guide.take(slot) + start).ravel()
-        hi = (self._guide.take(slot + 1) + start).ravel()
+        lo = self._guide.take(slot).ravel()
+        slot += 1
+        hi = self._guide.take(slot).ravel()
+        del slot
         # bisect [lo, hi] for the first value >= u, over the keys still open
         open_ = np.flatnonzero(lo < hi)
-        key = u.ravel()[open_]
-        a, b = lo[open_], hi[open_]
+        # a view of a strided u where one exists: gather, do not copy
+        key = u.reshape(-1)[open_]
+        a, b = lo.take(open_), hi.take(open_)
+        del hi
         while open_.size:
             mid = (a + b) >> 1
-            below = self._values[mid] < key
+            below = self._values.take(mid) < key
             a = np.where(below, mid + 1, a)
             b = np.where(below, b, mid)
             lo[open_] = a
             more = a < b
             open_, key, a, b = open_[more], key[more], a[more], b[more]
-        return self._first[lo].reshape(u.shape)
+        return self._first.take(lo).reshape(u.shape)
 
 
 class IdealIsingExplorer:
@@ -327,6 +356,11 @@ class IdealGridExplorer:
     whenever the grid resolves every mode (cell width well below the
     narrowest length scale of the path).  Each replica draws its two
     uniforms together, the one that picks the cell, then the offset.
+
+    The model is evaluated on the cell midpoints once per explorer: the
+    reference term lr = log pi_0 and the energy V are kept, and the table
+    of each beta weighs the cells by lr at beta = 0 and lr - beta V
+    otherwise, which is ``log_path_density`` bit for bit.
     """
 
     renews = True
@@ -336,8 +370,21 @@ class IdealGridExplorer:
         self.edges = np.linspace(lo, hi, n_cells + 1)
         self.widths = np.diff(self.edges)
         self.mids = 0.5 * (self.edges[:-1] + self.edges[1:])
-        self._cdf = _InverseCdf(
-            lambda beta: log_path_density(self.model, beta, self.mids))
+        self._path_terms = None  # (lr, V) on the mids, from the first table
+        self._cdf = _InverseCdf(self._log_weights)
+
+    def _log_weights(self, beta):
+        if not 0.0 <= beta <= 1.0:
+            raise ValueError("beta must lie in [0, 1]")
+        if self._path_terms is None:
+            self._path_terms = (log_path_density(self.model, 0.0, self.mids),
+                                energy(self.model, self.mids))
+        lr, v = self._path_terms
+        if beta == 0.0:
+            return lr  # avoids 0 * inf at cells of zero target density
+        logw = beta * v
+        np.subtract(lr, logw, out=logw)
+        return logw
 
     def step(self, x, betas, rngs):
         # per chain and replica, the uniform that picks the cell, then the
@@ -345,10 +392,12 @@ class IdealGridExplorer:
         u = np.empty((len(rngs), x.shape[1], 2))
         for k, g in enumerate(rngs):
             g.random(out=u[k])
-        cells = self._cdf.cells(betas, u[..., 0])
+        # int32 cells, made intp once rather than in each take
+        cells = self._cdf.cells(betas, u[..., 0]).astype(np.intp)
         # widths[c] is edges[c + 1] - edges[c] bit for bit
         x = self.widths.take(cells)
         x *= u[..., 1]
+        del u  # the draws go before the last temporary comes
         x += self.edges.take(cells)
         return x
 

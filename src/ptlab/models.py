@@ -219,12 +219,21 @@ def gaussian_shift_barrier(mu):
 
 
 def bimodal_pair():
-    """Target 0.5 N(-100,1) + 0.5 N(100,1), reference N(0, 100^2 + 1)."""
+    """Target 0.5 N(-100,1) + 0.5 N(100,1), reference N(0, 100^2 + 1).
+
+    Each log-density makes one float array the size of its input and
+    works in place in it, applying the written formula's operations in
+    the formula's order, so the result is the formula's bit for bit.
+    """
     s2 = 100.0**2 + 1.0
 
     def log_reference(x):
-        x = np.asarray(x, dtype=float)
-        return -0.5 * x**2 / s2 - 0.5 * np.log(2 * np.pi * s2)
+        # -0.5 * x**2 / s2 - 0.5 * log(2 pi s2)
+        out = np.square(np.asarray(x, dtype=float))
+        out *= -0.5
+        out /= s2
+        out -= 0.5 * np.log(2 * np.pi * s2)
+        return out
 
     def log_target_unnorm(x):
         # logaddexp(a, b) is max(a, b) + log1p(exp(-|a - b|)) with a, b the
@@ -235,13 +244,17 @@ def bimodal_pair():
         # middle, and NaN, take logaddexp; the result equals logaddexp on
         # every state bit for bit.
         x = np.asarray(x, dtype=float)
-        d = np.abs(x)
-        out = np.asarray(-0.5 * (d - 100.0) ** 2)
-        near = ~(d >= 4.0)
+        out = np.asarray(np.abs(x))  # a 0-d array for a scalar x
+        near = ~(out >= 4.0)
+        out -= 100.0
+        np.square(out, out=out)
+        out *= -0.5
         xn = x[near]
         out[near] = np.logaddexp(-0.5 * (xn + 100.0) ** 2,
                                  -0.5 * (xn - 100.0) ** 2)
-        return out + np.log(0.5) - 0.5 * np.log(2 * np.pi)
+        out += np.log(0.5)
+        out -= 0.5 * np.log(2 * np.pi)
+        return out[()]  # a numpy scalar for a scalar x, as the formula gives
 
     def sample_reference(rng, size):
         return np.sqrt(s2) * rng.standard_normal(size)

@@ -28,6 +28,7 @@ class TestAnnealingSchedule:
         [0.0, 0.5, 0.5, 1.0],       # not strictly increasing
         [0.0, 0.7, 0.3, 1.0],       # decreasing
         [0.0],                      # too short
+        [0.0, np.nan, 1.0],         # NaN passes every order check
     ])
     def test_invalid_schedules_raise(self, betas):
         with pytest.raises(ValueError):
@@ -102,6 +103,26 @@ class TestLogPathDensity:
                                    expected, atol=1e-12)
 
 
+def _reference_swap_acceptance(beta_lo, beta_hi, v_lo, v_hi):
+    """swap_acceptance as first vectorized, in ten full-width passes: the
+    reference the six-pass version must match bit for bit."""
+    beta_lo = np.asarray(beta_lo, dtype=float)
+    beta_hi = np.asarray(beta_hi, dtype=float)
+    v_lo = np.asarray(v_lo, dtype=float)
+    v_hi = np.asarray(v_hi, dtype=float)
+    gap = beta_hi - beta_lo
+    with np.errstate(invalid="ignore", over="ignore"):
+        diff = v_hi - v_lo
+        diff = np.where(np.isnan(diff), 0.0, diff)
+        alpha = np.exp(np.minimum(0.0, gap * diff))
+    return alpha if alpha.ndim else float(alpha)
+
+
+EDGE_ENERGIES = np.array([
+    0.0, -0.0, 4.0, -4.0, np.nextafter(4.0, 0.0), -np.nextafter(4.0, 0.0),
+    np.inf, -np.inf, 1e308, -1e308, 1.0, -2.5, 700.0, -700.0, 5e-324])
+
+
 class TestSwapAcceptance:
     def test_equal_energies_always_accept(self):
         assert swap_acceptance(0.2, 0.5, 3.7, 3.7) == 1.0
@@ -159,3 +180,66 @@ class TestSwapAcceptance:
     def test_nan_energy_raises(self):
         with pytest.raises(ValueError):
             swap_acceptance(0.3, 0.8, np.nan, 0.0)
+
+    @pytest.mark.parametrize("v_lo, v_hi", [
+        (0.0, np.nan), (np.nan, np.nan), (np.nan, np.inf),
+        (np.inf, np.nan), ([0.0, np.inf, 1.0], [1.0, np.inf, np.nan]),
+    ])
+    def test_nan_energy_keeps_its_message(self, v_lo, v_hi):
+        # inf - inf beside the NaN must not hide it
+        with pytest.raises(ValueError, match="NaN energy in swap_acceptance"):
+            swap_acceptance(0.3, 0.8, v_lo, v_hi)
+
+    @pytest.mark.parametrize("beta_lo, beta_hi", [
+        (np.nan, 0.5), (0.5, np.nan), (np.nan, np.nan),
+        (np.array([0.0, np.nan]), np.array([0.5, 1.0])),
+    ])
+    def test_nan_beta_raises(self, beta_lo, beta_hi):
+        # NaN fails every comparison, so an order test alone let it through
+        with pytest.raises(ValueError, match="beta_hi must exceed beta_lo"):
+            swap_acceptance(beta_lo, beta_hi, 1.0, 0.0)
+
+    @pytest.mark.parametrize("beta_lo, beta_hi", [
+        (0.0, np.inf), (-np.inf, 0.0), (-1e308, 1e308)])
+    def test_infinite_gap_raises(self, beta_lo, beta_hi):
+        with pytest.raises(ValueError, match="finite"):
+            swap_acceptance(beta_lo, beta_hi, 1.0, 0.0)
+
+    @staticmethod
+    def _assert_bitwise(beta_lo, beta_hi, v_lo, v_hi):
+        got = swap_acceptance(beta_lo, beta_hi, v_lo, v_hi)
+        ref = _reference_swap_acceptance(beta_lo, beta_hi, v_lo, v_hi)
+        assert type(got) is type(ref)
+        np.testing.assert_array_equal(np.asarray(got).view(np.int64),
+                                      np.asarray(ref).view(np.int64))
+
+    @pytest.mark.parametrize("beta_lo, beta_hi", [
+        (0.0, 1.0), (0.2, 0.5), (0.0, 5e-324), (0.3, 0.3 + 2**-40)])
+    def test_every_edge_pair_matches_reference(self, beta_lo, beta_hi):
+        # all pairs of edge energies, among them inf - inf, -inf - -inf,
+        # 1e308 - -1e308 (overflow) and the signed zeros
+        v_lo, v_hi = np.meshgrid(EDGE_ENERGIES, EDGE_ENERGIES)
+        self._assert_bitwise(beta_lo, beta_hi, v_lo, v_hi)
+        for a, b in zip(v_lo.ravel(), v_hi.ravel()):
+            self._assert_bitwise(beta_lo, beta_hi, a, b)  # Python floats
+            self._assert_bitwise(np.asarray(beta_lo), np.asarray(beta_hi),
+                                 np.asarray(a), np.asarray(b))  # 0-d arrays
+
+    def test_schedule_shapes_match_reference(self):
+        # (N, 1) betas against (N, R) energies, as communication_step calls
+        betas = np.array([0.0, 1e-3, 0.1, 0.35, 0.7, 1.0])[:, None]
+        g = make_stream(4, 0, 0)
+        v = g.normal(0.0, 50.0, size=(6, 4000))
+        v.ravel()[g.choice(v.size, 1500, replace=False)] = g.choice(
+            EDGE_ENERGIES, 1500)
+        self._assert_bitwise(betas[:-1], betas[1:], v[:-1], v[1:])
+        # and broadcast the other way: (N, R) betas against (N, 1) energies
+        wide = np.broadcast_to(betas, (6, 7))
+        self._assert_bitwise(wide[:-1], wide[1:], v[:-1, :1], v[1:, :1])
+
+    @given(v=st.lists(st.floats(allow_nan=False), min_size=2, max_size=2),
+           b=st.tuples(st.floats(0, 1), st.floats(0, 1)).filter(
+               lambda t: t[0] < t[1]))
+    @settings(max_examples=300)
+    def test_random_pairs_match_reference(self, v, b):
+        self._assert_bitwise(b[0], b[1], v[0], v[1])

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -413,6 +415,28 @@ class TestInverseCdf:
             _InverseCdf(log_weights).cells(betas, u),
             searchsorted_cells(log_weights, betas, u))
 
+    @pytest.mark.parametrize("log_w", [
+        # dead cells (exp gives 0) on both sides of the live ones and
+        # between them, and cells whose exp is subnormal
+        [-np.inf, -800.0, -751.0, -750.0, -749.9, -745.2, -745.1, -740.0,
+         -708.5, -700.0, 0.0, -900.0, -750.0, -749.0, -760.0, -np.inf],
+        [1e6 - 800.0, 1e6 - 745.1, 1e6, 1e6 - 760.0],
+        np.linspace(-10.0, 0.0, 50),
+        [0.0], [0.0, -800.0, -np.inf], [-np.inf, -760.0, 0.0],
+    ])
+    def test_tables_skip_dead_cells_bit_for_bit(self, log_w):
+        log_w = np.asarray(log_w)
+        guide = np.empty(GUIDE_SIZE + 1, dtype=np.int32)
+        values, first = _InverseCdf(lambda beta: log_w)._build(1.0, guide)
+        cdf = normalised_cdf(log_w)
+        first_ref = np.flatnonzero(np.r_[True, cdf[1:] != cdf[:-1]])
+        np.testing.assert_array_equal(values.view(np.int64),
+                                      cdf[first_ref].view(np.int64))
+        np.testing.assert_array_equal(first, first_ref)
+        np.testing.assert_array_equal(
+            guide, np.searchsorted(cdf[first_ref],
+                                   np.arange(GUIDE_SIZE + 1) / GUIDE_SIZE))
+
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_cells_on_random_monotone_cdfs(self, data):
@@ -440,17 +464,25 @@ class TestInverseCdf:
 
 
 class TestTableCache:
-    def test_tables_of_the_last_betas_only(self, monkeypatch):
-        # perfbench counts grid CDF builds by patching this module global
-        built = []
+    def test_tables_of_the_last_betas_only(self):
+        base = bimodal_pair()
+        evaluated = []
 
-        def counted(model, beta, x):
-            built.append(beta)
-            return log_path_density(model, beta, x)
+        def log_target(x):
+            evaluated.append(np.shape(x))
+            return base.log_target_unnorm(x)
 
-        monkeypatch.setattr(explorers, "log_path_density", counted)
-        model = bimodal_pair()
+        model = dataclasses.replace(base, log_target_unnorm=log_target)
         k = IdealGridExplorer(model, lo=-600.0, hi=600.0)
+        # count builds per beta at the tables' weight function
+        built = []
+        weights = k._cdf.log_weights
+
+        def counted(beta):
+            built.append(beta)
+            return weights(beta)
+
+        k._cdf.log_weights = counted
 
         def step(betas):
             k.step(np.zeros((3, 10)), np.asarray(betas),
@@ -462,15 +494,41 @@ class TestTableCache:
         assert built == [0.1, 0.5, 1.0]
         step([0.2, 0.6, 1.0])  # a new schedule rebuilds every table
         assert built == [0.1, 0.5, 1.0, 0.2, 0.6, 1.0]
+        # the model is evaluated on the mids once per explorer
+        assert evaluated == [k.mids.shape]
 
         tables = k._cdf
         assert tables.betas == (0.2, 0.6, 1.0)
-        held = [np.unique(normalised_cdf(log_path_density(model, b, k.mids)))
+        held = [np.unique(normalised_cdf(log_path_density(base, b, k.mids)))
                 for b in tables.betas]
         np.testing.assert_array_equal(tables._values, np.concatenate(held))
         nbytes = (tables._values.nbytes + tables._first.nbytes
                   + tables._guide.nbytes)
         assert nbytes <= 3 * (12 * k.mids.size + 4 * (GUIDE_SIZE + 1))
+
+    @pytest.mark.parametrize("beta", [0.0, 5e-324, 4e-4, 0.06, 0.5, 1.0])
+    def test_weights_are_log_path_density_bit_for_bit(self, beta):
+        model = bimodal_pair()
+        k = IdealGridExplorer(model, lo=-600.0, hi=600.0)
+        np.testing.assert_array_equal(
+            k._log_weights(beta).view(np.int64),
+            log_path_density(model, beta, k.mids).view(np.int64))
+
+    def test_weights_reject_beta_outside_the_path(self):
+        k = IdealGridExplorer(bimodal_pair(), lo=-600.0, hi=600.0)
+        for beta in (-0.1, 1.5, np.nan):
+            with pytest.raises(ValueError, match="beta"):
+                k._log_weights(beta)
+
+    def test_guide_holds_positions_in_the_joined_values(self):
+        tables = _InverseCdf(grid_log_weights())
+        tables.cells((0.0, 0.06, 1.0), np.zeros((3, 1)))
+        assert tables._guide.dtype == np.int32
+        starts = np.r_[0, np.cumsum([np.unique(normalised_cdf(
+            grid_log_weights()(b))).size for b in tables.betas])]
+        np.testing.assert_array_equal(tables._guide[:, 0], starts[:-1])
+        # every value but the last, 1.0, lies below 1
+        np.testing.assert_array_equal(tables._guide[:, -1], starts[1:] - 1)
 
 
 class TestGaussianPath:

@@ -230,6 +230,35 @@ def _logaddexp_log_target(x):
     return np.logaddexp(a, b) + np.log(0.5) - 0.5 * np.log(2 * np.pi)
 
 
+S2 = 100.0**2 + 1.0
+
+
+def _reference_log_reference(x):
+    """bimodal_pair's log reference as one expression: the reference its
+    in-place evaluation must match bit for bit."""
+    x = np.asarray(x, dtype=float)
+    return -0.5 * x**2 / S2 - 0.5 * np.log(2 * np.pi * S2)
+
+
+def _reference_log_target(x):
+    """bimodal_pair's log target with the exact far branch, written with
+    out-of-place temporaries: the reference its in-place evaluation must
+    match bit for bit."""
+    x = np.asarray(x, dtype=float)
+    d = np.abs(x)
+    out = np.asarray(-0.5 * (d - 100.0) ** 2)
+    near = ~(d >= 4.0)
+    xn = x[near]
+    out[near] = np.logaddexp(-0.5 * (xn + 100.0) ** 2,
+                             -0.5 * (xn - 100.0) ** 2)
+    return out + np.log(0.5) - 0.5 * np.log(2 * np.pi)
+
+
+EDGE_STATES = [0.0, -0.0, 4.0, -4.0, np.nextafter(4.0, 0.0),
+               -np.nextafter(4.0, 0.0), 100.0, -100.0, np.inf, -np.inf,
+               1e308, -1e308, 1e154, 5e-324, np.nan, -np.nan]
+
+
 class TestBimodalPair:
     def test_target_symmetric(self):
         model = bimodal_pair()
@@ -274,6 +303,38 @@ class TestBimodalPair:
         assert got.dtype == ref.dtype == np.float64
         if np.ndim(x) == 0:
             assert isinstance(got, np.float64)
+
+    @pytest.mark.parametrize("x", [
+        pytest.param(np.array(EDGE_STATES), id="edges"),
+        pytest.param(np.array(EDGE_STATES).reshape(4, 4), id="edges-2d"),
+        pytest.param(_bimodal_grid()[1].mids, id="grid-mids"),
+        pytest.param(np.concatenate([
+            make_stream(5, 0, 0).normal(0.0, 100.0, 200_000),
+            np.linspace(3.5, 4.5, 100_001)]), id="random-and-sweep"),
+    ] + [pytest.param(v, id=f"scalar-{v!r}") for v in EDGE_STATES]
+      + [pytest.param(np.asarray(v), id=f"0d-{v!r}") for v in EDGE_STATES])
+    @pytest.mark.parametrize("name, reference", [
+        ("log_reference", _reference_log_reference),
+        ("log_target_unnorm", _reference_log_target),
+    ])
+    def test_in_place_densities_match_reference(self, x, name, reference):
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = getattr(bimodal_pair(), name)(x)
+            ref = reference(x)
+        assert type(got) is type(ref)
+        assert np.shape(got) == np.shape(ref)
+        np.testing.assert_array_equal(np.asarray(got).view(np.int64),
+                                      np.asarray(ref).view(np.int64))
+
+    def test_densities_leave_their_input_unchanged(self):
+        x = np.array(EDGE_STATES)
+        before = x.copy()
+        model = bimodal_pair()
+        with np.errstate(over="ignore", invalid="ignore"):
+            model.log_reference(x)
+            model.log_target_unnorm(x)
+        np.testing.assert_array_equal(x.view(np.int64),
+                                      before.view(np.int64))
 
     def test_reference_dominates_modes(self):
         model = bimodal_pair()
