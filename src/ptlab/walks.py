@@ -5,9 +5,12 @@ persistent walk (non-reversible communication), the lazy reflected walk
 (reversible communication), the continuum persistent walk (a piecewise
 deterministic process on [0,1] with direction flips at rate Lambda), and
 reflected Brownian motion on [0,1].  Batches are vectorized over replicas
-with masked updates of the still-alive subset.
+with masked updates of the still-alive subset.  Reflected Brownian motion
+moves in exact leaps of variance at most LEAP_VAR, so its cost per unit of
+time does not grow as dt shrinks.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +21,8 @@ from .rng import make_stream
 CHUNK = 200_000
 # steps after which the discrete walks raise RuntimeError
 STEP_CAP = 10_000_000
+# largest variance of one leap of sim_reflected_bm: its sd is at most 0.1
+LEAP_VAR = 0.01
 
 
 def sim_persistent_walk(n, r, rng, size=1):
@@ -125,43 +130,67 @@ def sim_pdmp(lam, rng, size=1):
     return times
 
 
-def leap_steps(x, sdt, left):
-    """Steps each live replica of sim_reflected_bm takes in one round.
+def max_leap(dt):
+    """Steps K per leap of sim_reflected_bm at step size dt: the most whose
+    variance K dt is at most LEAP_VAR, and at least one."""
+    return max(1, math.floor(LEAP_VAR / dt))
 
-    One step inside the bridge-tested fringe, within 20 step widths sdt of
-    the boundary.  Beyond it, the largest k whose leap standard deviation
-    sqrt(k) sdt is at most a tenth of the distance d = 1 - x, so that
-    100 k dt <= d^2; the factor 1 - 1e-6 keeps float32 rounding from
-    raising k past that.  No replica goes beyond the `left` steps it has
-    before t_max.  Returns float64 step counts.
+
+def passage_ratio(rng, a, g, h):
+    """Draws of V = tau / (h - tau) for passages to 1 inside a leap of length h.
+
+    A leap that starts a = 1 - x below 1, ends g = |1 - x'| from it and
+    passes 1 has its passage time tau distributed, given its ends, with
+    density f_a(s) phi_{h-s}(g) / phi_h(a + g), where f_a is the Brownian
+    first-passage density to distance a and phi_s the N(0, s) density.
+    Then V is inverse Gaussian with mean a / g and shape lam = a^2 / h, and
+    Levy with scale lam when g = 0.  V is drawn as Michael, Schucany & Haas
+    (1976, Am. Stat. 30:88) do, with q = N^2 and w = g / a:
+    X = 2 lam / (q + 2 lam w + sqrt(q^2 + 4 lam q w)) is kept with
+    probability 1 / (1 + w X) and replaced by 1 / (w^2 X) otherwise, which
+    never happens when w = 0.  (numpy's Generator.wald takes the mean a / g,
+    which is infinite at g = 0.)  Takes float64 arrays a > 0, g >= 0 and a
+    float h > 0; draws one float64 normal per entry, then one float64
+    uniform per entry.
     """
-    c = np.float32(0.1 * (1.0 - 1e-6)) / sdt
-    k = np.where(x < 1.0 - 20.0 * sdt, np.floor(np.square((1.0 - x) * c)),
-                 np.float32(1.0))
-    return np.minimum(k, left)
+    lam = np.square(a) / h
+    w = g / a
+    q = np.square(rng.standard_normal(a.size))
+    lw = 2.0 * lam * w
+    v = 2.0 * lam / (q + lw + np.sqrt(q * (q + 2.0 * lw)))
+    flip = rng.random(a.size) * (1.0 + w * v) >= 1.0
+    v[flip] = 1.0 / (np.square(w[flip]) * v[flip])
+    return v
 
 
 def sim_reflected_bm(rng, size=1, dt=1e-4, t_max=10.0):
     """First-passage times to 1 of reflected Brownian motion from 0.
 
-    The step size sets the time grid, not a bias.  Each round a replica
-    takes k steps at once (see leap_steps): one step within 20 step widths
-    of 1, otherwise up to (d / (10 sqrt(dt)))^2 steps at distance d from 1.
-    A leap folds a Gaussian increment of variance k dt, x' =
-    |x + sqrt(k dt) Z|; since |W| is Brownian motion reflected at 0, this
-    is its exact transition.  Given the endpoints of a single step, the path
-    crosses 1 within it with the bridge probability exp(-2(1-x)(1-x')/dt),
-    which is drawn whenever both endpoints lie within the fringe.  What
-    the draws leave out has probability, per step, below exp(-1/(2 dt)) for
-    bridges that reach -1 or paths that reach 1 and fall below 0, and below
-    1e-22 for the fringe cut, which needs a jump of 10 step widths; per
-    leap, a passage needs a move of 10 leap standard deviations up to 1 or
-    down to -1, which has probability at most 4 P(Z >= 10) < 3.1e-23.  A
-    passage in step k is reported as the step's midpoint (k - 1/2) dt, so
-    Pr(tau > t) counts exactly the passages after step k for any t within
-    dt/2 of k dt, free of float rounding of k dt.  Survival at multiples of
-    dt is therefore exact up to those terms and float32 rounding.  When
-    dt >= 1/400 the fringe covers [0, 1] and every round is one step.
+    The step size sets the time grid, not a bias.  Every round each live
+    replica takes the same k = min(K, steps left) steps at once, K =
+    max_leap(dt), so a leap of length h = k dt has standard deviation at
+    most 0.1 when dt <= LEAP_VAR, and every round is one step when
+    dt > LEAP_VAR / 2.  A leap folds a Gaussian increment, x' =
+    |x + sqrt(h) Z|; since |W| is Brownian motion reflected at 0, this is
+    its exact transition.  A replica passes 1 in the leap if x' >= 1, or
+    else with the bridge probability exp(-2(1-x)(1-x')/h) of a path from x
+    to x' crossing 1.  A passage in a leap of k > 1 steps gets its time tau
+    from the exact law given the leap's ends (see passage_ratio), and it is
+    reported in step c = ceil(tau / dt), clipped to [1, k].  Each passage
+    is reported as the midpoint of its step, (steps before the leap + c -
+    1/2) dt, so Pr(tau > t) counts exactly the passages after step j for
+    any t within dt/2 of j dt, free of float rounding of j dt.
+
+    Per leap the draws leave out passages through -1, of probability at
+    most 2 P(Z >= 1/sqrt(h)) (< 1.6e-23 when h <= 0.01), and the fold of
+    the bridge: its probability is taken at the folded end x', not at the
+    Gaussian end, which moves the chance of a passage by at most
+    exp(-1/(2h)) (<= exp(-50) when h <= 0.01).  Survival at multiples of
+    dt is therefore exact up to those terms and float32 rounding.
+
+    Draws per round: one float32 normal per live replica, then one float64
+    uniform per live replica with x' < 1, then, when k > 1, one float64
+    normal and one float64 uniform per passing replica (passage_ratio).
     Trajectories still alive at t_max are reported as +inf.  Needs
     0 < dt <= t_max < inf, so that at least one and finitely many steps
     are taken.
@@ -169,32 +198,39 @@ def sim_reflected_bm(rng, size=1, dt=1e-4, t_max=10.0):
     if not 0.0 < dt <= t_max < np.inf:
         raise ValueError(f"need 0 < dt <= t_max < inf, got dt={dt!r}, "
                          f"t_max={t_max!r}")
-    sdt = np.float32(np.sqrt(dt))
-    # bridge probabilities underflow unless both endpoints of a step sit
-    # within a few step widths of the boundary, so only that fringe is tested
-    edge = 1.0 - 20.0 * sdt
     n_steps = int(round(t_max / dt))
+    big_k = max_leap(dt)
+    done = 0
     x = np.zeros(size, dtype=np.float32)
-    left = np.full(size, float(n_steps))
     times = np.full(size, np.inf)
     alive_idx = np.arange(size)
-    while alive_idx.size:
-        k = leap_steps(x, sdt, left)
+    while alive_idx.size and done < n_steps:
+        k = min(big_k, n_steps - done)
+        h = k * dt
         z = rng.standard_normal(alive_idx.size, dtype=np.float32)
-        x_new = np.abs(x + (np.sqrt(k) * sdt).astype(np.float32) * z)
+        x_new = np.abs(x + np.float32(np.sqrt(h)) * z)
         hit = x_new >= 1.0
-        sub = np.flatnonzero(~hit & (x_new > edge) & (x > edge))
+        sub = np.flatnonzero(~hit)
         if sub.size:
-            p = np.exp(-2.0 * (1.0 - x[sub]) * (1.0 - x_new[sub]) / np.float32(dt))
+            # a leap below float32's smallest number divides by 0 and gets
+            # p = 0, its limit
+            with np.errstate(divide="ignore"):
+                p = np.exp(-2.0 * (1.0 - x[sub]) * (1.0 - x_new[sub])
+                           / np.float32(h))
             hit[sub] = rng.random(sub.size) < p
-        left -= k
-        done = hit | (left == 0.0)
-        if done.any():
-            times[alive_idx[hit]] = (n_steps - left[hit] - 0.5) * dt
-            keep = ~done
-            alive_idx, x, left = alive_idx[keep], x_new[keep], left[keep]
+        if hit.any():
+            step = 1.0
+            if k > 1:
+                v = passage_ratio(rng, 1.0 - x[hit].astype(np.float64),
+                                  np.abs(1.0 - x_new[hit].astype(np.float64)),
+                                  h)
+                step = np.clip(np.ceil(k * v / (1.0 + v)), 1.0, k)
+            times[alive_idx[hit]] = (done + step - 0.5) * dt
+            keep = ~hit
+            alive_idx, x = alive_idx[keep], x_new[keep]
         else:
             x = x_new
+        done += k
     return times
 
 

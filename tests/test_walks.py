@@ -1,10 +1,15 @@
+import warnings
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from scipy import stats
 
 from ptlab.bounds import hitting_tail, rpt_infinite_tail
 from ptlab.rng import make_stream
 from ptlab.walks import (
-    leap_steps,
+    max_leap,
+    passage_ratio,
     sim_pdmp,
     sim_persistent_walk,
     sim_reflected_bm,
@@ -137,9 +142,10 @@ class TestReflectedBm:
         se = np.sqrt(exact * (1 - exact) / ts.size)
         assert abs(mc - exact) < 4 * se
 
-    @pytest.mark.parametrize("dt", [1e-2, 4e-3])
+    @pytest.mark.parametrize("dt", [2e-2, 1e-2, 6e-3])
     def test_one_step_rounds_reproduce_stepwise_simulator(self, dt):
-        # for dt >= 1/400 the fringe covers [0, 1]: same draws, same steps
+        # for dt > 0.005 every round is one step, and the reference's fringe
+        # covers [0, 1]: same draws, same steps
         new = sim_reflected_bm(make_stream(3, 0, 0), 20_000, dt=dt, t_max=2.0)
         old = stepwise_reflected_bm(make_stream(3, 0, 0), 20_000, dt, 2.0)
         np.testing.assert_array_equal(np.isinf(new), np.isinf(old))
@@ -158,26 +164,51 @@ class TestReflectedBm:
         z = _bm_z(1e-2, np.linspace(0.1, 3.0, 30), 200_000, seed=6)
         assert np.all(np.abs(z) <= 4)
 
+    def test_grid_times_inside_leaps(self):
+        # at dt = 1e-4 a leap is 100 steps, so these grid times fall inside
+        # leaps and read the passage step drawn by passage_ratio.  Reporting
+        # passages at the leap's end would move the curve at 0.1543 by 9.3
+        # standard errors, at its start by 6.6 (computed from the series).
+        # |z| <= 4 at 4 points fails falsely with probability below 2.6e-4.
+        z = _bm_z(1e-4, np.array([0.1543, 0.5037, 1.0043, 2.0059]), 200_000,
+                  seed=8)
+        assert np.all(np.abs(z) <= 4)
+
+    @pytest.mark.parametrize("dt", [1e-100, 1e-80])
+    def test_tiny_step_matches_series(self, dt):
+        # a float32 sqrt(dt) once underflowed and nothing moved: survival
+        # read 1 at every t.  |z| <= 4 at 3 points fails falsely with
+        # probability below 2e-4.
+        z = _bm_z(dt, np.array([1.0, 2.0, 3.0]), 20_000, seed=9)
+        assert np.all(np.abs(z) <= 4)
+
     @pytest.mark.parametrize("dt", [1e-2, 1e-3, 1e-4, 1e-6])
     def test_leap_rule(self, dt):
-        sdt = np.float32(np.sqrt(dt))
-        x = np.concatenate([
-            make_stream(0, 0, 0).random(100_000, dtype=np.float32),
-            np.linspace(0.0, 1.0, 100_001, dtype=np.float32)])
-        k = leap_steps(x, sdt, np.full(x.size, 1e12))
-        d = 1.0 - x.astype(float)
-        far = d >= 20 * np.sqrt(dt)
-        assert np.all(k[~far] == 1)
-        assert np.all(100 * k[far] * dt <= d[far] ** 2)
-        assert np.all(k == np.floor(k)) and np.all(k >= 1)
-        # for dt >= 1/400 the fringe covers [0, 1] and nothing leaps
-        assert np.any(k > 1) == (dt < 1 / 400)
+        # a decade of step sizes up to dt
+        for d in np.geomspace(dt / 10, dt, 5001).tolist():
+            k = max_leap(d)
+            # the largest leap whose standard deviation is at most 0.1: one
+            # more step exceeds it in exact arithmetic on the floats
+            assert k >= 1 and np.sqrt(k * d) <= 0.1
+            assert (k + 1) * Fraction(d) > Fraction(0.01)
+            # for d > 0.005 every round is one step
+            assert (k == 1) == (d > 0.005)
 
     def test_leaps_stop_at_t_max(self):
-        # from 0 the uncapped leap is floor((1 / 0.03)^2) = 1111 steps
-        k = leap_steps(np.zeros(3, dtype=np.float32), np.float32(3e-3),
-                       np.array([1.0, 7.0, 1e6]))
-        np.testing.assert_array_equal(k, [1, 7, 1111])
+        # dt = 1e-3 gives leaps of 10 steps, so the last leap has 7 steps
+        for t_max in (0.037, 0.537):
+            ts = sim_reflected_bm(make_stream(4, 0, 0), 20_000, dt=1e-3,
+                                  t_max=t_max)
+            assert np.all(ts[np.isfinite(ts)] <= t_max)
+        # to 0.537, about 110 passages are expected in the last leap
+        assert np.any((ts > 0.530) & (ts <= 0.537))
+
+    def test_leap_below_float32_range(self):
+        # h = 1e-46 is 0 in float32, so the bridge divides by 0: that must
+        # give p = 0 and raise no warning
+        ts = sim_reflected_bm(make_stream(0, 0, 0), 100, dt=1e-50,
+                              t_max=1e-46)
+        assert np.all(np.isinf(ts))
 
     def test_unfinished_reported_infinite(self):
         ts = sim_reflected_bm(make_stream(0, 0, 0), size=2000, dt=1e-3, t_max=0.05)
@@ -195,6 +226,27 @@ class TestReflectedBm:
         # to 0, which once reported survival 1 at every t
         with pytest.raises(ValueError):
             sim_reflected_bm(make_stream(0, 0, 0), size=10, dt=dt)
+
+
+class TestPassageRatio:
+    H = 0.01
+
+    @pytest.mark.parametrize("a, g", [(0.05, 0.02), (0.01, 0.3), (0.2, 1e-3),
+                                      (0.03, 0.0), (1e-3, 1e-3)])
+    def test_law(self, a, g):
+        # inverse Gaussian with mean a/g and shape a^2/h, Levy at g = 0.
+        # A KS p-value below 1e-4 fails falsely with probability 1e-4 per
+        # case, 5e-4 over the five.  g = 0 must raise no warning.
+        n = 100_000
+        lam = a * a / self.H
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = passage_ratio(make_stream(10, 0, 0), np.full(n, a),
+                              np.full(n, g), self.H)
+        law = (stats.levy(scale=lam) if g == 0.0
+               else stats.invgauss(mu=(a / g) / lam, scale=lam))
+        assert np.all(np.isfinite(v)) and np.all(v > 0)
+        assert stats.kstest(v, law.cdf).pvalue >= 1e-4
 
 
 class TestSurvivalCurve:
