@@ -21,7 +21,10 @@ class TargetModel:
     ----------
     log_reference : callable
         x -> log pi_0(x), normalized.  Must accept batched states (an array
-        whose leading axis indexes replicas) and return a matching array.
+        of shape (..., *state_shape), the leading axes indexing chains and
+        replicas) and return an array of shape (...).  The state shape is
+        the model's own: () for a scalar state, and () for an Ising state
+        too, which is one uint16 code.
     log_target_unnorm : callable
         x -> log gamma_1(x), unnormalized target log-density, batched.
     sample_reference : callable or None

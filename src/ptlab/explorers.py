@@ -1,9 +1,11 @@
 """Explorers: the within-chain moves of parallel tempering.
 
 Every explorer exposes ``step(x, betas, rngs) -> x`` over a block of chains:
-``x`` has shape (n, R, ...) with chain along the first axis and replicas
-along the second, ``betas`` has shape (n,), and ``rngs`` holds one stream
-per chain, in chain order.  Chain k draws only from ``rngs[k]``, so each
+``x`` has shape (n, R, ...) with chain along the first axis, replicas
+along the second and the model's state shape after them (none for the
+Ising explorers, whose states are uint16 codes, so their blocks are
+(n, R)), ``betas`` has shape (n,), and ``rngs`` holds one stream per
+chain, in chain order.  Chain k draws only from ``rngs[k]``, so each
 chain's draws do not depend on which other chains share the call.  The
 ideal and Gaussian explorers leave the path distribution pi_beta invariant
 at each chain's beta; the Gibbs explorer rounds p(+1) up to a multiple of
@@ -32,7 +34,7 @@ from .models import (
     N_SITES,
     SITE_NEIGHBOURS,
     ising_bond_sums,
-    spins_from_codes,
+    ising_codes,
 )
 from .rng import uint32_draws
 
@@ -57,7 +59,8 @@ DRAW_BUFFER_BYTES = 1 << 20  # the uint32 draws of one block, all chains
 # storage row of site s in the Gibbs kernel's site-major array; every
 # anti-diagonal of the torus, i + j = const (mod 4), is four adjacent rows
 SITE_ROW = (11 * np.arange(N_SITES) + 3) % N_SITES
-ROW_SITE = (3 * np.arange(N_SITES) + 7) % N_SITES  # 3 * 11 = 1 (mod 16)
+# 3 * 11 = 1 (mod 16); uint16, the codes' dtype, as the kernel's bit shifts
+ROW_SITE = (3 * np.arange(N_SITES, dtype=np.uint16) + 7) % N_SITES
 
 
 def gibbs_thresholds(betas):
@@ -167,32 +170,38 @@ class IsingGibbsExplorer:
     too, so no block ends inside a 64-bit output and the draws do not
     depend on the blocking.
 
+    ``x`` is an (n, R) block of uint16 state codes (``ising_model``), and
+    ``step`` returns the new codes, raising ``ValueError`` on any other
+    dtype.  For the call the spins are held site-major, (16, n, R), as
+    0/1, site s in row SITE_ROW[s] = (11 s + 3) mod 16: one right shift
+    of the codes by ``ROW_SITE`` and one ``& 1`` fill the rows, and one
+    left shift and an OR over the rows pack them back.
+
     Each block runs level by level (``gibbs_schedule``): a full 3-sweep
     block has 15 levels of 1, 2, 3, 4, ..., 4, 3, 2, 1 updates, the
-    anti-diagonals of the torus.  For the call the spins are held
-    site-major, (16, n, R), as 0/1, site s in row SITE_ROW[s] =
-    (11 s + 3) mod 16, so each level of a full block is 4 adjacent rows
-    or fewer, and its draws are every third update of the block.  Each
-    row of T is nondecreasing in j (beta >= 0), so u < T[j] exactly when
-    j >= L(u) = #{j : T[j] <= u}.  The block's level codes L are five
-    compares of its draws, in int8 and chain-major like the draws, and a
-    level's update is one compare of its neighbour counts with its codes.
-    ``x`` must hold +-1 spins.
+    anti-diagonals of the torus.  Each level of a full block is 4
+    adjacent rows or fewer, and its draws are every third update of the
+    block.  Each row of T is nondecreasing in j (beta >= 0), so u < T[j]
+    exactly when j >= L(u) = #{j : T[j] <= u}.  The block's level codes L
+    are five compares of its draws, in int8 and chain-major like the
+    draws, and a level's update is one compare of its neighbour counts
+    with its codes.
     """
 
     def __init__(self, sweeps=3):
         self.sweeps = sweeps
 
     def step(self, x, betas, rngs):
-        x = np.asarray(x, dtype=np.int8)
-        n, r = x.shape[:2]
+        x = ising_codes(x)
+        n, r = x.shape
         t = gibbs_thresholds(betas)[:, :, None, None]
         if np.any(t[:, 1:] < t[:, :-1]):
             raise ValueError("the Gibbs kernel needs beta >= 0")
+        shifts = ROW_SITE[:, None, None]
         up = np.empty((N_SITES, n, r), dtype=np.int8)  # 1 where x = +1
-        np.take(np.moveaxis(x, -1, 0), ROW_SITE, axis=0, out=up, mode="clip")
+        np.right_shift(x, shifts, out=up, casting="unsafe")
+        up &= 1
         up_b = up.view(bool)
-        np.greater(up, 0, out=up_b)
         n_updates = N_SITES * self.sweeps
         per_block = max(1, min(n_updates, DRAW_BUFFER_BYTES // (4 * n * r)))
         if r % 2:
@@ -220,9 +229,8 @@ class IsingGibbsExplorer:
                     n_up[slots] += up[a]
                 for slots, row, draw in writes:
                     np.greater_equal(n_up[slots], c[draw], out=up_b[row])
-        up *= 2
-        up -= 1
-        return np.ascontiguousarray(np.moveaxis(up[SITE_ROW], 0, -1))
+        bits = np.left_shift(up.view(np.uint8), shifts, dtype=np.uint16)
+        return np.bitwise_or.reduce(bits, axis=0)
 
 
 GUIDE_SIZE = 1 << 16  # a power of two, so u * GUIDE_SIZE is exact
@@ -333,8 +341,9 @@ class IdealIsingExplorer:
     """Exact i.i.d. sampling from pi_beta over all 65,536 Ising states.
 
     A state is one inverse-CDF lookup in the chain's table of
-    exp(beta * bond sum) over all states, so the kernel renews the energy
-    i.i.d. — the idealized-exploration model holds exactly.
+    exp(beta * bond sum) over all states, whose cell is the state's uint16
+    code, so the kernel renews the energy i.i.d. — the
+    idealized-exploration model holds exactly.
     """
 
     renews = True
@@ -345,7 +354,7 @@ class IdealIsingExplorer:
 
     def step(self, x, betas, rngs):
         u = np.stack([g.random(x.shape[1]) for g in rngs])
-        return spins_from_codes(self._cdf.cells(betas, u))
+        return self._cdf.cells(betas, u).astype(np.uint16)
 
 
 class IdealGridExplorer:

@@ -41,7 +41,7 @@ def test_install_and_restore_every_hook():
 
 @pytest.mark.parametrize("factory, x", [
     ("bimodal_pair", np.array([-100.0, 0.0, 100.0])),
-    ("ising_model", np.ones((3, 16), dtype=np.int8)),
+    ("ising_model", np.full(3, 0xFFFF, dtype=np.uint16)),  # all spins +1
 ])
 def test_model_log_target_is_traced(factory, x):
     # models.log_target.s is timed only through the models experiments builds

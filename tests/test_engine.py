@@ -225,7 +225,8 @@ class TestFlatGather:
 
     @pytest.mark.parametrize("shape, dtype", [
         ((13, 1000), float),        # the bimodal / Gaussian chain states
-        ((6, 256, N_SITES), np.int8),  # Ising states
+        ((6, 256), np.uint16),      # Ising states, one code each
+        ((6, 256, N_SITES), np.int8),  # states with a site axis
         ((4, 1), float),            # one replica
         ((4, 1, N_SITES), np.int8),
     ])
@@ -298,7 +299,7 @@ class TestRunPt:
         cfg = PTConfig("nrpt", AnnealingSchedule.uniform(n), n_iters=7,
                        n_replicas=r)
         run_pt(cfg, ising_model(), Counting(sweeps=1))
-        assert Counting.calls == [(n, r, N_SITES)] * 7
+        assert Counting.calls == [(n, r)] * 7
 
     @pytest.mark.parametrize("scheme", ["nrpt", "rpt"])
     @pytest.mark.parametrize("problem", ["grid", "ideal-ising", "gaussian"])
@@ -353,7 +354,7 @@ class TestRunPt:
         else:
             model = ising_model()
             explorer = IsingGibbsExplorer(sweeps=1)
-            state_shape = (r, N_SITES)
+            state_shape = (r,)
         cfg = PTConfig(scheme, AnnealingSchedule.uniform(n), n_iters=8,
                        n_replicas=r, seed=4, record_target_states=True)
         tr = run_pt(cfg, model, explorer)
@@ -403,7 +404,7 @@ class TestRunPt:
         explorer = IsingGibbsExplorer()
         cfg = PTConfig("rpt", AnnealingSchedule.uniform(2), n_iters=5,
                        n_replicas=4, seed=2)
-        init = model.sample_reference(make_stream(1, 0, 0), 12).reshape(3, 4, N_SITES)
+        init = model.sample_reference(make_stream(1, 0, 0), 12).reshape(3, 4)
         t1 = run_pt(cfg, model, explorer, init_states=init)
         t2 = run_pt(cfg, model, explorer, init_states=list(init))
         np.testing.assert_array_equal(t1.final_states, t2.final_states)

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ptlab import explorers
-from ptlab.core import log_path_density
+from ptlab.core import AnnealingSchedule, TargetModel, log_path_density
 from ptlab.diagnostics import empirical_tv_discrete
+from ptlab.engine import PTConfig, run_pt
 from ptlab.explorers import (
     GUIDE_SIZE,
     GaussianPathExplorer,
@@ -25,6 +26,7 @@ from ptlab.explorers import (
 from ptlab.models import (
     N_SITES,
     SITE_NEIGHBOURS,
+    TORUS_EDGES,
     bimodal_pair,
     codes_from_spins,
     gaussian_shift_pair,
@@ -36,13 +38,22 @@ from ptlab.models import (
 from ptlab.rng import make_stream
 
 
+def ising_states(shape, spin):
+    """Codes of `shape` Ising states whose 16 spins all equal `spin`."""
+    return codes_from_spins(np.full(shape + (N_SITES,), spin, dtype=np.int8))
+
+
+def float_states(shape, value):
+    return np.full(shape, value, dtype=float)
+
+
 EXPLORERS = {
-    "iid": (lambda: IIDReferenceExplorer(ising_model()), (16,)),
-    "gibbs": (lambda: IsingGibbsExplorer(sweeps=1), (16,)),
-    "ideal-ising": (IdealIsingExplorer, (16,)),
+    "iid": (lambda: IIDReferenceExplorer(ising_model()), ising_states),
+    "gibbs": (lambda: IsingGibbsExplorer(sweeps=1), ising_states),
+    "ideal-ising": (IdealIsingExplorer, ising_states),
     "grid": (lambda: IdealGridExplorer(bimodal_pair(), lo=-600.0, hi=600.0),
-             ()),
-    "gaussian": (lambda: GaussianPathExplorer(2.0), ()),
+             float_states),
+    "gaussian": (lambda: GaussianPathExplorer(2.0), float_states),
 }
 
 
@@ -50,13 +61,12 @@ EXPLORERS = {
 def test_block_step_matches_chain_by_chain(name):
     # chain k draws only from rngs[k], so stepping a block of chains in one
     # call gives the same states as stepping each chain alone
-    build, site_shape = EXPLORERS[name]
+    build, states = EXPLORERS[name]
     k = build()
     betas = np.array([0.25, 0.5, 1.0])
-    x = np.full((3, 40) + site_shape, -1,
-                dtype=np.int8 if site_shape else float)
+    x = states((3, 40), -1)
     block = k.step(x, betas, [make_stream(7, c, 0) for c in range(3)])
-    assert block.shape == x.shape
+    assert block.shape == x.shape and block.dtype == x.dtype
     for c in range(3):
         alone = k.step(x[c:c + 1], betas[c:c + 1], [make_stream(7, c, 0)])
         np.testing.assert_array_equal(block[c], alone[0])
@@ -74,20 +84,18 @@ def test_renews_is_set_on_the_renewing_explorers_only():
 def test_renewing_step_splits_over_replicas(name):
     # the renewal contract: the output ignores the input's values, and one
     # call over a + b replicas is a call over a followed by a call over b
-    build, site_shape = EXPLORERS[name]
+    build, states = EXPLORERS[name]
     k = build()
     betas = np.array([0.25, 1.0])
-    dtype = np.int8 if site_shape else float
     a, b = 7, 12
 
     def streams():
         return [make_stream(9, c, 0) for c in range(2)]
 
-    whole = k.step(np.ones((2, a + b) + site_shape, dtype=dtype), betas,
-                   streams())
+    whole = k.step(states((2, a + b), 1), betas, streams())
     rngs = streams()
-    first = k.step(-np.ones((2, a) + site_shape, dtype=dtype), betas, rngs)
-    second = k.step(np.zeros((2, b) + site_shape, dtype=dtype), betas, rngs)
+    first = k.step(states((2, a), -1), betas, rngs)
+    second = k.step(states((2, b), 0), betas, rngs)
     np.testing.assert_array_equal(whole, np.concatenate([first, second],
                                                         axis=1))
 
@@ -106,8 +114,9 @@ class TestIIDReference:
     def test_ignores_input_state(self):
         model = ising_model()
         k = IIDReferenceExplorer(model)
-        x0 = np.full((5000, 16), -1, dtype=np.int8)
-        x1 = k.step(x0[None], [1.0], [make_stream(0, 0, 0)])[0]
+        x0 = ising_states((5000,), -1)
+        x1 = spins_from_codes(k.step(x0[None], [1.0],
+                                     [make_stream(0, 0, 0)])[0])
         assert abs(x1.mean()) < 0.05  # uniform spins
 
     def test_requires_sampler(self):
@@ -122,10 +131,10 @@ class TestIIDReference:
 class TestIdealIsing:
     def test_samples_match_exact_distribution(self):
         k = IdealIsingExplorer()
-        x0 = np.zeros((200_000, 16), dtype=np.int8)
+        x0 = ising_states((200_000,), 0)
         x1 = k.step(x0[None], [1.0], [make_stream(1, 0, 0)])[0]
         exact = ising_exact_distribution(1.0)
-        tv, floor = empirical_tv_discrete(codes_from_spins(x1), exact)
+        tv, floor = empirical_tv_discrete(x1, exact)
         assert tv < 3 * floor
 
     def test_energy_renews(self):
@@ -176,23 +185,33 @@ class TestIsingGibbs:
         n = betas.size
         monkeypatch.setattr(explorers, "DRAW_BUFFER_BYTES",
                             per_block * 4 * n * replicas)
-        x = spins_from_codes(make_stream(9, 1).integers(0, 65536,
-                                                        (3, replicas)))[:n]
+        codes = make_stream(9, 1).integers(0, 65536, (3, replicas))[:n]
+        x = spins_from_codes(codes)
 
         def streams():
             return [make_stream(9, 0, c) for c in range(n)]
 
-        out = IsingGibbsExplorer(sweeps=sweeps).step(x, betas, streams())
-        assert out.dtype == np.int8 and out.flags.c_contiguous
+        out = IsingGibbsExplorer(sweeps=sweeps).step(
+            codes.astype(np.uint16), betas, streams())
+        assert out.dtype == np.uint16 and out.flags.c_contiguous
         np.testing.assert_array_equal(
-            out, raster_scan_gibbs(x, betas, streams(), sweeps))
+            spins_from_codes(out), raster_scan_gibbs(x, betas, streams(),
+                                                     sweeps))
 
     def test_negative_beta_rejected(self):
         # the level codes need thresholds nondecreasing in the neighbour sum
         with pytest.raises(ValueError, match="beta >= 0"):
             IsingGibbsExplorer(sweeps=1).step(
-                np.ones((1, 4, 16), dtype=np.int8), [-0.1],
-                [make_stream(9, 0, 0)])
+                ising_states((1, 4), 1), [-0.1], [make_stream(9, 0, 0)])
+
+    @pytest.mark.parametrize("x", [
+        np.ones((1, 4, 16), dtype=np.int8),  # the old spin layout
+        np.zeros((1, 4), dtype=np.int64),
+    ], ids=["int8-spins", "int64-codes"])
+    def test_states_other_than_uint16_codes_rejected(self, x):
+        with pytest.raises(ValueError, match="uint16 codes"):
+            IsingGibbsExplorer(sweeps=1).step(x, [0.5],
+                                              [make_stream(9, 0, 0)])
 
     def test_thresholds_nondecreasing_in_neighbours_up(self):
         t = gibbs_thresholds(np.linspace(0.0, 10.0, 100_001))
@@ -216,18 +235,60 @@ class TestIsingGibbs:
         # start from exact pi_beta samples; TV must stay at the noise floor
         k_exact = IdealIsingExplorer()
         k = IsingGibbsExplorer(sweeps=2)
-        x = k_exact.step(np.zeros((1, 100_000, 16), dtype=np.int8), [beta],
+        x = k_exact.step(ising_states((1, 100_000), 0), [beta],
                          [make_stream(3, 0, 0)])
         x = k.step(x, [beta], [make_stream(4, 0, 0)])[0]
         exact = ising_exact_distribution(beta)
-        tv, floor = empirical_tv_discrete(codes_from_spins(x), exact)
+        tv, floor = empirical_tv_discrete(x, exact)
         assert tv < 4 * floor
 
     def test_beta_zero_is_uniform(self):
         k = IsingGibbsExplorer(sweeps=1)
-        x = k.step(np.full((1, 50_000, 16), -1, dtype=np.int8), [0.0],
+        x = k.step(ising_states((1, 50_000), -1), [0.0],
                    [make_stream(5, 0, 0)])[0]
-        assert abs(x.mean()) < 0.02
+        assert abs(spins_from_codes(x).mean()) < 0.02
+
+
+class RasterScanGibbs:
+    """The Gibbs explorer on +-1 spins (..., 16), by ``raster_scan_gibbs``."""
+
+    def __init__(self, sweeps):
+        self.sweeps = sweeps
+
+    def step(self, x, betas, rngs):
+        return raster_scan_gibbs(x, betas, rngs, self.sweeps)
+
+
+def spin_ising_model():
+    """The Ising target on +-1 spins (..., 16), by the plain definitions:
+    the bond sum over the 32 TORUS_EDGES and rng.integers(0, 2) spins."""
+    def log_reference(x):
+        return np.full(x.shape[:-1], -N_SITES * np.log(2.0))
+
+    def log_target_unnorm(x):
+        return sum(x[..., a].astype(float) * x[..., b] for a, b in TORUS_EDGES)
+
+    def sample_reference(rng, size):
+        return (2 * rng.integers(0, 2, size=(size, N_SITES)) - 1).astype(np.int8)
+
+    return TargetModel(log_reference, log_target_unnorm, sample_reference)
+
+
+def test_gibbs_run_on_codes_matches_the_run_on_spins():
+    # the whole NRPT run, reference draws, Gibbs sweeps, energies and swaps,
+    # gives the same trace whether its states are codes or spins
+    cfg = PTConfig("nrpt", AnnealingSchedule.uniform(3), n_iters=30,
+                   n_replicas=40, seed=21, record_target_states=True)
+    codes = run_pt(cfg, ising_model(), IsingGibbsExplorer(sweeps=3))
+    spins = run_pt(cfg, spin_ising_model(), RasterScanGibbs(sweeps=3))
+    assert codes.final_states.dtype == codes.target_states.dtype == np.uint16
+    assert 0 < codes.accepts.mean() < 1
+    np.testing.assert_array_equal(codes.accepts, spins.accepts)
+    np.testing.assert_array_equal(codes.energies, spins.energies)
+    np.testing.assert_array_equal(spins_from_codes(codes.target_states),
+                                  spins.target_states)
+    np.testing.assert_array_equal(spins_from_codes(codes.final_states),
+                                  spins.final_states)
 
 
 def expand(sl, size):
@@ -339,10 +400,10 @@ def ising_log_weights(beta):
 def searchsorted_ising_step(x, betas, rngs):
     """Reference Ising kernel: per chain, one g.random(R) and one
     np.searchsorted in the chain's full CDF over the 65,536 states."""
-    return spins_from_codes(np.stack([
+    return np.stack([
         np.searchsorted(normalised_cdf(ising_log_weights(b)),
                         g.random(x.shape[1]))
-        for b, g in zip(betas, rngs)]))
+        for b, g in zip(betas, rngs)])
 
 
 def searchsorted_grid_step(k, x, betas, rngs):
@@ -384,7 +445,7 @@ class TestInverseCdf:
 
     def test_ising_step_matches_searchsorted(self):
         betas = np.array([0.0, 0.37, 1.0])
-        x = np.ones((3, 2000, 16), dtype=np.int8)
+        x = ising_states((3, 2000), 1)
 
         def streams():
             return [make_stream(12, c, 0) for c in range(3)]

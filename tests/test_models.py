@@ -10,7 +10,6 @@ from ptlab.models import (
     N_SITES,
     SITE_NEIGHBOURS,
     TORUS_EDGES,
-    _minus_code,
     bimodal_pair,
     codes_from_spins,
     gaussian_shift_barrier,
@@ -87,13 +86,14 @@ PACKED_CASES = {
 
 
 class TestPackedCode:
-    """The energy and the encoder read one packed 16-bit code; they must
-    match the gather and shift references bit for bit, dtype included."""
+    """The energy reads the uint16 code and the encoder packs it; they
+    must match the gather and shift references bit for bit, dtype
+    included."""
 
     @pytest.mark.parametrize("case", PACKED_CASES)
     def test_energy_matches_gather(self, case):
         x = PACKED_CASES[case]
-        got = ising_model().log_target_unnorm(x)
+        got = ising_model().log_target_unnorm(codes_from_spins(x))
         ref = gather_bond_sums(x).astype(float)
         assert np.shape(got) == np.shape(ref) == x.shape[:-1]
         assert np.asarray(got).dtype == np.float64
@@ -104,24 +104,19 @@ class TestPackedCode:
         x = PACKED_CASES[case]
         got, ref = codes_from_spins(x), shift_codes(x)
         assert np.shape(got) == np.shape(ref) == x.shape[:-1]
-        assert np.asarray(got).dtype == np.int64
+        assert np.asarray(got).dtype == np.uint16  # the state dtype
         np.testing.assert_array_equal(got, ref)
-
-    def test_code_bits_are_int8_signs(self):
-        # every int8 value, not only +-1: the gather must read bit 7, the
-        # sign, of each byte (bits 1-6 also tell +1 from -1)
-        x = np.random.default_rng(9).integers(-128, 128, size=(500, 16),
-                                              dtype=np.int8)
-        x[:16, :] = np.arange(-128, 128, dtype=np.int8).reshape(16, 16)
-        ref = ((x < 0).astype(np.int64) << np.arange(N_SITES)).sum(axis=-1)
-        np.testing.assert_array_equal(_minus_code(x), ref)
 
     def test_inputs_left_unchanged(self):
         x = _random_spins((3, 7, 16), 8)
         before = x.copy()
-        ising_model().log_target_unnorm(x)
-        codes_from_spins(x)
+        codes = codes_from_spins(x)
+        codes_before = codes.copy()
+        model = ising_model()
+        model.log_target_unnorm(codes)
+        model.log_reference(codes)
         np.testing.assert_array_equal(x, before)
+        np.testing.assert_array_equal(codes, codes_before)
 
     @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint16])
     def test_spins_match_shift_on_all_codes(self, dtype):
@@ -172,12 +167,27 @@ class TestIsingReference:
         x = ising_model().sample_reference(ours, size)
         ref = (2 * theirs.integers(0, 2, size=(size, N_SITES)) - 1
                ).astype(np.int8)
-        assert x.dtype == np.int8 and x.shape == (size, N_SITES)
-        np.testing.assert_array_equal(x, ref)
+        assert x.dtype == np.uint16 and x.shape == (size,)
+        np.testing.assert_array_equal(spins_from_codes(x), ref)
         # both streams are left at the same point
         assert ours.random() == theirs.random()
         np.testing.assert_array_equal(ours.integers(0, 2**32, 5),
                                       theirs.integers(0, 2**32, 5))
+
+
+class TestIsingStateDtype:
+    """Ising states are uint16 codes; the old int8 spin layout, or codes
+    of any other dtype, must raise rather than be read as codes."""
+
+    @pytest.mark.parametrize("fn", ["log_reference", "log_target_unnorm"])
+    @pytest.mark.parametrize("x", [
+        np.full((3, N_SITES), -1, dtype=np.int8),  # spins: -1 reads as 65535
+        np.arange(5, dtype=np.int64),
+        np.arange(5, dtype=np.int16),
+    ], ids=["int8-spins", "int64-codes", "int16-codes"])
+    def test_other_dtypes_raise(self, fn, x):
+        with pytest.raises(ValueError, match="uint16 codes"):
+            getattr(ising_model(), fn)(x)
 
 
 class TestIsingExactDistribution:
@@ -200,10 +210,14 @@ class TestIsingExactDistribution:
         np.testing.assert_allclose(d.log_z, 16 * np.log(2.0), atol=1e-10)
 
     def test_model_energy_matches_table(self):
-        # every state, exactly: the energy's bond sum and the table's
-        # edge loop count the same 32 bonds
-        v = energy(ising_model(), spins_from_codes(np.arange(65536)))
+        # every state, exactly: the energy of a code is its table entry,
+        # and the table's edge loop and the gather reference count the
+        # same 32 bonds of the code's spins
+        codes = np.arange(65536, dtype=np.uint16)
+        v = energy(ising_model(), codes)
         np.testing.assert_array_equal(v, -16 * np.log(2.0) - ising_bond_sums())
+        np.testing.assert_array_equal(
+            v, -16 * np.log(2.0) - gather_bond_sums(spins_from_codes(codes)))
 
     def test_bad_beta_raises(self):
         with pytest.raises(ValueError):
