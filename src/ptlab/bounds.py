@@ -4,108 +4,65 @@ coarse closed-form bounds, and infinite-chain limits.
 The index walk that carries a reference sample to the target chain is a
 persistent random walk under deterministic even/odd (DEO, non-reversible)
 communication and a lazy reflected random walk under stochastic even/odd
-(SEO, reversible) communication.  Both have exact survival functions
-computable by repeated sparse matrix-vector products with an absorbing
-transition matrix.
+(SEO, reversible) communication.  Both have exact survival functions,
+computed by pushing the machine's slot distribution through the engine's
+own swap rounds, one round at a time.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
-import scipy.sparse as sp
 from scipy.special import ndtr
 
-from .engine import NRPT, RPT
+from .engine import NRPT, RPT, _proposed
 
 
-@dataclass(frozen=True)
-class SparseTransition:
-    """Absorbing transition matrix of the index walk for one (scheme, N, r)."""
-
-    scheme: str
-    n: int
-    r: float
-    matrix: sp.csr_matrix  # row-stochastic
-    start: int             # state occupied at t = 0
-    absorbing: int         # state whose mass gives Pr(tau <= t)
-
-
-def _check_scheme(scheme):
-    s = scheme.lower()
-    if s not in (NRPT, RPT):
+def _check_walk(scheme, n, r):
+    """Validated (scheme, rates) of an n-interval index walk: ``r`` is a
+    scalar or one rejection rate per pair, each in [0, 1), and the rates
+    come back broadcast to the n pairs."""
+    if scheme.lower() not in (NRPT, RPT):
         raise ValueError(f"unknown scheme {scheme!r}")
-    return s
-
-
-def build_transition(scheme, n, r):
-    """Build the absorbing transition matrix for the index walk.
-
-    DEO gives a (2N+2) x (2N+2) persistent-walk matrix whose states track
-    (position, direction) with an absorbing target state; SEO gives an
-    (N+1) x (N+1) lazy walk with a sticky lower boundary.  r is the common
-    per-swap rejection probability.
-    """
-    scheme = _check_scheme(scheme)
     if n < 1:
         raise ValueError("need at least one interval (n >= 1)")
-    if not 0.0 <= r < 1.0:
+    r = np.asarray(r, dtype=float)
+    if r.shape not in ((), (n,)):
+        raise ValueError(f"r must be a scalar or have length n = {n}, "
+                         f"got shape {r.shape}")
+    if not np.all((r >= 0.0) & (r < 1.0)):
         raise ValueError("rejection rate r must lie in [0, 1)")
-    rows, cols, vals = [], [], []
-    if scheme == NRPT:
-        d = 2 * n + 2
-        rows += [0]
-        cols += [0]
-        vals += [1.0]
-        for k in range(1, n + 1):
-            # two direction states per interior position
-            rows += [2 * k - 1, 2 * k - 1]
-            cols += [2 * k - 2, 2 * k + 1]
-            vals += [r, 1.0 - r]
-            rows += [2 * k, 2 * k]
-            cols += [2 * k + 1, 2 * k - 2]
-            vals += [r, 1.0 - r]
-        rows += [2 * n + 1]
-        cols += [2 * n]
-        vals += [1.0]
-        start, absorbing = 2 * n, 0
-    else:
-        d = n + 1
-        rows += [0]
-        cols += [0]
-        vals += [1.0]
-        for i in range(1, n):
-            rows += [i, i, i]
-            cols += [i - 1, i, i + 1]
-            vals += [(1.0 - r) / 2.0, r, (1.0 - r) / 2.0]
-        rows += [n, n]
-        cols += [n - 1, n]
-        vals += [(1.0 - r) / 2.0, (1.0 + r) / 2.0]
-        start, absorbing = n, 0
-    mat = sp.csr_matrix((vals, (rows, cols)), shape=(d, d))
-    return SparseTransition(scheme=scheme, n=n, r=float(r), matrix=mat,
-                            start=start, absorbing=absorbing)
+    return scheme.lower(), np.broadcast_to(r, (n,))
 
 
 def hitting_tail(scheme, n, r, t):
     """Exact Pr(tau_N > t) for integer t (scalar or array).
 
-    Computed by iterating the start row vector through the sparse matrix,
-    never forming dense powers; cost O(t_max * N).
+    The machine starts in slot 0 and tau_N is the round in which it first
+    reaches slot N.  Pair n is proposed at parity p where the engine's
+    ``_proposed(n, p)`` holds, and is accepted with probability 1 - r_n;
+    ``r`` is one rate or one per pair.  Each round moves slot mass across
+    the proposed pairs: NRPT alternates the parities, even first, and RPT
+    applies the average of the two rounds.  Mass reaching slot N is
+    counted and removed.  Cost O(t_max * N).
     """
     t_arr = np.atleast_1d(np.asarray(t, dtype=np.int64))
     if np.any(t_arr < 0):
         raise ValueError("t must be non-negative")
-    trans = build_transition(scheme, n, r)
-    at = trans.matrix
-    v = np.zeros(at.shape[0])
-    v[trans.start] = 1.0
+    scheme, r = _check_walk(scheme, n, r)
+    pairs = np.arange(n)
+    accept = [np.where(_proposed(pairs, p), 1.0 - r, 0.0) for p in (0, 1)]
+    if scheme == RPT:
+        accept = [0.5 * (accept[0] + accept[1])]
+    v = np.zeros(n + 1)
+    v[0] = 1.0
     t_max = int(t_arr.max())
-    tails = np.empty(t_max + 1)
-    tails[0] = 1.0 - v[trans.absorbing]
+    hit = np.zeros(t_max + 1)
     for step in range(1, t_max + 1):
-        v = at.T @ v
-        tails[step] = 1.0 - v[trans.absorbing]
-    out = np.clip(tails[t_arr], 0.0, 1.0)
+        a = accept[(step - 1) % len(accept)]
+        flow = a * (v[:-1] - v[1:])
+        v[:-1] -= flow
+        v[1:] += flow
+        hit[step] = hit[step - 1] + v[-1]
+        v[-1] = 0.0
+    out = np.clip(1.0 - hit[t_arr], 0.0, 1.0)
     out[out < 1e-300] = 0.0
     return out if np.ndim(t) else float(out[0])
 
@@ -127,8 +84,12 @@ def coarse_bound(scheme, n, r, t):
 
     DEO: [1 - (1-r)^{2N}]^{floor(t / (2N+1))};
     SEO: [1 - ((1-r)/2)^N]^{floor(t / N)}.
+
+    Both assume one common rejection rate, so ``r`` must be a scalar.
     """
-    scheme = _check_scheme(scheme)
+    if np.ndim(r):
+        raise ValueError("coarse_bound takes one common rejection rate r")
+    scheme, _ = _check_walk(scheme, n, r)
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0):
         raise ValueError("t must be non-negative")

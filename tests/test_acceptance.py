@@ -57,7 +57,7 @@ class TestCriterion1FiniteChainExactNumbers:
 
 class TestCriterion2MatrixOracleVsMonteCarlo:
     """KS distance between 1e5 simulated hitting times and the exact
-    matrix tail stays inside the 99% band for every (scheme, N, r)."""
+    index-walk tail stays inside the 99% band for every (scheme, N, r)."""
 
     N_SIM = 100_000
 

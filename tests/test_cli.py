@@ -117,6 +117,12 @@ class TestExitCodes:
         pytest.param(["bounds", "--tmax", "-3"], None, "--tmax",
                      id="bounds-tmax=-3"),
     ] + [
+        pytest.param(["bounds", flag, value], None, needle,
+                     id=f"bounds{flag}={value}")
+        for flag, value, needle in (("--r", "1.0", "r must lie in [0, 1)"),
+                                    ("--r", "nan", "r must lie in [0, 1)"),
+                                    ("--N", "0", "n >= 1"))
+    ] + [
         # each is rejected before any tuning or simulation at default sizes
         pytest.param(["clt", "--iters", "500"], None, "n_iters",
                      id="clt-iters=500"),
