@@ -109,7 +109,7 @@ def export_run(trace, out_dir):
                + [f"accept{p}" for p in range(n_chains - 1)],
                [range(t_iters), trace.parities[:t_iters, 0], *v.T,
                 *index.T, *direction.T,
-                *trace.accepts[:, :, 0].T.astype(np.int8)])
+                *(trace.accept_bits[:, :, 0] & 1).T])
     _write_csv(paths[1], ["v_t", "v_next"], [v[:-1, -1], v[1:, -1]])
     stats = rejection_rates(trace)
     _write_json(paths[2], {

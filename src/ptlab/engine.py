@@ -13,11 +13,12 @@ genuine restart; chains 1..N move under one explorer in a single call,
 each chain on its own stream.  One energy call covers the whole array.
 The swap rule is stated once, as the slot map of a swap round
 (``slot_map``).  The run gathers states and energies through it, by one
-flat take over the (N+1)*R rows, and records only its decisions,
-parities and accepts.  The index process (the slot of each machine),
-from which restarts and ancestral survival are derived, is the same map
-replayed by the same gather on first read, and a machine's direction is
-derived from its slot and the parity.  When the explorer renews its state
+flat take over the (N+1)*R rows, and records only its decisions: the
+parities, and the accepts packed eight replicas to a byte.  The index
+process (the slot of each machine), from which restarts and ancestral
+survival are derived, is the same map replayed by the same gather on
+first read, and a machine's direction is derived from its slot and the
+parity.  When the explorer renews its state
 (``renews = True``, see ``explorers``), iterations do not read one
 another's states, and a block of them runs as one wide iteration over
 their replicas side by side.  A run is fully determined by (config,
@@ -63,10 +64,15 @@ class PTTrace:
     """Recorded decisions of one (possibly replicated) PT run.
 
     Shapes: T iterations, N intervals (N+1 chains), R replicas.
-    ``accepts`` (T, N, R) is True where the swap of pair (n, n+1) was
-    proposed and accepted; T and R are read from its shape.  ``parities``
-    is (T+1, R) for both schemes (a read-only broadcast view under NRPT);
-    its last row gives the final direction.  ``energies[t]`` holds
+    ``accept_bits`` (T, N, ceil(R/8)) uint8 holds the swap record as bits:
+    bit i % 8 (least significant first) of byte [t, n, i // 8] is 1 where
+    the swap of pair (n, n+1) was proposed and accepted in replica i at
+    iteration t, as ``np.packbits(..., axis=-1, bitorder="little")``
+    writes it, and the pad bits of the last byte are 0.  ``accepts`` is
+    that record unpacked, (T, N, R) bool, made afresh on each read.
+    ``parities`` is (T+1, R) for both schemes (a read-only broadcast view
+    under NRPT); its last row gives the final direction.  T is read from
+    ``accept_bits`` and R from ``parities``.  ``energies[t]`` holds
     end-of-iteration (post-swap) chain energies.  ``index`` (T+1, N+1, R)
     is the slot of each machine, the rounds' slot maps replayed;
     ``direction`` is +1 where that slot proposes an upward swap at the
@@ -76,22 +82,28 @@ class PTTrace:
     scheme: str
     betas: np.ndarray
     parities: np.ndarray
-    accepts: np.ndarray
+    accept_bits: np.ndarray
     energies: Optional[np.ndarray] = None
     target_states: Optional[np.ndarray] = None
     final_states: Optional[np.ndarray] = None
 
     @property
     def n_iters(self):
-        return self.accepts.shape[0]
+        return self.accept_bits.shape[0]
 
     @property
     def n_replicas(self):
-        return self.accepts.shape[2]
+        return self.parities.shape[1]
 
     @property
     def n_intervals(self):
         return self.betas.size - 1
+
+    @property
+    def accepts(self):
+        accepts = _unpack(self.accept_bits, self.n_replicas)
+        accepts.flags.writeable = False
+        return accepts
 
     @cached_property
     def index(self):
@@ -99,7 +111,8 @@ class PTTrace:
                           self.n_replicas), dtype=np.int16)
         index[0] = np.arange(self.n_intervals + 1)[:, None]
         for t in range(self.n_iters):
-            index[t + 1] = update_index_process(index[t], self.accepts[t])
+            index[t + 1] = update_index_process(
+                index[t], _unpack(self.accept_bits[t], self.n_replicas))
         return index
 
     @property
@@ -113,6 +126,17 @@ def slot_direction(index, parity, n_intervals):
     broadcasts against it), else -1; the top slot n_intervals is always -1."""
     upward = _proposed(index, parity) & (index < n_intervals)
     return np.where(upward, np.int8(1), np.int8(-1))
+
+
+# set bits of each byte value
+_POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None],
+                          axis=1).sum(axis=1, dtype=np.uint8)
+
+
+def _unpack(bits, r):
+    """The bool accepts of R = ``r`` replicas packed in ``bits``."""
+    return np.unpackbits(bits, axis=-1, count=r,
+                         bitorder="little").view(bool)
 
 
 def _proposed(pair, parity):
@@ -235,7 +259,7 @@ def run_pt(config, model, explorer, init_states=None):
     else:
         parities = parity_rng.integers(0, 2, size=(t_iters + 1, r)).astype(np.int8)
 
-    accepts = np.zeros((t_iters, n, r), dtype=bool)
+    accept_bits = np.zeros((t_iters, n, -(-r // 8)), dtype=np.uint8)
     energies = np.zeros((t_iters, n_chains, r)) if config.record_energies else None
     target_states = (np.zeros((t_iters, r) + site_shape, dtype=states.dtype)
                      if config.record_target_states else None)
@@ -259,7 +283,8 @@ def run_pt(config, model, explorer, init_states=None):
         v = energy(model, x)
         acc = communication_step(v, config.schedule,
                                  parities[t0:t1].reshape(b * r), comm_rng)
-        accepts[t0:t1] = acc.reshape(n, b, r).swapaxes(0, 1)
+        accept_bits[t0:t1] = np.packbits(acc.reshape(n, b, r).swapaxes(0, 1),
+                                         axis=-1, bitorder="little")
         rows = _slot_rows(slot_map(acc))
         if energies is not None:
             energies[t0:t1] = _gather(v, rows).reshape(
@@ -268,12 +293,14 @@ def run_pt(config, model, explorer, init_states=None):
             target_states[t0:t1] = _gather(x, rows[n]).reshape(
                 (b, r) + site_shape)
         states = _gather(x, rows[:, -r:])
+        # drop the block's arrays before the next block makes its own
+        del x, v, acc, rows
 
     return PTTrace(
         scheme=config.scheme,
         betas=betas,
         parities=parities,
-        accepts=accepts,
+        accept_bits=accept_bits,
         energies=energies,
         target_states=target_states,
         final_states=states,
@@ -307,7 +334,10 @@ def rejection_rates(trace, burn_in=0.0):
     n_odd = np.count_nonzero(parities)
     prop_counts = np.where(_proposed(np.arange(trace.n_intervals), 1),
                            n_odd, parities.size - n_odd)
-    acc_counts = trace.accepts[t0:].sum(axis=(0, 2))
+    # indexing, not take, which would first copy the bytes to intp; int,
+    # the count dtype of a bool sum
+    acc_counts = _POPCOUNT[trace.accept_bits[t0:]].sum(axis=(0, 2),
+                                                       dtype=int)
     with np.errstate(invalid="ignore"):
         rej = 1.0 - acc_counts / prop_counts
     rej = np.where(prop_counts == 0, np.nan, rej)

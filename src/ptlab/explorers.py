@@ -11,9 +11,10 @@ ideal and Gaussian explorers leave the path distribution pi_beta invariant
 at each chain's beta; the Gibbs explorer rounds p(+1) up to a multiple of
 2^-32, so each of its site updates moves pi_beta by less than 2^-32 in
 total variation.  The i.i.d. reference sampler ignores beta.  The ideal
-explorers hold inverse-CDF tables for the betas of their last call only;
-a lookup gives the same cells whatever the tables held, so one explorer
-object can serve many runs.
+explorers hold inverse-CDF tables for the betas of their last call only,
+and load a call's tables before they draw its uniforms; a lookup gives
+the same cells whatever the tables held, so one explorer object can serve
+many runs.
 
 An explorer whose class sets ``renews = True`` promises two things: its
 output ignores the values of its input (only the shape is read), and it
@@ -174,8 +175,10 @@ class IsingGibbsExplorer:
     ``step`` returns the new codes, raising ``ValueError`` on any other
     dtype.  For the call the spins are held site-major, (16, n, R), as
     0/1, site s in row SITE_ROW[s] = (11 s + 3) mod 16: one right shift
-    of the codes by ``ROW_SITE`` and one ``& 1`` fill the rows, and one
-    left shift and an OR over the rows pack them back.
+    of the codes by ``ROW_SITE`` and one ``& 1`` fill the rows, and a left
+    shift and an OR over the rows pack them back, in chunks of as many
+    rows as fit DRAW_BUFFER_BYTES as uint16 (at least one row), each
+    chunk's OR then OR-ed into the codes.
 
     Each block runs level by level (``gibbs_schedule``): a full 3-sweep
     block has 15 levels of 1, 2, 3, 4, ..., 4, 3, 2, 1 updates, the
@@ -229,8 +232,16 @@ class IsingGibbsExplorer:
                     n_up[slots] += up[a]
                 for slots, row, draw in writes:
                     np.greater_equal(n_up[slots], c[draw], out=up_b[row])
-        bits = np.left_shift(up.view(np.uint8), shifts, dtype=np.uint16)
-        return np.bitwise_or.reduce(bits, axis=0)
+        per_chunk = max(1, DRAW_BUFFER_BYTES // (2 * n * r))
+        x = None
+        for lo in range(0, N_SITES, per_chunk):
+            rows = slice(lo, lo + per_chunk)
+            bits = np.left_shift(up[rows].view(np.uint8), shifts[rows],
+                                 dtype=np.uint16)
+            part = np.bitwise_or.reduce(bits, axis=0)
+            del bits
+            x = part if x is None else np.bitwise_or(x, part, out=x)
+        return x
 
 
 GUIDE_SIZE = 1 << 16  # a power of two, so u * GUIDE_SIZE is exact
@@ -265,6 +276,9 @@ class _InverseCdf:
 
     Only the tables of the last call's betas are held.  When the betas
     change, every table is rebuilt from the caller's exact beta.
+    ``prepare(betas)`` loads them without a lookup, so that a caller can
+    load before it draws its keys and no table is built while the keys
+    are held.
     """
 
     def __init__(self, log_weights):
@@ -310,10 +324,16 @@ class _InverseCdf:
         self._guide = guide
         self.betas = betas
 
-    def cells(self, betas, u):
+    def prepare(self, betas):
+        """Hold the tables of ``betas``, loading them unless they are held;
+        returns the betas as a tuple of floats."""
         betas = tuple(float(b) for b in betas)
         if betas != self.betas:
             self._load(betas)
+        return betas
+
+    def cells(self, betas, u):
+        betas = self.prepare(betas)
         slot = _guide_slots(u)
         slot += (GUIDE_SIZE + 1) * np.arange(len(betas))[:, None]
         lo = self._guide.take(slot).ravel()
@@ -353,6 +373,7 @@ class IdealIsingExplorer:
             lambda beta: beta * ising_bond_sums().astype(float))
 
     def step(self, x, betas, rngs):
+        self._cdf.prepare(betas)  # tables before draws
         u = np.stack([g.random(x.shape[1]) for g in rngs])
         return self._cdf.cells(betas, u).astype(np.uint16)
 
@@ -378,16 +399,21 @@ class IdealGridExplorer:
         self.model = model
         self.edges = np.linspace(lo, hi, n_cells + 1)
         self.widths = np.diff(self.edges)
-        self.mids = 0.5 * (self.edges[:-1] + self.edges[1:])
         self._path_terms = None  # (lr, V) on the mids, from the first table
         self._cdf = _InverseCdf(self._log_weights)
+
+    @property
+    def mids(self):
+        """The cell midpoints, computed on each read."""
+        return 0.5 * (self.edges[:-1] + self.edges[1:])
 
     def _log_weights(self, beta):
         if not 0.0 <= beta <= 1.0:
             raise ValueError("beta must lie in [0, 1]")
         if self._path_terms is None:
-            self._path_terms = (log_path_density(self.model, 0.0, self.mids),
-                                energy(self.model, self.mids))
+            mids = self.mids
+            self._path_terms = (log_path_density(self.model, 0.0, mids),
+                                energy(self.model, mids))
         lr, v = self._path_terms
         if beta == 0.0:
             return lr  # avoids 0 * inf at cells of zero target density
@@ -396,6 +422,7 @@ class IdealGridExplorer:
         return logw
 
     def step(self, x, betas, rngs):
+        self._cdf.prepare(betas)  # tables before draws
         # per chain and replica, the uniform that picks the cell, then the
         # offset
         u = np.empty((len(rngs), x.shape[1], 2))

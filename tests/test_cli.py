@@ -443,6 +443,22 @@ class TestExportRoundTrip:
             np.testing.assert_array_equal(cols[f"eps{c}"],
                                           trace.direction[1:, c, 0])
 
+    @pytest.mark.parametrize("scheme", ["nrpt", "rpt"])
+    @pytest.mark.parametrize("n_replicas", [1, 9])
+    def test_accept_columns_are_replica_0(self, scheme, n_replicas, tmp_path):
+        # replica 0 is bit 0 of the first byte, which it shares with
+        # replicas 1-7 when R > 1
+        mu = gaussian_equal_rate_mu(3, 0.4)
+        cfg = PTConfig(scheme, AnnealingSchedule.uniform(3), n_iters=60,
+                       n_replicas=n_replicas, seed=1)
+        trace = run_pt(cfg, gaussian_shift_pair(mu), GaussianPathExplorer(mu))
+        export_run(trace, str(tmp_path))
+        cols = read_trace_csv(str(tmp_path / "trace.csv"))
+        accepts = trace.accepts[:, :, 0].astype(np.int8)
+        assert accepts.any()
+        for p in range(3):
+            np.testing.assert_array_equal(cols[f"accept{p}"], accepts[:, p])
+
     def test_summary_contents(self, trace, tmp_path):
         export_run(trace, str(tmp_path))
         with open(tmp_path / "summary.json") as fh:

@@ -28,6 +28,11 @@ from ptlab.models import N_SITES, bimodal_pair, gaussian_shift_pair, ising_model
 from ptlab.rng import make_stream
 
 
+def _pack(accepts):
+    """A (T, N, R) bool swap record as ``PTTrace.accept_bits``."""
+    return np.packbits(accepts, axis=-1, bitorder="little")
+
+
 def _replay_by_direction(accepts, parities):
     """The index process by the direction rule, one machine at a time.
 
@@ -178,7 +183,7 @@ class TestIndexProcess:
         accepts[0, [1, 3], 1] = True  # parity 1: pair 1 and top pair
         accepts[1, 0, 1] = True       # parity 0: bottom pair
         tr = PTTrace(scheme="rpt", betas=np.linspace(0.0, 1.0, 5),
-                     parities=parities, accepts=accepts)
+                     parities=parities, accept_bits=_pack(accepts))
         np.testing.assert_array_equal(tr.index[:, :, 0], [
             [0, 1, 2, 3, 4], [1, 0, 3, 2, 4], [1, 0, 4, 2, 3]])
         np.testing.assert_array_equal(tr.index[:, :, 1], [
@@ -438,6 +443,44 @@ class TestRunPt:
         np.testing.assert_allclose(r_back, 0.3, atol=1e-12)
 
 
+class TestPackedRecord:
+    @pytest.mark.parametrize("scheme", ["nrpt", "rpt"])
+    @pytest.mark.parametrize("n_replicas", [1, 7, 8, 9, 1001])
+    def test_bits_hold_the_accepts(self, scheme, n_replicas):
+        n, t_iters = 4, 30
+        tr = _gaussian_run(scheme, n, 0.4, t_iters, n_replicas,
+                           seed=n_replicas)
+        n_bytes = -(-n_replicas // 8)
+        bits = tr.accept_bits
+        assert bits.dtype == np.uint8
+        assert bits.shape == (t_iters, n, n_bytes)
+        assert bits.nbytes == t_iters * n * n_bytes
+        assert tr.n_iters == t_iters and tr.n_replicas == n_replicas
+        # pad bits of the last byte are 0
+        every_bit = np.unpackbits(bits, axis=-1, bitorder="little")
+        assert not every_bit[..., n_replicas:].any()
+        accepts = tr.accepts
+        assert accepts.dtype == bool
+        assert accepts.shape == (t_iters, n, n_replicas)
+        assert not accepts.flags.writeable
+        np.testing.assert_array_equal(accepts, every_bit[..., :n_replicas])
+        assert accepts.any()
+        # only proposed pairs are accepted
+        proposed = engine._proposed(np.arange(n)[None, :, None],
+                                    tr.parities[:-1, None, :])
+        assert not (accepts & ~proposed).any()
+        for burn_in in (0.0, 0.3):
+            t0 = int(np.floor(burn_in * t_iters))
+            stats = rejection_rates(tr, burn_in=burn_in)
+            n_prop = proposed[t0:].sum(axis=(0, 2))
+            accepted = accepts[t0:].sum(axis=(0, 2))
+            np.testing.assert_array_equal(stats.proposed, n_prop)
+            np.testing.assert_array_equal(stats.accepted, accepted)
+            assert stats.accepted.dtype == accepted.dtype
+            np.testing.assert_array_equal(stats.rejection,
+                                          1.0 - accepted / n_prop)
+
+
 class TestRejectionRates:
     def test_zero_proposal_pairs_flagged(self):
         tr = _gaussian_run("nrpt", 2, 0.3, 1, 4)  # single even round
@@ -467,7 +510,7 @@ class TestRestartsAndAncestry:
                             [[False], [True]]])  # (t, pair, replica)
         tr = PTTrace(scheme="nrpt", betas=np.array([0.0, 0.5, 1.0]),
                      parities=np.arange(3)[:, None] % 2,
-                     accepts=accepts)
+                     accept_bits=_pack(accepts))
         np.testing.assert_array_equal(tr.index[:, :, 0],
                                       [[0, 1, 2], [1, 0, 2], [2, 0, 1]])
         assert restart_count(tr) == 1

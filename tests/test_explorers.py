@@ -179,8 +179,10 @@ class TestIsingGibbs:
     def test_matches_raster_scan_bit_for_bit(self, monkeypatch, sweeps,
                                              replicas, betas, per_block):
         # the buffer cap sets how many site updates share a block of draws
-        # (made even, at least two, at odd R); the draws and the result
-        # must not depend on the blocking or on the level schedule in it
+        # (made even, at least two, at odd R) and how many rows are packed
+        # back at a time (twice as many, so 2 to 16 rows a chunk here); the
+        # draws and the result must not depend on the blocking, on the
+        # level schedule in it or on the chunks
         betas = np.array(BETAS[betas])
         n = betas.size
         monkeypatch.setattr(explorers, "DRAW_BUFFER_BYTES",
