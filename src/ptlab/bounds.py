@@ -1,5 +1,5 @@
 """Exact hitting-time tails and total-variation bounds for finite chains,
-coarse closed-form bounds, and infinite-chain limits.
+coarse closed-form bounds, and the exact tails of the infinite-chain limits.
 
 The index walk that carries a reference sample to the target chain is a
 persistent random walk under deterministic even/odd (DEO, non-reversible)
@@ -7,12 +7,18 @@ communication and a lazy reflected random walk under stochastic even/odd
 (SEO, reversible) communication.  Both have exact survival functions,
 computed by pushing the machine's slot distribution through the engine's
 own swap rounds, one round at a time.
+
+With N r = Lambda held fixed, the DEO walk in time t N tends to the
+continuum persistent walk, whose tail is the Bromwich inversion of its
+Laplace transform (``laplace``), and the SEO walk in time t N^2 tends to
+reflected Brownian motion, whose tail is a series.
 """
 
 import numpy as np
 from scipy.special import ndtr
 
 from .engine import NRPT, RPT, _proposed
+from .laplace import _bromwich
 
 
 def _check_walk(scheme, n, r):
@@ -125,6 +131,31 @@ def nrpt_infinite_bound(lam, t):
     t_arr = np.asarray(t, dtype=float)
     out = np.minimum(1.0, 106.0 * np.exp(-(t_arr - 1.0) / (lam + 2.0)))
     return out if np.ndim(t) else float(out)
+
+
+def nrpt_infinite_tail(lam, t):
+    """Exact Pr(tau > t) for the traversal time of the continuum persistent
+    walk (``walks.sim_pdmp``), the scaling limit of the NRPT index walk.
+
+    tau >= 1, with an atom of mass e^{-Lambda} at 1: the walks that cross
+    without a flip.  Beyond 1, s -> Pr(tau > 1 + s) is the Bromwich
+    inversion of ``laplace.eval_F`` along estimate_C's contour
+    Re(z) = a = -1/(Lambda+2) with its 4e-3 budget, e^{a s} C(Lambda, s).
+    Any finite Lambda >= 0 is taken; Lambda = 0 gives the step at 1.
+    """
+    if not 0.0 <= lam < np.inf:
+        raise ValueError(f"lam must be finite and non-negative, got {lam!r}")
+    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    if not np.all(np.isfinite(t_arr) & (t_arr >= 0)):
+        raise ValueError("t must be finite and non-negative")
+    out = np.where(t_arr < 1.0, 1.0, 1.0 - np.exp(-lam))
+    late = t_arr > 1.0
+    if np.any(late):
+        a = -1.0 / (lam + 2.0)
+        s = t_arr[late] - 1.0
+        out[late] = np.exp(a * s) * _bromwich(lam, s, a, 4e-3)
+    out = np.clip(out, 0.0, 1.0)
+    return out if np.ndim(t) else float(out[0])
 
 
 def rpt_infinite_tail(t):

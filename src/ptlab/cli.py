@@ -207,10 +207,8 @@ def cmd_bounds(args):
     ts = np.arange(0, args.tmax + 1)
     exact = bounds_mod.hitting_tail(args.scheme, args.N, args.r, ts)
     coarse = bounds_mod.coarse_bound(args.scheme, args.N, args.r, ts)
-    lam = args.N * args.r
     if args.scheme == "nrpt":
-        infinite = (bounds_mod.nrpt_infinite_bound(lam, ts / args.N)
-                    if lam >= 1.0 else np.ones_like(ts, dtype=float))
+        infinite = bounds_mod.nrpt_infinite_tail(args.N * args.r, ts / args.N)
     else:
         infinite = bounds_mod.rpt_infinite_tail(ts / (args.N**2))
     path = os.path.join(args.out, "bounds.csv")
@@ -339,10 +337,8 @@ def cmd_clt(args):
 
 def cmd_scaling(args):
     res = finite_vs_infinite(lam=args.lam,
-                             n_values=_parse_float_list(args.n_values),
-                             n_rep=args.replicas, seed=args.seed)
-    _emit({"command": "scaling",
-           **{k: v for k, v in res.items() if "_sup_diff_N" in k}})
+                             n_values=_parse_float_list(args.n_values))
+    _emit({"command": "scaling", **res})
 
 
 def cmd_diagnose(args):
@@ -501,7 +497,6 @@ def build_parser():
     p.add_argument("--lam", type=float, default=4.0)
     p.add_argument("--n-values", default="10,30,100",
                    help="comma-separated chain counts")
-    p.add_argument("--replicas", type=_replicates, default=200_000)
     _add_common(p)
     p.set_defaults(func=cmd_scaling)
 

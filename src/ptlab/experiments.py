@@ -26,7 +26,7 @@ from .models import (
     ising_exact_distribution,
     ising_model,
 )
-from . import bounds, walks
+from . import bounds
 from .rng import INIT, MAIN, TUNE, make_stream
 
 
@@ -222,16 +222,15 @@ def bimodal_clt_runs(n_runs=500, n=6, n_iters=2000, seed=0):
 # ---------------------------------------------------------------------------
 
 
-def finite_vs_infinite(lam=4.0, n_values=(10, 30, 100), n_rep=200_000,
-                       seed=0):
-    """Scaled finite-chain tails against the continuum limits.
+def finite_vs_infinite(lam=4.0, n_values=(10, 30, 100)):
+    """Sup-distances of scaled finite-chain tails from their continuum limits.
 
     Non-reversible: exact tail at floor(t N) with r = lam/N versus the
-    Monte Carlo survival of the continuum persistent walk, for 39 points t
-    in [1, 20]; reversible: exact tail at floor(t N^2) versus the Brownian
-    series, for 30 points t in [0.05, 3].
-    Returns sup-differences per N for both schemes.  Needs finite lam >= 0
-    and integer N >= 1 with lam/N < 1, checked before any simulation.
+    exact continuum persistent-walk tail, for 39 points t in [1, 20];
+    reversible: exact tail at floor(t N^2) versus the Brownian series, for
+    30 points t in [0.05, 3].  Deterministic: no Monte Carlo runs.
+    Returns nrpt_sup_diff_N{N} and rpt_sup_diff_N{N} for each N in order.
+    Needs finite lam >= 0 and integer N >= 1 with lam/N < 1.
     """
     if not 0.0 <= lam < np.inf:
         raise ValueError(f"lam must be finite and non-negative, got {lam!r}")
@@ -240,20 +239,15 @@ def finite_vs_infinite(lam=4.0, n_values=(10, 30, 100), n_rep=200_000,
         raise ValueError("need integer N >= 1 with lam/N < 1, got "
                          f"lam={lam!r}, N={list(n_values)}")
     t_grid = np.linspace(1.0, 20.0, 39)
-    pdmp = walks.survival_curve(
-        lambda rng, size: walks.sim_pdmp(lam, rng, size), t_grid, n_rep, seed
-    )
-    out = {"t": t_grid, "pdmp_survival": pdmp.survival,
-           "pdmp_stderr": pdmp.stderr, "lam": lam}
+    limit = bounds.nrpt_infinite_tail(lam, t_grid)
     t_bm = np.linspace(0.05, 3.0, 30)
     series = bounds.rpt_infinite_tail(t_bm)
-    out["t_bm"] = t_bm
-    out["bm_series"] = series
+    out = {}
     for n in map(int, n_values):
         r = lam / n
         steps = np.floor(t_grid * n).astype(int)
         tails = bounds.hitting_tail("nrpt", n, r, steps)
-        out[f"nrpt_sup_diff_N{n}"] = float(np.max(np.abs(tails - pdmp.survival)))
+        out[f"nrpt_sup_diff_N{n}"] = float(np.max(np.abs(tails - limit)))
         steps2 = np.floor(t_bm * n * n).astype(int)
         tails2 = bounds.hitting_tail("rpt", n, r, steps2)
         out[f"rpt_sup_diff_N{n}"] = float(np.max(np.abs(tails2 - series)))

@@ -13,6 +13,7 @@ from conftest import ks_band, ks_distance_discrete
 from ptlab.bounds import (
     coarse_bound,
     hitting_tail,
+    nrpt_infinite_tail,
     pdmp_loose_bound,
     rpt_infinite_bound,
     rpt_infinite_tail,
@@ -93,6 +94,13 @@ class TestCriterion3CoarseBoundDominance:
                                grid, 100_000, seed=int(lam * 10))
         bound = pdmp_loose_bound(lam, grid)
         assert np.all(bound >= curve.survival - 3 * curve.stderr)
+
+    @pytest.mark.parametrize("lam", [0.5, 2.0, 10.0])
+    def test_loose_bound_dominates_exact_continuum_tail(self, lam):
+        # smallest margins: 0.0102, 0.135 and 4.5e-5 (e^{-10}, the atom)
+        grid = np.arange(1.0, 21.0)
+        assert np.all(pdmp_loose_bound(lam, grid)
+                      >= nrpt_infinite_tail(lam, grid))
 
 
 def _bm_survival(dt, n_rep, seed, grid):
@@ -183,8 +191,7 @@ class TestCriterion6IsingTvExperiment:
 
 @pytest.fixture(scope="module")
 def scaling_result():
-    return finite_vs_infinite(lam=4.0, n_values=(10, 30, 100),
-                              n_rep=200_000, seed=0)
+    return finite_vs_infinite(lam=4.0, n_values=(10, 30, 100))
 
 
 class TestCriterion7FiniteToInfiniteConvergence:
@@ -195,6 +202,13 @@ class TestCriterion7FiniteToInfiniteConvergence:
         diffs = [scaling_result[f"nrpt_sup_diff_N{n}"]
                  for n in (10, 30, 100)]
         assert diffs[0] > diffs[1] > diffs[2]
+
+    def test_nonreversible_rate_is_one_over_n(self, scaling_result):
+        # N times the sup difference is 2.367, 2.026 and 1.826, tending to
+        # about 1.79 (1.800 at N = 300, 1.791 at N = 1000)
+        for n in (10, 30, 100):
+            scaled = n * scaling_result[f"nrpt_sup_diff_N{n}"]
+            assert 1.75 <= scaled <= 2.45, n
 
     def test_reversible_close_at_largest_n(self, scaling_result):
         assert scaling_result["rpt_sup_diff_N100"] <= 0.05

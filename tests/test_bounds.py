@@ -8,6 +8,7 @@ from ptlab.bounds import (
     coarse_bound,
     hitting_tail,
     nrpt_infinite_bound,
+    nrpt_infinite_tail,
     pdmp_loose_bound,
     rpt_infinite_bound,
     rpt_infinite_tail,
@@ -317,6 +318,39 @@ class TestInfiniteLimits:
     def test_nonreversible_bound_requires_lam_ge_one(self):
         with pytest.raises(ValueError):
             nrpt_infinite_bound(0.5, 3.0)
+
+    def test_continuum_tail_before_and_at_one(self):
+        # tau >= 1, with an atom e^{-lam} at 1: no flip before the far end
+        for lam in (0.25, 4.0, 64.0):
+            head = nrpt_infinite_tail(lam, [0.0, 0.5, 1.0 - 1e-12])
+            assert head.tolist() == [1.0, 1.0, 1.0]
+            np.testing.assert_allclose(nrpt_infinite_tail(lam, 1.0),
+                                       1.0 - np.exp(-lam), rtol=0,
+                                       atol=1e-15)
+
+    def test_continuum_tail_is_a_step_without_flips(self):
+        ts = np.array([0.0, 0.99, 1.0, 1.01, 2.0, 20.0])
+        np.testing.assert_allclose(nrpt_infinite_tail(0.0, ts),
+                                   [1.0, 1.0, 0.0, 0.0, 0.0, 0.0], rtol=0,
+                                   atol=1e-12)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.25, 1.0, 4.0, 64.0, 512.0])
+    def test_continuum_tail_is_a_probability(self, lam):
+        tails = nrpt_infinite_tail(lam, np.linspace(0.0, 200.0, 401))
+        assert np.all((tails >= 0.0) & (tails <= 1.0))
+
+    def test_continuum_tail_scalar_in_float_out(self):
+        val = nrpt_infinite_tail(4.0, 3.0)
+        assert type(val) is float
+        assert nrpt_infinite_tail(4.0, np.array([3.0]))[0] == val
+        assert nrpt_infinite_tail(4.0, [2.0, 3.0])[1] == val
+
+    @pytest.mark.parametrize("lam, t", [
+        (-0.5, 2.0), (np.nan, 2.0), (np.inf, 2.0),
+        (4.0, -1.0), (4.0, [2.0, -0.1]), (4.0, np.nan), (4.0, np.inf)])
+    def test_continuum_tail_rejects_bad_input(self, lam, t):
+        with pytest.raises(ValueError):
+            nrpt_infinite_tail(lam, t)
 
     def test_pdmp_loose_values(self):
         lam = 2.0

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from ptlab.bounds import nrpt_infinite_tail
 from ptlab.cli import build_parser, export_run, main, read_trace_csv
 from ptlab.core import AnnealingSchedule
 from ptlab.engine import PTConfig, run_pt
@@ -110,9 +111,14 @@ class TestExitCodes:
         pytest.param(["gcb"], {"iters": -3}, "--iters",
                      id="gcb-config-iters=-3"),
     ] + [
-        pytest.param([cmd, "--replicas", value], None, "--replicas",
-                     id=f"{cmd}-replicas={value}")
-        for cmd in ("hitting", "scaling") for value in ("-5", "99")
+        pytest.param(["hitting", "--replicas", value], None, "--replicas",
+                     id=f"hitting-replicas={value}") for value in ("-5", "99")
+    ] + [
+        # scaling runs no Monte Carlo, so it has no replica count to take
+        pytest.param(["scaling", "--replicas", "2000"], None, "--replicas",
+                     id="scaling-replicas=2000"),
+        pytest.param(["scaling"], {"replicas": 2000}, "replicas",
+                     id="scaling-config-replicas=2000"),
     ] + [
         pytest.param(["bounds", "--tmax", "-3"], None, "--tmax",
                      id="bounds-tmax=-3"),
@@ -356,6 +362,21 @@ class TestSubcommandOutputs:
                                          "infinite_limit"}
         assert data["t"].size == 13
 
+    def test_bounds_nrpt_infinite_limit_is_the_continuum_tail(self, capsys,
+                                                             tmp_path):
+        rc, out, _ = run_cli(capsys, ["bounds", "--scheme", "nrpt",
+                                      "--out", str(tmp_path)])
+        assert rc == 0
+        data = np.genfromtxt(tmp_path / "bounds.csv", delimiter=",",
+                             names=True)
+        # default flags N = 6, r = 0.46: Lambda = 2.76, t/N from 0 to 25/6
+        np.testing.assert_array_equal(data["infinite_limit"],
+                                      nrpt_infinite_tail(6 * 0.46,
+                                                         data["t"] / 6))
+        np.testing.assert_allclose(
+            data["infinite_limit"][::5],
+            [1.0, 1.0, 0.7429, 0.5602, 0.4232, 0.3197], rtol=0, atol=5e-5)
+
     def test_hitting_csv(self, capsys, tmp_path):
         rc, out, _ = run_cli(capsys, [
             "hitting", "--process", "pdmp", "--lam", "2.0",
@@ -378,8 +399,7 @@ class TestSubcommandOutputs:
         assert lam_hat("0.2") != lam_hat("0.9")
 
     def test_scaling_summary(self, capsys):
-        rc, out, _ = run_cli(capsys, [
-            "scaling", "--n-values", "10,30", "--replicas", "2000"])
+        rc, out, _ = run_cli(capsys, ["scaling", "--n-values", "10,30"])
         assert rc == 0
         summary = json.loads(out)
         assert list(summary) == ["command", "nrpt_sup_diff_N10",

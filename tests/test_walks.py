@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from ptlab.bounds import hitting_tail, rpt_infinite_tail
+from ptlab.bounds import hitting_tail, nrpt_infinite_tail, rpt_infinite_tail
 from ptlab.rng import make_stream
 from ptlab.walks import (
     max_leap,
@@ -84,6 +84,18 @@ class TestPdmp:
         mc = (ts <= 1.0).mean()
         se = np.sqrt(exact * (1 - exact) / ts.size)
         assert abs(mc - exact) < 4 * se
+
+    @pytest.mark.parametrize("lam", [0.25, 4.0])
+    def test_survival_matches_exact_tail(self, lam):
+        # the whole law, on both sides of estimate_C's domain lam >= 1;
+        # read where the tail lies in [0.01, 0.99] (12 and 74 points)
+        grid = np.linspace(1.0, 20.0, 77)
+        exact = nrpt_infinite_tail(lam, grid)
+        read = (exact >= 0.01) & (exact <= 0.99)
+        curve = survival_curve(lambda rng, size: sim_pdmp(lam, rng, size),
+                               grid, 200_000, seed=11)
+        se = np.sqrt(exact * (1 - exact) / 200_000)
+        assert np.all(np.abs(curve.survival - exact)[read] < 4 * se[read])
 
     def test_negative_rate_raises(self):
         with pytest.raises(ValueError):
