@@ -109,14 +109,22 @@ def coarse_bound(scheme, n, r, t):
     return out if np.ndim(t) else float(out)
 
 
+def _check_continuum(lam, t, lam_min=0.0):
+    """Times ``t`` as a float array, once Lambda is finite and at least
+    ``lam_min`` and every t is finite and non-negative."""
+    if not lam_min <= lam < np.inf:
+        raise ValueError(f"lam must be finite and >= {lam_min:g}, "
+                         f"got {lam!r}")
+    t_arr = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(t_arr) & (t_arr >= 0)):
+        raise ValueError("t must be finite and non-negative")
+    return t_arr
+
+
 def pdmp_loose_bound(lam, t):
     """Loose survival bound (1 - e^{-2 Lambda})^{floor(t/2)} for the
     continuum persistent walk."""
-    if lam < 0:
-        raise ValueError("lam must be non-negative")
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0):
-        raise ValueError("t must be non-negative")
+    t_arr = _check_continuum(lam, t)
     out = (1.0 - np.exp(-2.0 * lam)) ** np.floor(t_arr / 2.0)
     return out if np.ndim(t) else float(out)
 
@@ -126,9 +134,7 @@ def nrpt_infinite_bound(lam, t):
 
     Valid for Lambda >= 1, where 106 is the universal constant.
     """
-    if lam < 1.0:
-        raise ValueError("bound requires lam >= 1")
-    t_arr = np.asarray(t, dtype=float)
+    t_arr = _check_continuum(lam, t, lam_min=1.0)
     out = np.minimum(1.0, 106.0 * np.exp(-(t_arr - 1.0) / (lam + 2.0)))
     return out if np.ndim(t) else float(out)
 
@@ -143,11 +149,7 @@ def nrpt_infinite_tail(lam, t):
     Re(z) = a = -1/(Lambda+2) with its 4e-3 budget, e^{a s} C(Lambda, s).
     Any finite Lambda >= 0 is taken; Lambda = 0 gives the step at 1.
     """
-    if not 0.0 <= lam < np.inf:
-        raise ValueError(f"lam must be finite and non-negative, got {lam!r}")
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if not np.all(np.isfinite(t_arr) & (t_arr >= 0)):
-        raise ValueError("t must be finite and non-negative")
+    t_arr = np.atleast_1d(_check_continuum(lam, t))
     out = np.where(t_arr < 1.0, 1.0, 1.0 - np.exp(-lam))
     late = t_arr > 1.0
     if np.any(late):

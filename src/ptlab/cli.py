@@ -7,7 +7,15 @@ output directory.  This is the only module in the package that parses
 flags or reads or writes files, every CSV through _write_csv and every
 JSON file through _write_json.  Exit codes: 0 success, 1 invalid
 arguments/configuration, 2 runtime failure, with the error as JSON on
-stderr.  --config supplies flags from a JSON file; explicit flags win.
+stderr.
+
+Each subcommand declares only the flags its handler reads, so a flag it
+would ignore is invalid input: --seed where it draws random numbers
+(sample, tune, gcb, hitting, ising-validate, clt), --out where it writes
+files (sample, tune, bounds, hitting, laplace, ising-validate).  The one
+exception is laplace --seed, kept for the benchmark's laplace workload,
+whose argv passes it.  --config, on every subcommand, supplies flags from
+a JSON file, required ones included; explicit flags win.
 """
 
 import argparse
@@ -45,10 +53,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise CliError(f"{self.prog}: {message}")
-
-
-def _default_outdir():
-    return os.environ.get("PTLAB_OUTDIR", "ptlab-out")
 
 
 def _json_default(obj):
@@ -402,11 +406,17 @@ _positive = _at_least(1)
 _replicates = _at_least(100)  # walks.survival_curve's minimum
 
 
-def _add_common(p):
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None, help="output directory")
+def _add_common(p, *, seed, out):
+    """--config, and --seed and --out where the handler reads them."""
+    if seed:
+        p.add_argument("--seed", type=int, default=0)
+    if out:
+        p.add_argument("--out",
+                       default=os.environ.get("PTLAB_OUTDIR", "ptlab-out"),
+                       help="output directory (default: $PTLAB_OUTDIR, "
+                            "else ptlab-out)")
     p.add_argument("--config", default=None,
-                   help="JSON file of flag defaults (flags override)")
+                   help="JSON file of flag values (flags override)")
 
 
 def build_parser():
@@ -422,7 +432,7 @@ def build_parser():
     p.add_argument("--schedule", default=None,
                    help="comma-separated schedule points")
     p.add_argument("--burn-in", type=_burn_in, default=0.2)
-    _add_common(p)
+    _add_common(p, seed=True, out=True)
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("tune", help="equi-acceptance schedule adaptation")
@@ -430,7 +440,7 @@ def build_parser():
     p.add_argument("--chains", type=_chains, default=13)
     p.add_argument("--rounds", type=int, default=None,
                    help="tuning rounds (default: the model's own count)")
-    _add_common(p)
+    _add_common(p, seed=True, out=True)
     p.set_defaults(func=cmd_tune)
 
     p = sub.add_parser("gcb", help="communication-barrier estimate")
@@ -439,7 +449,7 @@ def build_parser():
     p.add_argument("--iters", type=_positive, default=256)
     p.add_argument("--replicas", type=_positive, default=5000)
     p.add_argument("--burn-in", type=_burn_in, default=0.2)
-    _add_common(p)
+    _add_common(p, seed=True, out=False)
     p.set_defaults(func=cmd_gcb)
 
     p = sub.add_parser("bounds", help="exact tails and closed-form bounds")
@@ -447,7 +457,7 @@ def build_parser():
     p.add_argument("--N", type=int, default=6)
     p.add_argument("--r", type=float, default=0.46)
     p.add_argument("--tmax", type=int, default=25)
-    _add_common(p)
+    _add_common(p, seed=False, out=True)
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("hitting", help="Monte Carlo survival curves")
@@ -461,7 +471,7 @@ def build_parser():
     p.add_argument("--tmin", type=float, default=1.0)
     p.add_argument("--tmax", type=float, default=200.0)
     p.add_argument("--points", type=int, default=100)
-    _add_common(p)
+    _add_common(p, seed=True, out=True)
     p.set_defaults(func=cmd_hitting)
 
     p = sub.add_parser("laplace", help="C(Lambda) table and curves")
@@ -471,7 +481,10 @@ def build_parser():
                    help="also write per-Lambda C(Lambda, t) CSV curves")
     p.add_argument("--fgrid", action="store_true",
                    help="dump an |F(z)| magnitude grid for the first Lambda")
-    _add_common(p)
+    # laplace draws no random numbers, but the benchmark's laplace workload
+    # passes --seed, as it does to every workload: the flag stays until
+    # that argv drops it
+    _add_common(p, seed=True, out=True)
     p.set_defaults(func=cmd_laplace)
 
     p = sub.add_parser("ising-validate", help="Ising TV-vs-bound experiment")
@@ -481,7 +494,7 @@ def build_parser():
     p.add_argument("--init", default="all-minus",
                    choices=["all-minus", "random"])
     p.add_argument("--explorer", default="gibbs", choices=["gibbs", "ideal"])
-    _add_common(p)
+    _add_common(p, seed=True, out=True)
     p.set_defaults(func=cmd_ising_validate)
 
     p = sub.add_parser("clt", help="batch-means CLT check, bimodal target")
@@ -490,32 +503,38 @@ def build_parser():
     p.add_argument("--iters", type=int, default=2000)
     p.add_argument("--level", type=float, default=0.01,
                    choices=AD_LEVELS.tolist())
-    _add_common(p)
+    _add_common(p, seed=True, out=False)
     p.set_defaults(func=cmd_clt)
 
     p = sub.add_parser("scaling", help="finite-chain tails vs their limits")
     p.add_argument("--lam", type=float, default=4.0)
     p.add_argument("--n-values", default="10,30,100",
                    help="comma-separated chain counts")
-    _add_common(p)
+    _add_common(p, seed=False, out=False)
     p.set_defaults(func=cmd_scaling)
 
     p = sub.add_parser("diagnose", help="diagnostics over an exported trace")
     p.add_argument("--trace", required=True, help="path to trace.csv")
     p.add_argument("--burn-in", type=_burn_in, default=0.2)
-    _add_common(p)
+    _add_common(p, seed=False, out=False)
     p.set_defaults(func=cmd_diagnose)
 
     return ap, dict(sub.choices)
 
 
-def _config_argv(subparser, path):
-    """Flag tokens for the values a JSON config file sets.
+def _config_argv(subparsers, argv):
+    """Flag tokens for the values the --config file in `argv` sets.
 
-    The tokens go before the command-line flags, so explicit flags win
-    (argparse keeps the last value) and every config value passes through
-    its flag's type and choices.
+    The file is found before the full parse, so it can supply a required
+    flag.  The tokens go before the command-line flags, so explicit flags
+    win (argparse keeps the last value) and every config value passes
+    through its flag's type and choices.
     """
+    pre = _Parser(prog="ptlab", add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv[1:])[0].config
+    if path is None or argv[0] not in subparsers:
+        return []
     try:
         with open(path) as fh:
             conf = json.load(fh)
@@ -523,7 +542,9 @@ def _config_argv(subparser, path):
         raise CliError(f"cannot read config: {exc}") from exc
     if not isinstance(conf, dict):
         raise CliError("config must be a JSON object")
-    flags = {a.dest: a for a in subparser._actions if a.option_strings}
+    # a "config" key would be overridden by the --config that named the file
+    flags = {a.dest: a for a in subparsers[argv[0]]._actions
+             if a.option_strings and a.dest != "config"}
     unknown = [k for k in conf if k.replace("-", "_") not in flags]
     if unknown:
         raise CliError(f"unknown config keys: {unknown}")
@@ -547,13 +568,8 @@ def main(argv=None):
     parser, subparsers = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = parser.parse_args(argv)
-        if args.config:
-            args = parser.parse_args(
-                argv[:1] + _config_argv(subparsers[args.command], args.config)
-                + argv[1:])
-        if args.out is None:
-            args.out = _default_outdir()
+        args = parser.parse_args(argv[:1] + _config_argv(subparsers, argv)
+                                 + argv[1:])
         args.func(args)
         return 0
     except (CliError, ValueError) as exc:

@@ -13,6 +13,7 @@ from conftest import ks_band, ks_distance_discrete
 from ptlab.bounds import (
     coarse_bound,
     hitting_tail,
+    nrpt_infinite_bound,
     nrpt_infinite_tail,
     pdmp_loose_bound,
     rpt_infinite_bound,
@@ -100,6 +101,14 @@ class TestCriterion3CoarseBoundDominance:
         # smallest margins: 0.0102, 0.135 and 4.5e-5 (e^{-10}, the atom)
         grid = np.arange(1.0, 21.0)
         assert np.all(pdmp_loose_bound(lam, grid)
+                      >= nrpt_infinite_tail(lam, grid))
+
+    @pytest.mark.parametrize("lam", [1.0, 2.0, 4.0, 16.0, 64.0])
+    def test_infinite_bound_dominates_exact_continuum_tail(self, lam):
+        # the paper's 106 e^{-(t-1)/(lam+2)}: where it is below 1 the exact
+        # tail is at most 0.0037 of it
+        grid = np.linspace(1.0, 12.0 * (lam + 2.0), 600)
+        assert np.all(nrpt_infinite_bound(lam, grid)
                       >= nrpt_infinite_tail(lam, grid))
 
 

@@ -1,5 +1,7 @@
-"""The benchmark's traced mode wraps ptlab functions by name; a rename or
-deletion of any of them must fail here, in the fast suite."""
+"""The benchmark's traced mode wraps ptlab functions by name, and its
+workloads run ptlab through fixed CLI argv; a rename or deletion of any of
+those functions, or a CLI change that rejects one of those argv, must fail
+here, in the fast suite."""
 
 import importlib.util
 import inspect
@@ -8,24 +10,26 @@ import os
 import numpy as np
 import pytest
 
+from ptlab.cli import build_parser
 import ptlab.engine as engine
 import ptlab.experiments as experiments
 import ptlab.walks as walks
 
-TRACING = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
-    __file__))), "perfbench", "tracing.py")
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "perfbench")
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing",
-                                                  TRACING)
+def _load(name):
+    """perfbench/<name>.py as a module, read from its file."""
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", os.path.join(PERFBENCH, f"{name}.py"))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_install_and_restore_every_hook():
-    tracing = _load_tracing()
+    tracing = _load("tracing")
     originals = (engine.run_pt, engine.update_index_process,
                  experiments.tuning_rounds)
     tracer = tracing.Tracer(0)
@@ -45,7 +49,7 @@ def test_install_and_restore_every_hook():
 ])
 def test_model_log_target_is_traced(factory, x):
     # models.log_target.s is timed only through the models experiments builds
-    tracing = _load_tracing()
+    tracing = _load("tracing")
     tracer = tracing.Tracer(0)
     try:
         tracing.install(tracer)
@@ -63,3 +67,12 @@ def test_reflected_bm_parameters_read_by_name():
     bound = inspect.signature(walks.sim_reflected_bm).bind(None, 10)
     bound.apply_defaults()
     assert {"dt", "t_max"} <= set(bound.arguments)
+
+
+@pytest.mark.parametrize("scale", ["full", "tiny"])
+@pytest.mark.parametrize("workload", _load("workloads").WORKLOADS)
+def test_workload_argv_parses(workload, scale, tmp_path):
+    # a parse error raises CliError; laplace declares --seed for this argv
+    argv = _load("workloads").build_argv(workload, 0, str(tmp_path), scale)
+    args = build_parser()[0].parse_args(argv)
+    assert (args.command, args.seed, args.out) == (argv[0], 0, str(tmp_path))

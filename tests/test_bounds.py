@@ -352,6 +352,18 @@ class TestInfiniteLimits:
         with pytest.raises(ValueError):
             nrpt_infinite_tail(lam, t)
 
+    @pytest.mark.parametrize("bound, lam, t", [
+        pytest.param(bound, lam, t, id=f"{bound.__name__}-lam={lam}-t={t}")
+        for bound, good_lam in ((nrpt_infinite_bound, 4.0),
+                                (pdmp_loose_bound, 2.0))
+        for lam, t in ((-0.5, 2.0), (np.nan, [1.0, 30.0]), (np.inf, 3.0),
+                       (good_lam, -5.0), (good_lam, [1.0, np.nan]),
+                       (good_lam, np.inf))])
+    def test_closed_form_bounds_reject_bad_input(self, bound, lam, t):
+        # each once returned 1 or NaN: a NaN lam slipped past lam < 1
+        with pytest.raises(ValueError):
+            bound(lam, t)
+
     def test_pdmp_loose_values(self):
         lam = 2.0
         assert pdmp_loose_bound(lam, 1.9) == 1.0

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -19,6 +20,31 @@ def run_cli(capsys, argv):
     rc = main(argv)
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def declared(command):
+    """The dests of the flags a subcommand declares, --help aside."""
+    return {a.dest for a in build_parser()[1][command]._actions
+            if a.option_strings and a.dest != "help"}
+
+
+# flags these subcommands do not declare, since their handlers do not read them
+REMOVED_FLAGS = (("bounds", "--seed", "3"), ("scaling", "--seed", "3"),
+                 ("diagnose", "--seed", "3"), ("gcb", "--out", "out"),
+                 ("clt", "--out", "out"), ("scaling", "--out", "out"),
+                 ("diagnose", "--out", "out"))
+
+
+def write_trace(path):
+    """A 50-iteration, two-chain trace.csv in export_run's layout."""
+    path.write_text("t,parity,V0,V1,I0,I1,eps0,eps1,accept0\n"
+                    + "".join(f"{t},{t % 2},0.5,{t % 7},0,1,1,-1,0\n"
+                              for t in range(50)))
+
+
+def trace_flag(command):
+    # diagnose requires --trace, which argparse checks before stray flags
+    return ["--trace", "t.csv"] if command == "diagnose" else []
 
 
 class TestExitCodes:
@@ -142,10 +168,26 @@ class TestExitCodes:
                      id="scaling-n-values=10,x"),
         pytest.param(["scaling", "--n-values", "2", "--lam", "4"], None,
                      "lam/N < 1", id="scaling-n-values=2-lam=4"),
+        # once accepted, then overridden by the --config naming the file
+        pytest.param(["bounds"], {"config": "other.json"}, "'config'",
+                     id="bounds-config-config=other.json"),
+    ] + [
+        # a flag the handler would ignore is not declared, so it is invalid
+        pytest.param([cmd] + trace_flag(cmd) + [flag, value], None, flag,
+                     id=f"{cmd}{flag}={value}")
+        for cmd, flag, value in REMOVED_FLAGS
+    ] + [
+        pytest.param([cmd] + trace_flag(cmd), {flag[2:]: value},
+                     f"'{flag[2:]}'", id=f"{cmd}-config-{flag[2:]}={value}")
+        for cmd, flag, value in REMOVED_FLAGS
     ])
-    def test_validation_error(self, capsys, tmp_path, argv, config, needle):
+    def test_validation_error(self, capsys, tmp_path, monkeypatch, argv,
+                              config, needle):
+        # relative paths ("out", the default output directory) land here
+        monkeypatch.chdir(tmp_path)
         out_dir = tmp_path / "out"
-        argv = argv + ["--out", str(out_dir)]
+        if "out" in declared(argv[0]):
+            argv = argv + ["--out", str(out_dir)]
         if config is not None:
             conf = tmp_path / "conf.json"
             conf.write_text(json.dumps(config))
@@ -155,7 +197,7 @@ class TestExitCodes:
         payload = json.loads(err)
         assert payload["kind"] == "validation"
         assert needle in payload["error"]
-        assert out == "" and not out_dir.exists()
+        assert out == "" and set(os.listdir(tmp_path)) <= {"conf.json"}
 
     def test_blank_energies_rejected(self, capsys, tmp_path):
         trace = tmp_path / "trace.csv"
@@ -269,6 +311,30 @@ class TestConfigFile:
         payload = json.loads(err)
         assert payload["kind"] == "validation" and "'out'" in payload["error"]
         assert out == "" and not (tmp_path / "None").exists()
+
+    def test_config_supplies_a_required_flag(self, capsys, tmp_path):
+        # argparse checks required flags, so the config is read before it
+        trace = tmp_path / "trace.csv"
+        write_trace(trace)
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"trace": str(trace)}))
+        by_flag = run_cli(capsys, ["diagnose", "--trace", str(trace)])
+        by_config = run_cli(capsys, ["diagnose", "--config", str(conf)])
+        assert by_flag[0] == 0 and json.loads(by_flag[1])["n_iters"] == 50
+        assert by_config == by_flag
+
+    @pytest.mark.parametrize("config", [None, {"burn-in": 0.5}])
+    def test_missing_required_flag(self, capsys, tmp_path, config):
+        argv = ["diagnose"]
+        if config is not None:
+            conf = tmp_path / "conf.json"
+            conf.write_text(json.dumps(config))
+            argv += ["--config", str(conf)]
+        rc, out, err = run_cli(capsys, argv)
+        assert rc == 1 and out == ""
+        payload = json.loads(err)
+        assert payload["kind"] == "validation"
+        assert "--trace" in payload["error"]
 
     def test_malformed_config(self, capsys, tmp_path):
         conf = tmp_path / "conf.json"
@@ -387,12 +453,11 @@ class TestSubcommandOutputs:
                              names=True)
         assert np.all(np.diff(data["survival"]) <= 0)
 
-    def test_gcb_burn_in_is_used(self, capsys, tmp_path):
+    def test_gcb_burn_in_is_used(self, capsys):
         def lam_hat(burn_in):
             rc, out, _ = run_cli(capsys, [
                 "gcb", "--model", "bimodal", "--chains", "3", "--iters", "64",
-                "--replicas", "200", "--burn-in", burn_in,
-                "--out", str(tmp_path)])
+                "--replicas", "200", "--burn-in", burn_in])
             assert rc == 0
             return json.loads(out)["lambda_hat"]
 
@@ -427,6 +492,61 @@ class TestSubcommandOutputs:
         assert rc == 0
         summary = json.loads(out)
         assert abs(summary["table"]["1.0"]["C"] - 0.632) < 0.02
+
+
+class ReadRecorder(argparse.Namespace):
+    """A namespace that records the name of each attribute read once
+    `reads` is set to a set."""
+
+    reads = None
+
+    def __getattribute__(self, name):
+        reads = object.__getattribute__(self, "reads")
+        if reads is not None:
+            reads.add(name)
+        return object.__getattribute__(self, name)
+
+
+class TestEveryDeclaredFlagIsRead:
+    """A flag its handler never reads does nothing, so it must not be
+    declared: each subcommand runs at a tiny size and must read every
+    flag it takes, --config aside (main reads that one)."""
+
+    ARGV = {
+        "sample": ["--chains", "3", "--iters", "10"],
+        "tune": ["--model", "ising-ideal", "--chains", "3", "--rounds", "1"],
+        "gcb": ["--model", "ising-ideal", "--chains", "3", "--iters", "8",
+                "--replicas", "16"],
+        "bounds": ["--tmax", "5"],
+        "hitting": ["--process", "pdmp", "--replicas", "100", "--tmax", "3",
+                    "--points", "3"],
+        "laplace": ["--lam", "1"],
+        "ising-validate": ["--explorer", "ideal", "--chains", "3",
+                           "--iters", "2", "--replicas", "16"],
+        "clt": ["--runs", "4", "--chains", "3", "--iters", "1000"],
+        "scaling": ["--n-values", "10"],
+        "diagnose": ["--trace", "trace.csv"],
+    }
+    # laplace draws no random numbers, but the benchmark's laplace workload
+    # passes --seed to it (perfbench/workloads.py, build_argv)
+    UNREAD = {"laplace": {"seed"}}
+
+    @pytest.mark.parametrize("command", list(build_parser()[1]))
+    def test_reads_every_declared_flag(self, command, capsys, tmp_path,
+                                       monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("PTLAB_OUTDIR", str(tmp_path))
+        for name, spec in MODELS.items():
+            monkeypatch.setitem(MODELS, name, dataclasses.replace(
+                spec, base_iters=4, tune_replicas=16))
+        write_trace(tmp_path / "trace.csv")
+        args = build_parser()[0].parse_args([command] + self.ARGV[command],
+                                            namespace=ReadRecorder())
+        args.reads = set()
+        args.func(args)
+        capsys.readouterr()
+        unread = declared(command) - {"config"} - args.reads
+        assert unread == self.UNREAD.get(command, set())
 
 
 class TestExportRoundTrip:
