@@ -6,7 +6,8 @@ persistent random walk under deterministic even/odd (DEO, non-reversible)
 communication and a lazy reflected random walk under stochastic even/odd
 (SEO, reversible) communication.  Both have exact survival functions,
 computed by pushing the machine's slot distribution through the engine's
-own swap rounds, one round at a time.
+own swap rounds, one round at a time; ``walks.sim_index_walk`` moves one
+machine by the same rounds.
 
 With N r = Lambda held fixed, the DEO walk in time t N tends to the
 continuum persistent walk, whose tail is the Bromwich inversion of its
@@ -17,25 +18,8 @@ reflected Brownian motion, whose tail is a series.
 import numpy as np
 from scipy.special import ndtr
 
-from .engine import NRPT, RPT, _proposed
+from .engine import NRPT, RPT, _check_walk, _proposed
 from .laplace import _bromwich
-
-
-def _check_walk(scheme, n, r):
-    """Validated (scheme, rates) of an n-interval index walk: ``r`` is a
-    scalar or one rejection rate per pair, each in [0, 1), and the rates
-    come back broadcast to the n pairs."""
-    if scheme.lower() not in (NRPT, RPT):
-        raise ValueError(f"unknown scheme {scheme!r}")
-    if n < 1:
-        raise ValueError("need at least one interval (n >= 1)")
-    r = np.asarray(r, dtype=float)
-    if r.shape not in ((), (n,)):
-        raise ValueError(f"r must be a scalar or have length n = {n}, "
-                         f"got shape {r.shape}")
-    if not np.all((r >= 0.0) & (r < 1.0)):
-        raise ValueError("rejection rate r must lie in [0, 1)")
-    return scheme.lower(), np.broadcast_to(r, (n,))
 
 
 def hitting_tail(scheme, n, r, t):

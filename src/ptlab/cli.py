@@ -16,6 +16,9 @@ files (sample, tune, bounds, hitting, laplace, ising-validate).  The one
 exception is laplace --seed, kept for the benchmark's laplace workload,
 whose argv passes it.  --config, on every subcommand, supplies flags from
 a JSON file, required ones included; explicit flags win.
+
+hitting --process nrpt|rpt simulates the index walk whose exact tail
+bounds writes.
 """
 
 import argparse
@@ -248,11 +251,11 @@ def cmd_hitting(args):
     if args.points < 1:
         raise CliError(f"--points must be >= 1, got {args.points}")
     t_grid = np.linspace(args.tmin, args.tmax, args.points)
+    index_walk = lambda rng, size: walks_mod.sim_index_walk(
+        args.process, args.N, args.r, rng, size)
     sims = {
-        "nrpt": lambda rng, size: walks_mod.sim_persistent_walk(
-            args.N, args.r, rng, size),
-        "rpt": lambda rng, size: walks_mod.sim_seo_walk(
-            args.N, args.r, rng, size),
+        "nrpt": index_walk,
+        "rpt": index_walk,
         "pdmp": lambda rng, size: walks_mod.sim_pdmp(args.lam, rng, size),
         # the simulation stops at the last time the curve reads
         "bm": lambda rng, size: walks_mod.sim_reflected_bm(

@@ -140,8 +140,26 @@ def _unpack(bits, r):
 
 
 def _proposed(pair, parity):
-    """True where the swap of pair (pair, pair+1) is proposed at ``parity``."""
-    return pair % 2 == parity
+    """True where the swap of pair (pair, pair+1) is proposed at ``parity``,
+    that is where pair % 2 == parity, read off the low bit (no division)."""
+    return (pair & 1) == parity
+
+
+def _check_walk(scheme, n, r):
+    """Validated (scheme, rates) of an n-interval index walk: ``r`` is a
+    scalar or one rejection rate per pair, each in [0, 1), and the rates
+    come back broadcast to the n pairs."""
+    if scheme.lower() not in (NRPT, RPT):
+        raise ValueError(f"unknown scheme {scheme!r}")
+    if n < 1:
+        raise ValueError("need at least one interval (n >= 1)")
+    r = np.asarray(r, dtype=float)
+    if r.shape not in ((), (n,)):
+        raise ValueError(f"r must be a scalar or have length n = {n}, "
+                         f"got shape {r.shape}")
+    if not np.all((r >= 0.0) & (r < 1.0)):
+        raise ValueError("rejection rate r must lie in [0, 1)")
+    return scheme.lower(), np.broadcast_to(r, (n,))
 
 
 def slot_map(accepts):

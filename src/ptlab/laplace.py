@@ -17,9 +17,10 @@ of the uniform grid 2 + j _FAR_STEP.
 Only the factor e^{ixt} depends on t, and Filon quadrature integrates it
 exactly against each interpolant, from the moments of u^m e^{i theta u}
 on [-1, 1].  So the steps need only resolve g, not e^{ixt}: one node set
-serves every t, and F is evaluated once per call on it.  Each t sums its
-panels out to its own truncation point, which does not depend on the
-steps, and its value does not depend on which other t share the call.
+serves every t, and F is evaluated once per call on it (the node shared
+by two far blocks twice).  Each t sums its panels out to its own
+truncation point, which does not depend on the steps, and its value does
+not depend on which other t share the call.
 """
 
 import math
@@ -181,15 +182,25 @@ def _bromwich(lam, t, a, tail_tol):
     lo, hi = edges[:-1], edges[1:]
     mid_n, half_n = 0.5 * (lo + hi), 0.5 * (hi - lo)
     x_n = (mid_n[:, None] + half_n[:, None] * _GL4_X).ravel()
-    x_f = 2.0 + _FAR_STEP * np.arange(2 * n_pairs.max() + 1)
-    g = _g(np.concatenate([x_n, x_f]), lam, a, c)
     # u^m coefficients of the interpolants: cubic through each panel's
     # four nodes, quadratic through each far pair's nodes at u = -1, 0, 1
-    g_n, g_f = g[:x_n.size], g[x_n.size:]
-    coef_n = _GL4_TO_MONO @ g_n.reshape(-1, 4).T
-    g_lo, g_mid, g_hi = g_f[:-1:2], g_f[1::2], g_f[2::2]
-    coef_f = np.array([g_mid, 0.5 * (g_hi - g_lo),
-                       0.5 * (g_hi + g_lo) - g_mid])
+    coef_n = _GL4_TO_MONO @ _g(x_n, lam, a, c).reshape(-1, 4).T
+    # far pair p has nodes 2p..2p+2 of the grid 2 + k _FAR_STEP; a block of
+    # m pairs has 2m + 1 nodes, one _BLOCK, the last shared with the next
+    coef_f = np.empty((3, n_pairs.max()), dtype=complex)
+    m = (_BLOCK - 1) // 2
+    for p0 in range(0, coef_f.shape[1], m):
+        c0, c1, c2 = coef_f[:, p0:p0 + m]
+        g = _g(2.0 + _FAR_STEP * np.arange(2 * p0, 2 * (p0 + c0.size) + 1),
+               lam, a, c)
+        g_lo, g_mid, g_hi = g[:-1:2], g[1::2], g[2::2]
+        # g_mid, (g_hi - g_lo) / 2 and (g_hi + g_lo) / 2 - g_mid, in place
+        c0[...] = g_mid
+        np.subtract(g_hi, g_lo, out=c1)
+        c1 *= 0.5
+        np.add(g_hi, g_lo, out=c2)
+        c2 *= 0.5
+        c2 -= g_mid
     # Filon: a panel of half-width h about x contributes
     # h e^{ixt} sum_m coef_m mu_m(h t).  All work on t is elementwise or a
     # sum over that t's own panels, so no t depends on the others.
@@ -199,7 +210,7 @@ def _bromwich(lam, t, a, tail_tol):
     mu_f = _FAR_STEP * _moments(_FAR_STEP * t)[:3]
     out = np.empty(t.size)
     for i, (ti, n) in enumerate(zip(t, n_pairs)):
-        phase = _phases(ti, x_f[1], 2.0 * _FAR_STEP, n)
+        phase = _phases(ti, 2.0 + _FAR_STEP, 2.0 * _FAR_STEP, n)
         far = mu_f[:, i] @ (coef_f[:, :n] @ phase)
         out[i] = (np.sum(near[i]) + far).real / np.pi
     return out

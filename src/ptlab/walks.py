@@ -1,13 +1,14 @@
 """Monte Carlo simulators for the four hitting-time processes.
 
-Each simulator draws a batch of independent traversal times: the discrete
-persistent walk (non-reversible communication), the lazy reflected walk
-(reversible communication), the continuum persistent walk (a piecewise
-deterministic process on [0,1] with direction flips at rate Lambda), and
-reflected Brownian motion on [0,1].  Batches are vectorized over replicas
-with masked updates of the still-alive subset.  Reflected Brownian motion
-moves in exact leaps of variance at most LEAP_VAR, so its cost per unit of
-time does not grow as dt shrinks.
+Each simulator draws a batch of independent traversal times: the index
+walk on the engine's swap rule (a persistent walk under non-reversible
+communication, a lazy reflected walk under reversible communication), the
+continuum persistent walk (a piecewise deterministic process on [0,1]
+with direction flips at rate Lambda), and reflected Brownian motion on
+[0,1].  Batches are vectorized over replicas with masked updates of the
+still-alive subset.  Reflected Brownian motion moves in exact leaps of
+variance at most LEAP_VAR, so its cost per unit of time does not grow as
+dt shrinks.
 """
 
 import math
@@ -15,63 +16,37 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .engine import NRPT, _check_walk, _proposed
 from .rng import make_stream
 
 # replicates per survival_curve block; each block has its own stream
 CHUNK = 200_000
-# steps after which the discrete walks raise RuntimeError
+# rounds after which sim_index_walk raises RuntimeError
 STEP_CAP = 10_000_000
 # largest variance of one leap of sim_reflected_bm: its sd is at most 0.1
 LEAP_VAR = 0.01
 
 
-def sim_persistent_walk(n, r, rng, size=1):
-    """Hitting times of the persistent walk from (0, +1) to (N, +1).
+def sim_index_walk(scheme, n, r, rng, size=1):
+    """Hitting times of slot n from slot 0 by the index walk, whose exact
+    tail is ``bounds.hitting_tail(scheme, n, r, t)``; the state is the slot.
 
-    Each step the walker at an interior state moves one unit in its current
-    direction with probability 1-r, otherwise it stays and flips direction.
-    The state (0, -1) spends one deterministic step turning around.  The
-    walk is absorbed on arrival at position N (necessarily moving upward).
+    NRPT: round t has parity (t - 1) % 2, even first; the walker tries pair
+    (s, s+1) where the engine's ``_proposed(s, parity)`` holds, else pair
+    (s-1, s) (none at slot 0), and moves with probability 1 - r: the
+    persistent walk.  RPT: it moves by the average of the two parity
+    rounds, up or down with probability (1-r)/2 each, held at 0: the lazy
+    reflected walk.  ``r`` is one common rate, checked as hitting_tail
+    checks it.  Each round draws one float32 uniform per live walker.
     """
-    if n < 1 or not 0.0 <= r < 1.0:
-        raise ValueError("need n >= 1 and r in [0, 1)")
-    # live arrays stay compacted; ids maps live slots back to output slots
-    ids = np.arange(size)
-    pos = np.zeros(size, dtype=np.int32)
-    eps = np.ones(size, dtype=np.int32)
-    times = np.zeros(size, dtype=np.int64)
-    q = np.float32(1.0 - r)
-    t = 0
-    while ids.size:
-        t += 1
-        if t > STEP_CAP:
-            raise RuntimeError("walk exceeded step cap")
-        turning = (pos == 0) & (eps == -1)
-        move = rng.random(ids.size, dtype=np.float32) < q
-        move &= ~turning
-        pos += np.where(move, eps, 0)
-        np.copyto(eps, np.where(move, eps, -eps))
-        eps[turning] = 1
-        hit = pos == n
-        if hit.any():
-            times[ids[hit]] = t
-            keep = ~hit
-            ids, pos, eps = ids[keep], pos[keep], eps[keep]
-    return times
-
-
-def sim_seo_walk(n, r, rng, size=1):
-    """Hitting times of the lazy reflected walk from 0 to N.
-
-    Each step the walker moves +-1 with probability (1-r)/2 each and holds
-    with probability r; a downward move at 0 is a hold, so the boundary
-    holds with total probability (1+r)/2.
-    """
-    if n < 1 or not 0.0 <= r < 1.0:
-        raise ValueError("need n >= 1 and r in [0, 1)")
+    if np.ndim(r):
+        raise ValueError("sim_index_walk takes one common rejection rate r")
+    scheme, _ = _check_walk(scheme, n, r)
+    # live arrays stay compacted; ids maps them back to the output
     ids = np.arange(size)
     pos = np.zeros(size, dtype=np.int32)
     times = np.zeros(size, dtype=np.int64)
+    accept = np.float32(1.0 - r)
     half = np.float32((1.0 - r) / 2.0)
     hi = np.float32(1.0 - half)
     t = 0
@@ -80,8 +55,15 @@ def sim_seo_walk(n, r, rng, size=1):
         if t > STEP_CAP:
             raise RuntimeError("walk exceeded step cap")
         u = rng.random(ids.size, dtype=np.float32)
-        pos += u < half
-        pos -= u >= hi
+        if scheme == NRPT:
+            move = u < accept
+            up = _proposed(pos, (t - 1) % 2) & move
+            pos += up
+            pos -= move ^ up
+        else:
+            pos += u < half
+            pos -= u >= hi
+        # slot 0 has no pair below it
         np.maximum(pos, 0, out=pos)
         hit = pos == n
         if hit.any():

@@ -155,6 +155,13 @@ class TestExitCodes:
                                     ("--r", "nan", "r must lie in [0, 1)"),
                                     ("--N", "0", "n >= 1"))
     ] + [
+        # the index walk takes the exact tail's check
+        pytest.param(["hitting", "--process", process, flag, value], None,
+                     needle, id=f"hitting-{process}{flag}={value}")
+        for process in ("nrpt", "rpt")
+        for flag, value, needle in (("--r", "1.0", "r must lie in [0, 1)"),
+                                    ("--N", "0", "n >= 1"))
+    ] + [
         # each is rejected before any tuning or simulation at default sizes
         pytest.param(["clt", "--iters", "500"], None, "n_iters",
                      id="clt-iters=500"),

@@ -6,47 +6,167 @@ import pytest
 from scipy import stats
 
 from ptlab.bounds import hitting_tail, nrpt_infinite_tail, rpt_infinite_tail
+from ptlab.cli import _write_csv, main
 from ptlab.rng import make_stream
 from ptlab.walks import (
     max_leap,
     passage_ratio,
+    sim_index_walk,
     sim_pdmp,
-    sim_persistent_walk,
     sim_reflected_bm,
-    sim_seo_walk,
     survival_curve,
 )
+
+
+def persistent_walk_reference(n, r, rng, size):
+    """The persistent-walk simulator sim_index_walk replaced under NRPT,
+    kept as the reference it must reproduce bit for bit.
+
+    The state is (position, direction), from (0, +1).  Each step the walker
+    moves one unit in its direction with probability 1-r, otherwise it
+    stays and flips direction; the state (0, -1) spends one step turning
+    around.  Absorbed on arrival at position n.
+    """
+    ids = np.arange(size)
+    pos = np.zeros(size, dtype=np.int32)
+    eps = np.ones(size, dtype=np.int32)
+    times = np.zeros(size, dtype=np.int64)
+    q = np.float32(1.0 - r)
+    t = 0
+    while ids.size:
+        t += 1
+        turning = (pos == 0) & (eps == -1)
+        move = rng.random(ids.size, dtype=np.float32) < q
+        move &= ~turning
+        pos += np.where(move, eps, 0)
+        np.copyto(eps, np.where(move, eps, -eps))
+        eps[turning] = 1
+        hit = pos == n
+        if hit.any():
+            times[ids[hit]] = t
+            keep = ~hit
+            ids, pos, eps = ids[keep], pos[keep], eps[keep]
+    return times
+
+
+def seo_walk_reference(n, r, rng, size):
+    """The lazy reflected walk simulator sim_index_walk replaced under RPT,
+    kept as the reference it must reproduce bit for bit.
+
+    Each step the walker moves +-1 with probability (1-r)/2 each and holds
+    with probability r; a downward move at 0 is a hold.
+    """
+    ids = np.arange(size)
+    pos = np.zeros(size, dtype=np.int32)
+    times = np.zeros(size, dtype=np.int64)
+    half = np.float32((1.0 - r) / 2.0)
+    hi = np.float32(1.0 - half)
+    t = 0
+    while ids.size:
+        t += 1
+        u = rng.random(ids.size, dtype=np.float32)
+        pos += u < half
+        pos -= u >= hi
+        np.maximum(pos, 0, out=pos)
+        hit = pos == n
+        if hit.any():
+            times[ids[hit]] = t
+            keep = ~hit
+            ids, pos = ids[keep], pos[keep]
+    return times
+
+
+REFERENCES = {"nrpt": persistent_walk_reference, "rpt": seo_walk_reference}
+
+
+class ZerosAfter:
+    """A stream whose float32 uniforms are all 0 after its first ``rounds``
+    calls.  A uniform of 0 moves every walker on: the persistent walk runs
+    straight to slot N, turning once at slot 0, and the lazy walk steps
+    up, so every walk ends within 2N + 1 rounds of the cut."""
+
+    def __init__(self, rng, rounds):
+        self.rng, self.left = rng, rounds
+
+    def random(self, size, dtype):
+        self.left -= 1
+        if self.left < 0:
+            return np.zeros(size, dtype)
+        return self.rng.random(size, dtype=dtype)
+
+
+class TestIndexWalk:
+    @pytest.mark.parametrize("scheme", ["nrpt", "rpt"])
+    @pytest.mark.parametrize("n", [1, 2, 5, 6, 30])
+    @pytest.mark.parametrize("r", [0.0, 0.1, 0.46, 0.9])
+    def test_reproduces_reference(self, scheme, n, r):
+        # at N = 30 a walk can last 10^4 rounds (7 * 10^4 at r = 0.9) and a
+        # round costs the same for 30 walks as for 1000, so the stream is
+        # cut after 2000 rounds; each walk's time still reads its state there
+        for seed in range(3):
+            new = sim_index_walk(scheme, n, r,
+                                 ZerosAfter(make_stream(seed, 0, 0), 2000),
+                                 1000)
+            old = REFERENCES[scheme](n, r,
+                                     ZerosAfter(make_stream(seed, 0, 0), 2000),
+                                     1000)
+            np.testing.assert_array_equal(new, old)
+
+    @pytest.mark.parametrize("scheme, n, r, needle", [
+        ("xpt", 3, 0.3, "unknown scheme"), ("nrpt", 0, 0.3, "n >= 1"),
+        ("rpt", 3, 1.0, "r must lie"), ("nrpt", 3, np.nan, "r must lie"),
+        ("rpt", 3, [0.1, 0.2, 0.3], "one common rejection rate")])
+    def test_bad_args(self, scheme, n, r, needle):
+        # the exact tail's own check; a vector r, which it takes, is refused
+        with pytest.raises(ValueError, match=needle):
+            sim_index_walk(scheme, n, r, make_stream(0, 0, 0))
+
+    @pytest.mark.parametrize("scheme", ["nrpt", "rpt"])
+    def test_hitting_csv_matches_reference(self, scheme, tmp_path, capsys):
+        argv = ["hitting", "--process", scheme, "--N", "6", "--r", "0.46",
+                "--replicas", "3000", "--tmin", "1", "--tmax", "80",
+                "--points", "20", "--seed", "4", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        curve = survival_curve(
+            lambda rng, size: REFERENCES[scheme](6, 0.46, rng, size),
+            np.linspace(1.0, 80.0, 20), 3000, seed=4)
+        path = tmp_path / "reference.csv"
+        _write_csv(str(path), ["t", "survival", "stderr"],
+                   [curve.t_grid, curve.survival, curve.stderr])
+        assert ((tmp_path / f"survival_{scheme}.csv").read_bytes()
+                == path.read_bytes())
 
 
 class TestPersistentWalk:
     def test_matches_exact_tail_single_interval(self):
         r = 0.3
-        ts = sim_persistent_walk(1, r, make_stream(0, 0, 0), size=100_000)
+        ts = sim_index_walk("nrpt", 1, r, make_stream(0, 0, 0), size=100_000)
         for t, exact in ((1, r), (2, r), (3, r**2)):
             mc = (ts > t).mean()
             se = np.sqrt(exact * (1 - exact) / ts.size)
             assert abs(mc - exact) < 4 * se
 
     def test_ballistic_when_no_rejection(self):
-        ts = sim_persistent_walk(5, 0.0, make_stream(0, 0, 0), size=100)
+        ts = sim_index_walk("nrpt", 5, 0.0, make_stream(0, 0, 0), size=100)
         np.testing.assert_array_equal(ts, 5)
 
     def test_minimum_time_is_n(self):
-        ts = sim_persistent_walk(4, 0.5, make_stream(1, 0, 0), size=10_000)
+        ts = sim_index_walk("nrpt", 4, 0.5, make_stream(1, 0, 0), size=10_000)
         assert ts.min() >= 4
 
     def test_bad_args(self):
         with pytest.raises(ValueError):
-            sim_persistent_walk(0, 0.3, make_stream(0, 0, 0))
+            sim_index_walk("nrpt", 0, 0.3, make_stream(0, 0, 0))
         with pytest.raises(ValueError):
-            sim_persistent_walk(3, 1.0, make_stream(0, 0, 0))
+            sim_index_walk("nrpt", 3, 1.0, make_stream(0, 0, 0))
 
 
 class TestSeoWalk:
     def test_matches_geometric_single_interval(self):
         r = 0.4
         stay = (1 + r) / 2
-        ts = sim_seo_walk(1, r, make_stream(0, 0, 0), size=100_000)
+        ts = sim_index_walk("rpt", 1, r, make_stream(0, 0, 0), size=100_000)
         for t in (1, 3, 6):
             exact = stay**t
             mc = (ts > t).mean()
@@ -55,7 +175,7 @@ class TestSeoWalk:
 
     def test_matches_matrix_tail(self):
         n, r = 4, 0.5
-        ts = sim_seo_walk(n, r, make_stream(2, 0, 0), size=50_000)
+        ts = sim_index_walk("rpt", n, r, make_stream(2, 0, 0), size=50_000)
         for t in (5, 15, 40):
             exact = hitting_tail("rpt", n, r, t)
             mc = (ts > t).mean()
@@ -63,7 +183,7 @@ class TestSeoWalk:
             assert abs(mc - exact) < 4 * se
 
     def test_minimum_time_is_n(self):
-        ts = sim_seo_walk(3, 0.2, make_stream(1, 0, 0), size=10_000)
+        ts = sim_index_walk("rpt", 3, 0.2, make_stream(1, 0, 0), size=10_000)
         assert ts.min() >= 3
 
 
@@ -264,7 +384,7 @@ class TestPassageRatio:
 class TestSurvivalCurve:
     def test_reproducible(self):
         grid = np.linspace(1, 10, 10)
-        sim = lambda rng, size: sim_persistent_walk(3, 0.4, rng, size)
+        sim = lambda rng, size: sim_index_walk("nrpt", 3, 0.4, rng, size)
         c1 = survival_curve(sim, grid, 5000, seed=7)
         c2 = survival_curve(sim, grid, 5000, seed=7)
         np.testing.assert_array_equal(c1.survival, c2.survival)
@@ -272,7 +392,7 @@ class TestSurvivalCurve:
 
     def test_monotone_and_bounded(self):
         grid = np.linspace(1, 30, 20)
-        sim = lambda rng, size: sim_seo_walk(3, 0.4, rng, size)
+        sim = lambda rng, size: sim_index_walk("rpt", 3, 0.4, rng, size)
         c = survival_curve(sim, grid, 20_000, seed=0)
         assert np.all(np.diff(c.survival) <= 0)
         assert np.all((c.survival >= 0) & (c.survival <= 1))
