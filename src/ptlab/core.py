@@ -24,7 +24,8 @@ class TargetModel:
         of shape (..., *state_shape), the leading axes indexing chains and
         replicas) and return an array of shape (...).  The state shape is
         the model's own: () for a scalar state, and () for an Ising state
-        too, which is one uint16 code.
+        too, which is one uint16 code.  The result may be a read-only view;
+        callers only read it.
     log_target_unnorm : callable
         x -> log gamma_1(x), unnormalized target log-density, batched.
     sample_reference : callable or None

@@ -245,6 +245,7 @@ class IsingGibbsExplorer:
 
 
 GUIDE_SIZE = 1 << 16  # a power of two, so u * GUIDE_SIZE is exact
+MIN_DRAW = 2.0**-53  # the smallest positive value Generator.random returns
 DEAD_LOG_WEIGHT = -750.0  # exp underflows to 0 below -745.14
 MAX_TABLE_ENTRIES = 1 << 30  # positions and their pairwise sums fit int32
 
@@ -261,9 +262,12 @@ class _InverseCdf:
 
     ``cells(betas, u)`` returns ``np.searchsorted(cdf_k, u[k])`` for every
     chain k in one vectorized pass, where cdf_k is the normalised CDF of
-    exp(log_weights(betas[k])) and ``u`` (n, R) lies in [0, 1).  A beta's
-    table holds the distinct CDF values, the first cell of each (so a
-    plateau of zero-weight cells is one entry) and a guide of
+    exp(log_weights(betas[k])).  Every key in ``u`` (n, R) must lie in
+    {0} U [MIN_DRAW, 1), the values ``Generator.random`` returns; a key in
+    (0, MIN_DRAW) may get a wrong cell.  A beta's table holds the distinct
+    CDF values, the first cell of each (so a plateau of zero-weight cells
+    is one entry), less every entry after the first whose value lies in
+    (0, MIN_DRAW), which no such key can reach, and a guide of
     GUIDE_SIZE + 1 entries, guide[j] = #(values < j / GUIDE_SIZE) (Chen &
     Asau 1974; Devroye 1986, sec. III.2.4).  A key in guide slot
     j = floor(u GUIDE_SIZE) has its answer in [guide[j], guide[j + 1]]; a
@@ -299,7 +303,10 @@ class _InverseCdf:
         np.cumsum(cdf[a:b], out=cdf[a:b])
         cdf[b:] = cdf[b - 1]
         cdf /= cdf[-1]
-        first = np.flatnonzero(np.r_[True, cdf[1:] != cdf[:-1]])
+        # cell 0 and the cells from `cut` on where the CDF steps: the
+        # entries between lie in (0, MIN_DRAW), below every positive key
+        cut = max(1, np.searchsorted(cdf, MIN_DRAW))
+        first = np.r_[0, cut + np.flatnonzero(cdf[cut:] != cdf[cut - 1:-1])]
         values = cdf[first]
         per_slot = np.bincount(_guide_slots(values), minlength=GUIDE_SIZE + 1)
         guide[0] = 0

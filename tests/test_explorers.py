@@ -11,6 +11,7 @@ from ptlab.diagnostics import empirical_tv_discrete
 from ptlab.engine import PTConfig, run_pt
 from ptlab.explorers import (
     GUIDE_SIZE,
+    MIN_DRAW,
     GaussianPathExplorer,
     IIDReferenceExplorer,
     IdealGridExplorer,
@@ -422,6 +423,25 @@ def searchsorted_grid_step(k, x, betas, rngs):
     return left + width * u[..., 1]
 
 
+def reference_table(cdf):
+    """The values and first cells of a CDF's table, by the plain
+    definitions: the distinct values less every entry after the first
+    whose value lies in (0, MIN_DRAW)."""
+    first = np.flatnonzero(np.r_[True, cdf[1:] != cdf[:-1]])
+    reachable = (cdf[first] == 0.0) | (cdf[first] >= MIN_DRAW)
+    reachable[0] = True
+    first = first[reachable]
+    return cdf[first], first
+
+
+BOUNDARY_KEYS = [MIN_DRAW, np.nextafter(MIN_DRAW, 1.0), 2 * MIN_DRAW]
+
+
+def reachable_keys(u):
+    """The keys of `u` that Generator.random can return."""
+    return u[(u == 0.0) | (u >= MIN_DRAW)]
+
+
 def searchsorted_cells(log_weights, betas, u):
     return np.stack([np.searchsorted(normalised_cdf(log_weights(b)), uk)
                      for b, uk in zip(betas, u)])
@@ -467,13 +487,16 @@ class TestInverseCdf:
             cdf = normalised_cdf(log_weights(b))
             ties = cdf[cdf < 1.0]
             ties = ties[np.linspace(0, ties.size - 1, 3000).astype(int)]
-            keys.append(np.concatenate([
+            keys.append(reachable_keys(np.concatenate([
                 g.random(100_000),
-                [0.0, np.nextafter(1.0, 0.0)],
+                [0.0, np.nextafter(1.0, 0.0)], BOUNDARY_KEYS,
                 np.arange(0, GUIDE_SIZE, 97) / GUIDE_SIZE,  # slot edges
                 ties, np.nextafter(ties, 0.0), np.nextafter(ties, 1.0),
-            ]))
-        u = np.minimum(np.stack(keys), np.nextafter(1.0, 0.0))
+            ])))
+        # chains that lost keys are padded with the key 0
+        size = max(k.size for k in keys)
+        u = np.stack([np.pad(k, (0, size - k.size)) for k in keys])
+        u = np.minimum(u, np.nextafter(1.0, 0.0))
         np.testing.assert_array_equal(
             _InverseCdf(log_weights).cells(betas, u),
             searchsorted_cells(log_weights, betas, u))
@@ -486,18 +509,19 @@ class TestInverseCdf:
         [1e6 - 800.0, 1e6 - 745.1, 1e6, 1e6 - 760.0],
         np.linspace(-10.0, 0.0, 50),
         [0.0], [0.0, -800.0, -np.inf], [-np.inf, -760.0, 0.0],
+        # the CDF at cells 0 to 2 lies in (0, MIN_DRAW)
+        [-40.0, -39.0, -38.0, -20.0, 0.0],
     ])
     def test_tables_skip_dead_cells_bit_for_bit(self, log_w):
         log_w = np.asarray(log_w)
         guide = np.empty(GUIDE_SIZE + 1, dtype=np.int32)
         values, first = _InverseCdf(lambda beta: log_w)._build(1.0, guide)
-        cdf = normalised_cdf(log_w)
-        first_ref = np.flatnonzero(np.r_[True, cdf[1:] != cdf[:-1]])
+        values_ref, first_ref = reference_table(normalised_cdf(log_w))
         np.testing.assert_array_equal(values.view(np.int64),
-                                      cdf[first_ref].view(np.int64))
+                                      values_ref.view(np.int64))
         np.testing.assert_array_equal(first, first_ref)
         np.testing.assert_array_equal(
-            guide, np.searchsorted(cdf[first_ref],
+            guide, np.searchsorted(values_ref,
                                    np.arange(GUIDE_SIZE + 1) / GUIDE_SIZE))
 
     @given(data=st.data())
@@ -513,17 +537,42 @@ class TestInverseCdf:
             lead = data.draw(st.integers(0, 40))
             tables[float(k)] = np.concatenate(
                 [np.full(lead, -np.inf), data.draw(log_w), [0.0]])
-        keys = st.lists(st.floats(0.0, 1.0, exclude_max=True),
-                        min_size=64, max_size=64)
-        u = np.array([data.draw(keys) for _ in range(n_chains)])
+        # the keys Generator.random can return: 0 and [MIN_DRAW, 1)
+        keys = st.lists(st.one_of(st.just(0.0), st.floats(
+            MIN_DRAW, 1.0, exclude_max=True)), min_size=64, max_size=64)
+        u = np.array([data.draw(keys) + BOUNDARY_KEYS
+                      for _ in range(n_chains)])
         for k, log_weights in enumerate(tables.values()):
             ties = normalised_cdf(log_weights)
-            ties = ties[ties < 1.0][::3][:32]
+            ties = reachable_keys(ties[ties < 1.0][::3][:32])
             u[k, :ties.size] = ties
         betas = tuple(tables)
         np.testing.assert_array_equal(
             _InverseCdf(tables.__getitem__).cells(betas, u),
             searchsorted_cells(tables.__getitem__, betas, u))
+
+    def test_random_returns_multiples_of_min_draw(self):
+        # the tables drop the values in (0, MIN_DRAW) because no key the
+        # explorers draw lies there: check both of their call forms
+        g = make_stream(15, 0)
+        ising_keys = g.random(1_000_000)
+        grid_keys = np.empty((1, 500_000, 2))
+        g.random(out=grid_keys[0])
+        for u in (ising_keys, grid_keys):
+            scaled = u / MIN_DRAW  # exact: a power of two
+            assert np.all((u >= 0.0) & (u < 1.0))
+            np.testing.assert_array_equal(scaled, np.floor(scaled))
+
+    def test_tables_hold_no_unreachable_value_but_entry_0(self):
+        betas = (0.0, 4e-4, 0.06, 1.0)
+        tables = _InverseCdf(grid_log_weights())
+        tables.prepare(betas)
+        unreachable = (tables._values > 0.0) & (tables._values < MIN_DRAW)
+        assert set(np.flatnonzero(unreachable)) <= set(tables._guide[:, 0])
+        # the full CDFs at beta > 0 do hold such values
+        for b in betas[1:]:
+            cdf = normalised_cdf(grid_log_weights()(b))
+            assert np.any((cdf[1:] > 0.0) & (cdf[1:] < MIN_DRAW))
 
 
 class TestTableCache:
@@ -562,7 +611,8 @@ class TestTableCache:
 
         tables = k._cdf
         assert tables.betas == (0.2, 0.6, 1.0)
-        held = [np.unique(normalised_cdf(log_path_density(base, b, k.mids)))
+        held = [reference_table(normalised_cdf(
+                    log_path_density(base, b, k.mids)))[0]
                 for b in tables.betas]
         np.testing.assert_array_equal(tables._values, np.concatenate(held))
         nbytes = (tables._values.nbytes + tables._first.nbytes
@@ -587,8 +637,8 @@ class TestTableCache:
         tables = _InverseCdf(grid_log_weights())
         tables.cells((0.0, 0.06, 1.0), np.zeros((3, 1)))
         assert tables._guide.dtype == np.int32
-        starts = np.r_[0, np.cumsum([np.unique(normalised_cdf(
-            grid_log_weights()(b))).size for b in tables.betas])]
+        starts = np.r_[0, np.cumsum([reference_table(normalised_cdf(
+            grid_log_weights()(b)))[0].size for b in tables.betas])]
         np.testing.assert_array_equal(tables._guide[:, 0], starts[:-1])
         # every value but the last, 1.0, lies below 1
         np.testing.assert_array_equal(tables._guide[:, -1], starts[1:] - 1)
