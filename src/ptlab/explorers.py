@@ -14,7 +14,9 @@ total variation.  The i.i.d. reference sampler ignores beta.  The ideal
 explorers hold inverse-CDF tables for the betas of their last call only,
 and load a call's tables before they draw its uniforms; a lookup gives
 the same cells whatever the tables held, so one explorer object can serve
-many runs.
+many runs.  The tables are all they hold: the weights a load builds from
+live only for that load, and the grid explorer computes its cell edges
+from the grid formula.
 
 An explorer whose class sets ``renews = True`` promises two things: its
 output ignores the values of its input (only the shape is read), and it
@@ -152,6 +154,39 @@ def gibbs_schedule(n_updates, per_block):
     return tuple(blocks)
 
 
+def _gibbs_blocks(up, t, rngs, n_updates, per_block):
+    """Run `n_updates` site updates in blocks of `per_block`
+    (``gibbs_schedule``) on the site-major 0/1 rows ``up``, in place, with
+    the thresholds ``t`` (n, 5, 1, 1) and one stream per chain.  The block
+    buffers are freed on return."""
+    _, n, r = up.shape
+    up_b = up.view(bool)
+    u = np.empty((n, per_block, r), dtype=np.uint32)
+    codes = np.empty((n, per_block, r), dtype=np.int8)
+    at_least = np.empty((n, per_block, r), dtype=bool)
+    # a level's neighbours up, per slot: a level holds distinct,
+    # pairwise non-adjacent sites of one block, so at most 8
+    n_up = np.empty((min(N_SITES // 2, per_block), n, r), dtype=np.int8)
+    for start, stop, levels in gibbs_schedule(n_updates, per_block):
+        m = stop - start  # m * r is even: see IsingGibbsExplorer
+        for k, g in enumerate(rngs):
+            u[k, :m] = uint32_draws(g, m * r).reshape(m, r)
+        u_m, c, ge = u[:, :m], codes[:, :m], at_least[:, :m]
+        # level codes L(u) = #{j : T[j] <= u}
+        np.greater_equal(u_m, t[:, 0], out=c.view(bool))
+        for j in range(1, 5):
+            np.greater_equal(u_m, t[:, j], out=ge)
+            c += ge.view(np.int8)
+        c = c.transpose(1, 0, 2)  # by update, as the schedule's draws
+        for pairs, adds, writes in levels:
+            for slots, a, b in pairs:
+                np.add(up[a], up[b], out=n_up[slots])
+            for slots, a in adds:
+                n_up[slots] += up[a]
+            for slots, row, draw in writes:
+                np.greater_equal(n_up[slots], c[draw], out=up_b[row])
+
+
 class IsingGibbsExplorer:
     """Systematic-scan single-site Gibbs sweeps on the 4x4 torus.
 
@@ -188,7 +223,9 @@ class IsingGibbsExplorer:
     exactly when j >= L(u) = #{j : T[j] <= u}.  The block's level codes L
     are five compares of its draws, in int8 and chain-major like the
     draws, and a level's update is one compare of its neighbour counts
-    with its codes.
+    with its codes.  The block buffers (draws, codes, compares and one
+    neighbour count per slot of a level, at most min(8, block size)
+    slots) are freed before the pack-out.
     """
 
     def __init__(self, sweeps=3):
@@ -204,34 +241,11 @@ class IsingGibbsExplorer:
         up = np.empty((N_SITES, n, r), dtype=np.int8)  # 1 where x = +1
         np.right_shift(x, shifts, out=up, casting="unsafe")
         up &= 1
-        up_b = up.view(bool)
         n_updates = N_SITES * self.sweeps
         per_block = max(1, min(n_updates, DRAW_BUFFER_BYTES // (4 * n * r)))
         if r % 2:
             per_block = max(2, per_block - per_block % 2)
-        u = np.empty((n, per_block, r), dtype=np.uint32)
-        codes = np.empty((n, per_block, r), dtype=np.int8)
-        at_least = np.empty((n, per_block, r), dtype=bool)
-        # a level's neighbours up, per slot; a level has at most 8 sites
-        n_up = np.empty((N_SITES // 2, n, r), dtype=np.int8)
-        for start, stop, levels in gibbs_schedule(n_updates, per_block):
-            m = stop - start  # m * r is even: see the class docstring
-            for k, g in enumerate(rngs):
-                u[k, :m] = uint32_draws(g, m * r).reshape(m, r)
-            u_m, c, ge = u[:, :m], codes[:, :m], at_least[:, :m]
-            # level codes L(u) = #{j : T[j] <= u}
-            np.greater_equal(u_m, t[:, 0], out=c.view(bool))
-            for j in range(1, 5):
-                np.greater_equal(u_m, t[:, j], out=ge)
-                c += ge.view(np.int8)
-            c = c.transpose(1, 0, 2)  # by update, as the schedule's draws
-            for pairs, adds, writes in levels:
-                for slots, a, b in pairs:
-                    np.add(up[a], up[b], out=n_up[slots])
-                for slots, a in adds:
-                    n_up[slots] += up[a]
-                for slots, row, draw in writes:
-                    np.greater_equal(n_up[slots], c[draw], out=up_b[row])
+        _gibbs_blocks(up, t, rngs, n_updates, per_block)
         per_chunk = max(1, DRAW_BUFFER_BYTES // (2 * n * r))
         x = None
         for lo in range(0, N_SITES, per_chunk):
@@ -262,14 +276,17 @@ class _InverseCdf:
 
     ``cells(betas, u)`` returns ``np.searchsorted(cdf_k, u[k])`` for every
     chain k in one vectorized pass, where cdf_k is the normalised CDF of
-    exp(log_weights(betas[k])).  Every key in ``u`` (n, R) must lie in
-    {0} U [MIN_DRAW, 1), the values ``Generator.random`` returns; a key in
-    (0, MIN_DRAW) may get a wrong cell.  A beta's table holds the distinct
-    CDF values, the first cell of each (so a plateau of zero-weight cells
-    is one entry), less every entry after the first whose value lies in
-    (0, MIN_DRAW), which no such key can reach, and a guide of
-    GUIDE_SIZE + 1 entries, guide[j] = #(values < j / GUIDE_SIZE) (Chen &
-    Asau 1974; Devroye 1986, sec. III.2.4).  A key in guide slot
+    exp(w_k), and w_k the k-th array of ``log_weights(betas)``, an
+    iterator that yields one fresh float64 array per beta, in chain order.
+    A table is built in place in its array, which nothing else holds, and
+    the iterator is dropped when the load ends.  Every key in ``u`` (n, R)
+    must lie in {0} U [MIN_DRAW, 1), the values ``Generator.random``
+    returns; a key in (0, MIN_DRAW) may get a wrong cell.  A beta's table
+    holds the distinct CDF values, the first cell of each (so a plateau of
+    zero-weight cells is one entry), less every entry after the first
+    whose value lies in (0, MIN_DRAW), which no such key can reach, and a
+    guide of GUIDE_SIZE + 1 entries, guide[j] = #(values < j / GUIDE_SIZE)
+    (Chen & Asau 1974; Devroye 1986, sec. III.2.4).  A key in guide slot
     j = floor(u GUIDE_SIZE) has its answer in [guide[j], guide[j + 1]]; a
     bisection over the keys whose range is not empty finishes it.  The
     chains' tables are concatenated, and chain k's guide entries hold
@@ -289,9 +306,10 @@ class _InverseCdf:
         self.log_weights = log_weights
         self.betas = ()  # the betas whose tables are held, in chain order
 
-    def _build(self, beta, guide):
-        logw = self.log_weights(beta)
-        cdf = logw - logw.max()
+    @staticmethod
+    def _build(cdf, guide):
+        # cdf holds the log weights, and becomes the CDF in place
+        cdf -= cdf.max()
         # exp is slow on the cells far below the max and gives exactly 0
         # there, so it and the cumulative sum run from the first cell to
         # the last with log weight >= DEAD_LOG_WEIGHT; the CDF is 0 before
@@ -315,11 +333,14 @@ class _InverseCdf:
 
     def _load(self, betas):
         # drop the old tables before building, write each guide into its
-        # row of the joined guide, and drop the other arrays' parts as soon
-        # as they are joined, so that only one array is held twice
+        # row of the joined guide, and drop the weights as each table is
+        # built and the other arrays' parts as soon as they are joined, so
+        # that only one array is held twice
         self.betas, self._values, self._first, self._guide = (), None, None, None
         guide = np.empty((len(betas), GUIDE_SIZE + 1), dtype=np.int32)
-        values, first = zip(*[self._build(b, g) for b, g in zip(betas, guide)])
+        weights = self.log_weights(betas)
+        values, first = zip(*[self._build(next(weights), g) for g in guide])
+        del weights
         starts = np.cumsum([0] + [len(v) for v in values])
         if starts[-1] > MAX_TABLE_ENTRIES:
             raise ValueError("inverse-CDF tables too large for int32 lookup")
@@ -376,8 +397,8 @@ class IdealIsingExplorer:
     renews = True
 
     def __init__(self):
-        self._cdf = _InverseCdf(
-            lambda beta: beta * ising_bond_sums().astype(float))
+        self._cdf = _InverseCdf(lambda betas: (
+            b * ising_bond_sums().astype(float) for b in betas))
 
     def step(self, x, betas, rngs):
         self._cdf.prepare(betas)  # tables before draws
@@ -394,39 +415,60 @@ class IdealGridExplorer:
     narrowest length scale of the path).  Each replica draws its two
     uniforms together, the one that picks the cell, then the offset.
 
-    The model is evaluated on the cell midpoints once per explorer: the
-    reference term lr = log pi_0 and the energy V are kept, and the table
-    of each beta weighs the cells by lr at beta = 0 and lr - beta V
-    otherwise, which is ``log_path_density`` bit for bit.
+    Besides the model, the explorer holds only the grid's ``lo``, ``hi``
+    and ``n_cells`` and its tables.  Cell c spans [e(c), e(c + 1)], with
+    e(c) = c s + lo for c < n_cells, e(n_cells) = hi and spacing
+    s = (hi - lo) / n_cells: the float operations of
+    ``np.linspace(lo, hi, n_cells + 1)``, so e is its entries bit for
+    bit.  A draw in cell c with offset u is (e(c + 1) - e(c)) u + e(c).
+
+    The model is evaluated on the cell midpoints once per table load: the
+    reference term lr = log pi_0 and the energy V, and the table of each
+    beta weighs the cells by lr at beta = 0 and lr - beta V otherwise,
+    which is ``log_path_density`` bit for bit.  Both terms are dropped
+    when the load ends.
     """
 
     renews = True
 
     def __init__(self, model, lo, hi, n_cells=120_000):
         self.model = model
-        self.edges = np.linspace(lo, hi, n_cells + 1)
-        self.widths = np.diff(self.edges)
-        self._path_terms = None  # (lr, V) on the mids, from the first table
+        self.lo, self.hi, self.n_cells = float(lo), float(hi), int(n_cells)
+        self._spacing = (self.hi - self.lo) / self.n_cells
         self._cdf = _InverseCdf(self._log_weights)
+
+    def _edges(self, c):
+        """e(c), in place in ``c``, a float array of cell indices in
+        [0, n_cells]."""
+        at_hi = c == self.n_cells
+        c *= self._spacing
+        c += self.lo
+        c[at_hi] = self.hi
+        return c
 
     @property
     def mids(self):
         """The cell midpoints, computed on each read."""
-        return 0.5 * (self.edges[:-1] + self.edges[1:])
+        edges = self._edges(np.arange(self.n_cells + 1, dtype=float))
+        return 0.5 * (edges[:-1] + edges[1:])
 
-    def _log_weights(self, beta):
-        if not 0.0 <= beta <= 1.0:
+    def _log_weights(self, betas):
+        """One fresh array of cell log weights per beta of ``betas``."""
+        if not all(0.0 <= beta <= 1.0 for beta in betas):
             raise ValueError("beta must lie in [0, 1]")
-        if self._path_terms is None:
-            mids = self.mids
-            self._path_terms = (log_path_density(self.model, 0.0, mids),
-                                energy(self.model, mids))
-        lr, v = self._path_terms
-        if beta == 0.0:
-            return lr  # avoids 0 * inf at cells of zero target density
-        logw = beta * v
-        np.subtract(lr, logw, out=logw)
-        return logw
+        mids = self.mids
+        lr = log_path_density(self.model, 0.0, mids)
+        v = energy(self.model, mids)
+        del mids
+        for beta in betas:
+            if beta == 0.0:
+                # avoids 0 * inf at cells of zero target density
+                yield lr.copy()
+                continue
+            logw = beta * v
+            np.subtract(lr, logw, out=logw)
+            yield logw
+            del logw  # the table is built: hold its weights no longer
 
     def step(self, x, betas, rngs):
         self._cdf.prepare(betas)  # tables before draws
@@ -435,13 +477,13 @@ class IdealGridExplorer:
         u = np.empty((len(rngs), x.shape[1], 2))
         for k, g in enumerate(rngs):
             g.random(out=u[k])
-        # int32 cells, made intp once rather than in each take
-        cells = self._cdf.cells(betas, u[..., 0]).astype(np.intp)
-        # widths[c] is edges[c + 1] - edges[c] bit for bit
-        x = self.widths.take(cells)
+        left = self._cdf.cells(betas, u[..., 0]).astype(float)
+        x = self._edges(left + 1.0)  # c + 1 is exact in float
+        self._edges(left)
+        x -= left
         x *= u[..., 1]
         del u  # the draws go before the last temporary comes
-        x += self.edges.take(cells)
+        x += left
         return x
 
 

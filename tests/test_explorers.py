@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import reachable_arrays
+
 from ptlab import explorers
 from ptlab.core import AnnealingSchedule, TargetModel, log_path_density
 from ptlab.diagnostics import empirical_tv_discrete
@@ -409,17 +411,23 @@ def searchsorted_ising_step(x, betas, rngs):
         for b, g in zip(betas, rngs)])
 
 
-def searchsorted_grid_step(k, x, betas, rngs):
-    """Reference grid kernel: per chain, one g.random((R, 2)) call, each
-    replica's cell uniform and then its offset, and one np.searchsorted in
-    the chain's full CDF over the grid cells."""
-    u = np.stack([g.random((x.shape[1], 2)) for g in rngs])
-    cells = np.stack([
+def searchsorted_grid_cells(k, betas, u):
+    """Reference grid cells: per chain, one np.searchsorted of the cell
+    uniforms u[..., 0] in the chain's full CDF over the grid cells."""
+    return np.stack([
         np.searchsorted(normalised_cdf(log_path_density(k.model, b, k.mids)),
                         uc)
         for b, uc in zip(betas, u[..., 0])])
-    left = k.edges[cells]
-    width = k.edges[cells + 1] - left
+
+
+def searchsorted_grid_step(k, x, betas, rngs):
+    """Reference grid kernel: per chain, one g.random((R, 2)) call, each
+    replica's cell uniform and then its offset, and the reference cells."""
+    u = np.stack([g.random((x.shape[1], 2)) for g in rngs])
+    cells = searchsorted_grid_cells(k, betas, u)
+    edges = np.linspace(k.lo, k.hi, k.n_cells + 1)
+    left = edges[cells]
+    width = edges[cells + 1] - left
     return left + width * u[..., 1]
 
 
@@ -450,6 +458,13 @@ def searchsorted_cells(log_weights, betas, u):
 def grid_log_weights():
     mids = IdealGridExplorer(bimodal_pair(), lo=-600.0, hi=600.0).mids
     return lambda beta: log_path_density(bimodal_pair(), beta, mids)
+
+
+def per_load(log_weights):
+    """The tables' form of a per-beta weight function: for the betas of a
+    load, an iterator of one fresh copy of each beta's weights."""
+    return lambda betas: (np.array(log_weights(b), dtype=float)
+                          for b in betas)
 
 
 class TestInverseCdf:
@@ -498,7 +513,7 @@ class TestInverseCdf:
         u = np.stack([np.pad(k, (0, size - k.size)) for k in keys])
         u = np.minimum(u, np.nextafter(1.0, 0.0))
         np.testing.assert_array_equal(
-            _InverseCdf(log_weights).cells(betas, u),
+            _InverseCdf(per_load(log_weights)).cells(betas, u),
             searchsorted_cells(log_weights, betas, u))
 
     @pytest.mark.parametrize("log_w", [
@@ -515,7 +530,7 @@ class TestInverseCdf:
     def test_tables_skip_dead_cells_bit_for_bit(self, log_w):
         log_w = np.asarray(log_w)
         guide = np.empty(GUIDE_SIZE + 1, dtype=np.int32)
-        values, first = _InverseCdf(lambda beta: log_w)._build(1.0, guide)
+        values, first = _InverseCdf._build(log_w.copy(), guide)
         values_ref, first_ref = reference_table(normalised_cdf(log_w))
         np.testing.assert_array_equal(values.view(np.int64),
                                       values_ref.view(np.int64))
@@ -548,7 +563,7 @@ class TestInverseCdf:
             u[k, :ties.size] = ties
         betas = tuple(tables)
         np.testing.assert_array_equal(
-            _InverseCdf(tables.__getitem__).cells(betas, u),
+            _InverseCdf(per_load(tables.__getitem__)).cells(betas, u),
             searchsorted_cells(tables.__getitem__, betas, u))
 
     def test_random_returns_multiples_of_min_draw(self):
@@ -565,7 +580,7 @@ class TestInverseCdf:
 
     def test_tables_hold_no_unreachable_value_but_entry_0(self):
         betas = (0.0, 4e-4, 0.06, 1.0)
-        tables = _InverseCdf(grid_log_weights())
+        tables = _InverseCdf(per_load(grid_log_weights()))
         tables.prepare(betas)
         unreachable = (tables._values > 0.0) & (tables._values < MIN_DRAW)
         assert set(np.flatnonzero(unreachable)) <= set(tables._guide[:, 0])
@@ -590,9 +605,10 @@ class TestTableCache:
         built = []
         weights = k._cdf.log_weights
 
-        def counted(beta):
-            built.append(beta)
-            return weights(beta)
+        def counted(betas):
+            for beta, logw in zip(betas, weights(betas)):
+                built.append(beta)
+                yield logw
 
         k._cdf.log_weights = counted
 
@@ -606,8 +622,8 @@ class TestTableCache:
         assert built == [0.1, 0.5, 1.0]
         step([0.2, 0.6, 1.0])  # a new schedule rebuilds every table
         assert built == [0.1, 0.5, 1.0, 0.2, 0.6, 1.0]
-        # the model is evaluated on the mids once per explorer
-        assert evaluated == [k.mids.shape]
+        # the model is evaluated on the mids once per table load
+        assert evaluated == [k.mids.shape] * 2
 
         tables = k._cdf
         assert tables.betas == (0.2, 0.6, 1.0)
@@ -623,18 +639,44 @@ class TestTableCache:
     def test_weights_are_log_path_density_bit_for_bit(self, beta):
         model = bimodal_pair()
         k = IdealGridExplorer(model, lo=-600.0, hi=600.0)
+        [logw] = k._log_weights((beta,))
         np.testing.assert_array_equal(
-            k._log_weights(beta).view(np.int64),
+            logw.view(np.int64),
             log_path_density(model, beta, k.mids).view(np.int64))
 
     def test_weights_reject_beta_outside_the_path(self):
         k = IdealGridExplorer(bimodal_pair(), lo=-600.0, hi=600.0)
         for beta in (-0.1, 1.5, np.nan):
+            # the whole load is checked before its first weights
             with pytest.raises(ValueError, match="beta"):
-                k._log_weights(beta)
+                next(k._log_weights((0.5, beta)))
+
+    @pytest.mark.parametrize("explorer,expected", [
+        (lambda: IdealGridExplorer(bimodal_pair(), lo=-600.0, hi=600.0),
+         grid_log_weights()),
+        (IdealIsingExplorer, ising_log_weights),
+    ], ids=["grid", "ising"])
+    def test_weights_share_no_memory(self, explorer, expected):
+        # a table is built in place in its weights, so each must be fresh:
+        # apart from the others and from all the explorer holds, and
+        # unchanged by writes to the weights yielded before it
+        k = explorer()
+        betas = (0.0, 4e-4, 0.5, 1.0)
+        x = np.zeros((4, 10), dtype=np.uint16)
+        k.step(x, betas, [make_stream(16, c, 0) for c in range(4)])
+        held = [a for _, a in reachable_arrays(k)] + [ising_bond_sums()]
+        weights = []
+        for beta, logw in zip(betas, k._cdf.log_weights(betas)):
+            np.testing.assert_array_equal(logw.view(np.int64),
+                                          expected(beta).view(np.int64))
+            for other in weights + held:
+                assert not np.shares_memory(logw, other)
+            logw[:] = np.nan
+            weights.append(logw)
+        assert len(weights) == len(betas)
 
     def test_guide_holds_positions_in_the_joined_values(self):
-        tables = _InverseCdf(grid_log_weights())
+        tables = _InverseCdf(per_load(grid_log_weights()))
         tables.cells((0.0, 0.06, 1.0), np.zeros((3, 1)))
         assert tables._guide.dtype == np.int32
         starts = np.r_[0, np.cumsum([reference_table(normalised_cdf(
@@ -642,6 +684,58 @@ class TestTableCache:
         np.testing.assert_array_equal(tables._guide[:, 0], starts[:-1])
         # every value but the last, 1.0, lies below 1
         np.testing.assert_array_equal(tables._guide[:, -1], starts[1:] - 1)
+
+
+# the last two have n step + lo != hi, so that e(n_cells) = hi is checked
+GRIDS = [(-600.0, 600.0, 120_000), (-1.0, 2.0, 7), (-3e-3, 1e5, 999),
+         (-250.5, 123.25, 4097), (0.1, 1.0, 3), (-0.3, 0.9, 11)]
+
+
+class EdgeOffsets:
+    """A stream whose cell keys are its generator's and whose offsets
+    are all `offset`."""
+
+    def __init__(self, g, offset):
+        self.g, self.offset = g, offset
+
+    def random(self, out):
+        self.g.random(out=out)
+        out[..., 1] = self.offset
+
+
+class TestGridEdges:
+    # the explorer computes e(c) by linspace's float operations rather
+    # than holding np.linspace(lo, hi, n_cells + 1): check that they still
+    # agree, as numpy may change linspace
+
+    @pytest.mark.parametrize("lo,hi,n", GRIDS)
+    def test_edges_are_linspace_bit_for_bit(self, lo, hi, n):
+        k = IdealGridExplorer(bimodal_pair(), lo, hi, n)
+        np.testing.assert_array_equal(
+            k._edges(np.arange(n + 1, dtype=float)).view(np.int64),
+            np.linspace(lo, hi, n + 1).view(np.int64))
+
+    @pytest.mark.parametrize("offset", [None, 0.0, 1.0 - MIN_DRAW],
+                             ids=["random", "0", "max"])
+    @pytest.mark.parametrize("lo,hi,n", GRIDS)
+    def test_draws_lie_in_their_cells(self, lo, hi, n, offset):
+        k = IdealGridExplorer(bimodal_pair(), lo, hi, n)
+        betas = np.array([0.0, 4e-4, 0.5, 1.0])
+        x = np.zeros((4, 20_000))
+
+        def streams():
+            gs = [make_stream(17, c, 0) for c in range(4)]
+            return gs if offset is None else [EdgeOffsets(g, offset)
+                                              for g in gs]
+
+        drawn = k.step(x, betas, streams())
+        u = np.empty(x.shape + (2,))
+        for uk, g in zip(u, streams()):
+            g.random(out=uk)
+        cells = searchsorted_grid_cells(k, betas, u)
+        edges = np.linspace(lo, hi, n + 1)
+        assert np.all(edges[cells] <= drawn)
+        assert np.all(drawn <= edges[cells + 1])
 
 
 class TestGaussianPath:

@@ -6,12 +6,15 @@ deterministic.  Each bound sits between the peak before the change that
 lowered it (the first number in the test) and the peak after (the
 second): the swap record held as bits and each block's arrays dropped
 with their block, the inverse-CDF tables cut to the entries a uniform
-draw can reach, and the laplace far zone built in blocks.
+draw can reach, the grid explorer holding only its tables, the Gibbs
+block buffers sized to a level and freed before the pack-out, and the
+laplace far zone built in blocks.
 """
 
 import tracemalloc
 
 import numpy as np
+from conftest import reachable_arrays
 
 from ptlab.core import AnnealingSchedule
 from ptlab.engine import PTConfig, run_pt
@@ -39,7 +42,9 @@ def traced_peak(fn, *args):
 def test_bimodal_run_peak():
     # the last round of `tune --model bimodal --chains 13 --rounds 4`, on
     # a pinned doubling schedule: 17.84 MB with every distinct CDF value in
-    # the tables, 14.54 MB without those in (0, 2^-53), which no key reaches
+    # the tables, 14.54 MB without those in (0, 2^-53), which no key
+    # reaches, and 12.90 MB with the grid's edges, widths and path terms
+    # no longer held by the explorer
     model = bimodal_pair()
     explorer = IdealGridExplorer(model, lo=-600.0, hi=600.0)
     schedule = AnnealingSchedule(np.r_[0.0, 2.0 ** np.arange(-11, 1)])
@@ -47,12 +52,27 @@ def test_bimodal_run_peak():
                    record_energies=False)
     trace, peak = traced_peak(run_pt, cfg, model, explorer)
     assert trace.accept_bits.nbytes == 512 * 12 * 125
-    assert peak < 16.2
+    assert peak < 13.7
+
+
+def test_grid_explorer_holds_only_its_tables():
+    # cell edges come from the grid formula and the path terms live for one
+    # table load, so after a step only the tables are of the grid's size
+    explorer = IdealGridExplorer(bimodal_pair(), lo=-600.0, hi=600.0)
+    explorer.step(np.zeros((3, 10)), [0.0, 0.5, 1.0],
+                  [make_stream(4, c, 0) for c in range(3)])
+    tables = {id(a) for a in (explorer._cdf._values, explorer._cdf._first,
+                              explorer._cdf._guide)}
+    large = [path for path, a in reachable_arrays(explorer)
+             if a.size >= explorer.n_cells and id(a) not in tables]
+    assert large == []
 
 
 def test_gibbs_step_peak():
     # one 3-sweep call over ising-validate's 5 explored chains of 20,000
-    # replicas: 6.74 MB before, 5.02 MB after
+    # replicas: 6.74 MB before the level schedule, 5.02 MB after it, and
+    # 3.11 MB with one neighbour count per slot of a level and the block
+    # buffers freed before the pack-out
     n, r = 5, 20_000
     x = ising_model().sample_reference(make_stream(1, 0, 0), n * r)
     x = x.reshape(n, r)
@@ -62,7 +82,7 @@ def test_gibbs_step_peak():
     explorer.step(x[:, :16], betas, rngs)  # compile the level schedules
     out, peak = traced_peak(explorer.step, x, betas, rngs)
     assert out.shape == (n, r) and out.dtype == np.uint16
-    assert peak < 5.9
+    assert peak < 4.0
 
 
 def test_laplace_peak():
