@@ -406,6 +406,41 @@ class IdealIsingExplorer:
         return self._cdf.cells(betas, u).astype(np.uint16)
 
 
+def _grid_edges(c, lo, hi, n_cells):
+    """e(c) = c (hi - lo) / n_cells + lo, with e(n_cells) = hi, in place in
+    ``c``, a float array of cell indices in [0, n_cells]."""
+    at_hi = c == n_cells
+    c *= (hi - lo) / n_cells
+    c += lo
+    c[at_hi] = hi
+    return c
+
+
+def _grid_mids(lo, hi, n_cells):
+    """The cell midpoints of the grid."""
+    edges = _grid_edges(np.arange(n_cells + 1, dtype=float), lo, hi, n_cells)
+    return 0.5 * (edges[:-1] + edges[1:])
+
+
+def _grid_log_weights(model, lo, hi, n_cells, betas):
+    """One fresh array of cell log weights per beta of ``betas``."""
+    if not all(0.0 <= beta <= 1.0 for beta in betas):
+        raise ValueError("beta must lie in [0, 1]")
+    mids = _grid_mids(lo, hi, n_cells)
+    lr = log_path_density(model, 0.0, mids)
+    v = energy(model, mids)
+    del mids
+    for beta in betas:
+        if beta == 0.0:
+            # avoids 0 * inf at cells of zero target density
+            yield lr.copy()
+            continue
+        logw = beta * v
+        np.subtract(lr, logw, out=logw)
+        yield logw
+        del logw  # the table is built: hold its weights no longer
+
+
 class IdealGridExplorer:
     """Exact i.i.d. sampling from a one-dimensional pi_beta via a grid CDF.
 
@@ -434,41 +469,21 @@ class IdealGridExplorer:
     def __init__(self, model, lo, hi, n_cells=120_000):
         self.model = model
         self.lo, self.hi, self.n_cells = float(lo), float(hi), int(n_cells)
-        self._spacing = (self.hi - self.lo) / self.n_cells
-        self._cdf = _InverseCdf(self._log_weights)
+        # the tables' weights come from the model and the grid alone: a
+        # bound method would close a cycle through the explorer, and the
+        # tables would outlive the run until the cyclic collector ran
+        self._cdf = _InverseCdf(functools.partial(
+            _grid_log_weights, model, self.lo, self.hi, self.n_cells))
 
     def _edges(self, c):
         """e(c), in place in ``c``, a float array of cell indices in
         [0, n_cells]."""
-        at_hi = c == self.n_cells
-        c *= self._spacing
-        c += self.lo
-        c[at_hi] = self.hi
-        return c
+        return _grid_edges(c, self.lo, self.hi, self.n_cells)
 
     @property
     def mids(self):
         """The cell midpoints, computed on each read."""
-        edges = self._edges(np.arange(self.n_cells + 1, dtype=float))
-        return 0.5 * (edges[:-1] + edges[1:])
-
-    def _log_weights(self, betas):
-        """One fresh array of cell log weights per beta of ``betas``."""
-        if not all(0.0 <= beta <= 1.0 for beta in betas):
-            raise ValueError("beta must lie in [0, 1]")
-        mids = self.mids
-        lr = log_path_density(self.model, 0.0, mids)
-        v = energy(self.model, mids)
-        del mids
-        for beta in betas:
-            if beta == 0.0:
-                # avoids 0 * inf at cells of zero target density
-                yield lr.copy()
-                continue
-            logw = beta * v
-            np.subtract(lr, logw, out=logw)
-            yield logw
-            del logw  # the table is built: hold its weights no longer
+        return _grid_mids(self.lo, self.hi, self.n_cells)
 
     def step(self, x, betas, rngs):
         self._cdf.prepare(betas)  # tables before draws

@@ -21,6 +21,13 @@ serves every t, and F is evaluated once per call on it (the node shared
 by two far blocks twice).  Each t sums its panels out to its own
 truncation point, which does not depend on the steps, and its value does
 not depend on which other t share the call.
+
+The memory a call holds beyond a few numbers per t is bounded by the block
+constants, whatever the number of t, their truncation points or the tail
+budget: F is evaluated _PIECE nodes at a time, the far coefficients are
+held one block of (_BLOCK - 1) // 2 pairs at a time, and the near zone
+takes a chunk of t at a time.  A t whose far zone spans several blocks
+sums it block by block, so only its far sum is grouped by block.
 """
 
 import math
@@ -37,7 +44,8 @@ _GL4_TO_MONO = np.array([np.poly(np.delete(_GL4_X, i))[::-1]
 
 _NEAR_CAP = 0.125  # widest near-zone panel
 _FAR_STEP = 0.0625  # far-zone step; a power of 2, at most 1/8
-_BLOCK = 1 << 14  # nodes per evaluation of F, which bounds its temporaries
+_BLOCK = 1 << 14  # nodes per far block, which bounds its coefficients
+_PIECE = 1 << 12  # nodes per evaluation of F, which bounds its temporaries
 
 # Taylor coefficients in theta^2 of mu_m(theta) for |theta| < 1: mu_m is
 # sum_j (-1)^j theta^2j / (2j)! * 2/(m+2j+1) for even m, and
@@ -101,11 +109,11 @@ def _near_panel_edges(delta):
 
 
 def _g(x, lam, a, c):
-    """F(a+ix) - c/(a+ix) on the nodes x, evaluated _BLOCK nodes at a time."""
+    """F(a+ix) - c/(a+ix) on the nodes x, evaluated _PIECE nodes at a time."""
     out = np.empty(x.size, dtype=complex)
-    for s in range(0, x.size, _BLOCK):
-        z = a + 1j * x[s:s + _BLOCK]
-        out[s:s + _BLOCK] = eval_F(z, lam) - c / z
+    for s in range(0, x.size, _PIECE):
+        z = a + 1j * x[s:s + _PIECE]
+        out[s:s + _PIECE] = eval_F(z, lam) - c / z
     return out
 
 
@@ -154,6 +162,12 @@ def _bromwich(lam, t, a, tail_tol):
     The subtracted term c/(a+ix), c = 1 - e^{-lam}, carries the O(1/x)
     far-field of F, so the remainder decays like 1/x^2 and the truncation
     point R(t) can be chosen from the decay constant of |zF - c|.
+
+    Besides its output, a call holds one block of far coefficients, one
+    piece of F's temporaries, one near chunk's temporaries (about _PIECE / 2
+    panel terms) and three far sums per t.  Each t's far sums add one
+    product per block its far zone reaches, so only a t with more than
+    (_BLOCK - 1) // 2 far pairs has its far sum grouped by block.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     bad = ~(np.isfinite(t) & (t > 0))
@@ -186,12 +200,16 @@ def _bromwich(lam, t, a, tail_tol):
     # four nodes, quadratic through each far pair's nodes at u = -1, 0, 1
     coef_n = _GL4_TO_MONO @ _g(x_n, lam, a, c).reshape(-1, 4).T
     # far pair p has nodes 2p..2p+2 of the grid 2 + k _FAR_STEP; a block of
-    # m pairs has 2m + 1 nodes, one _BLOCK, the last shared with the next
-    coef_f = np.empty((3, n_pairs.max()), dtype=complex)
-    m = (_BLOCK - 1) // 2
-    for p0 in range(0, coef_f.shape[1], m):
-        c0, c1, c2 = coef_f[:, p0:p0 + m]
-        g = _g(2.0 + _FAR_STEP * np.arange(2 * p0, 2 * (p0 + c0.size) + 1),
+    # m pairs has 2m + 1 nodes, one _BLOCK, the last shared with the next.
+    # Each t adds the block's pairs it reaches to its three sums over
+    # coef_m e^{ixt}, so only one block of coefficients is held.
+    m, n_max = (_BLOCK - 1) // 2, n_pairs.max()
+    coef = np.empty((3, min(m, n_max)), dtype=complex)
+    acc = np.zeros((t.size, 3), dtype=complex)
+    for p0 in range(0, n_max, m):
+        size = min(m, n_max - p0)
+        c0, c1, c2 = coef[:, :size]
+        g = _g(2.0 + _FAR_STEP * np.arange(2 * p0, 2 * (p0 + size) + 1),
                lam, a, c)
         g_lo, g_mid, g_hi = g[:-1:2], g[1::2], g[2::2]
         # g_mid, (g_hi - g_lo) / 2 and (g_hi + g_lo) / 2 - g_mid, in place
@@ -201,18 +219,28 @@ def _bromwich(lam, t, a, tail_tol):
         np.add(g_hi, g_lo, out=c2)
         c2 *= 0.5
         c2 -= g_mid
+        del g, g_lo, g_mid, g_hi  # before the next block's values come
+        x0 = 2.0 + _FAR_STEP * (1 + 2 * p0)
+        for i in np.flatnonzero(n_pairs > p0):
+            n = min(n_pairs[i] - p0, size)
+            acc[i] += coef[:, :n] @ _phases(t[i], x0, 2.0 * _FAR_STEP, n)
+    del coef, c0, c1, c2
     # Filon: a panel of half-width h about x contributes
     # h e^{ixt} sum_m coef_m mu_m(h t).  All work on t is elementwise or a
-    # sum over that t's own panels, so no t depends on the others.
-    mu_n = _moments(half_n * t[:, None])
-    near = half_n * np.exp(1j * t[:, None] * mid_n) * sum(
-        coef_n[m] * mu_n[m] for m in range(4))
-    mu_f = _FAR_STEP * _moments(_FAR_STEP * t)[:3]
+    # sum over that t's own panels, so no t depends on the others.  The
+    # near zone and the far moments take a chunk of t at a time, of about
+    # _PIECE / 2 panel terms.
     out = np.empty(t.size)
-    for i, (ti, n) in enumerate(zip(t, n_pairs)):
-        phase = _phases(ti, 2.0 + _FAR_STEP, 2.0 * _FAR_STEP, n)
-        far = mu_f[:, i] @ (coef_f[:, :n] @ phase)
-        out[i] = (np.sum(near[i]) + far).real / np.pi
+    chunk = max(1, _PIECE // 2 // half_n.size)
+    for s in range(0, t.size, chunk):
+        ts = t[s:s + chunk]
+        mu_n = _moments(half_n * ts[:, None])
+        near = (half_n * np.exp(1j * ts[:, None] * mid_n) * sum(
+            coef_n[m] * mu_n[m] for m in range(4))).sum(axis=1)
+        del mu_n
+        mu_f = _FAR_STEP * _moments(_FAR_STEP * ts)[:3]
+        for i in range(ts.size):
+            out[s + i] = (near[i] + mu_f[:, i] @ acc[s + i]).real / np.pi
     return out
 
 

@@ -1,4 +1,5 @@
 import argparse
+import csv
 import dataclasses
 import hashlib
 import json
@@ -13,6 +14,7 @@ from ptlab.core import AnnealingSchedule
 from ptlab.engine import PTConfig, run_pt
 from ptlab.experiments import MODELS, gaussian_equal_rate_mu
 from ptlab.explorers import GaussianPathExplorer
+from ptlab.laplace import eval_F
 from ptlab.models import gaussian_shift_pair
 
 
@@ -499,6 +501,27 @@ class TestSubcommandOutputs:
         assert rc == 0
         summary = json.loads(out)
         assert abs(summary["table"]["1.0"]["C"] - 0.632) < 0.02
+
+    def test_laplace_fgrid(self, capsys, tmp_path):
+        # |F| on the 81 x 121 grid of [-3, 1] x [0, 12], at the first lam
+        rc, out, _ = run_cli(capsys, [
+            "laplace", "--lam", "2,4", "--fgrid", "--out", str(tmp_path)])
+        assert rc == 0
+        path = tmp_path / "f_magnitude_lam2.csv"
+        assert str(path) in json.loads(out)["files"]
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["re", "im", "abs_F"]
+        re, im, abs_f = np.array(rows[1:], dtype=float).T
+        assert re.size == 9801
+        np.testing.assert_array_equal(
+            re, np.tile(np.linspace(-3.0, 1.0, 81), 121))
+        np.testing.assert_array_equal(
+            im, np.repeat(np.linspace(0.0, 12.0, 121), 81))
+        z = re + 1j * im
+        z[z == 0] = 1e-9
+        np.testing.assert_array_equal(abs_f.view(np.int64),
+                                      np.abs(eval_F(z, 2.0)).view(np.int64))
 
 
 class ReadRecorder(argparse.Namespace):

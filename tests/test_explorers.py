@@ -639,7 +639,7 @@ class TestTableCache:
     def test_weights_are_log_path_density_bit_for_bit(self, beta):
         model = bimodal_pair()
         k = IdealGridExplorer(model, lo=-600.0, hi=600.0)
-        [logw] = k._log_weights((beta,))
+        [logw] = k._cdf.log_weights((beta,))
         np.testing.assert_array_equal(
             logw.view(np.int64),
             log_path_density(model, beta, k.mids).view(np.int64))
@@ -649,7 +649,7 @@ class TestTableCache:
         for beta in (-0.1, 1.5, np.nan):
             # the whole load is checked before its first weights
             with pytest.raises(ValueError, match="beta"):
-                next(k._log_weights((0.5, beta)))
+                next(k._cdf.log_weights((0.5, beta)))
 
     @pytest.mark.parametrize("explorer,expected", [
         (lambda: IdealGridExplorer(bimodal_pair(), lo=-600.0, hi=600.0),

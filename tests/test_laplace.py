@@ -10,6 +10,7 @@ from ptlab.bounds import nrpt_infinite_tail
 from ptlab.laplace import (
     _bromwich,
     _moments,
+    _phases,
     c_analytic_bound,
     d_real_axis,
     default_t_grid,
@@ -302,6 +303,32 @@ class TestSharedNodes:
         estimate_C(32.0, default_t_grid())
         z = np.concatenate(seen)
         assert np.unique(z).size == z.size < 10_000
+
+
+class TestFarBlocks:
+    """A t's far sums add one product per block of pairs its far zone
+    reaches, so the block size regroups only the sums of the t whose far
+    zone spans several blocks."""
+
+    @pytest.mark.parametrize("lam", [1.0, 2.0, 4.0])
+    def test_smaller_blocks_move_only_split_sums(self, monkeypatch, lam):
+        grid = default_t_grid()
+        curve = estimate_C(lam, grid)
+        phased = []
+
+        def counting_phases(t, x0, dx, n):
+            phased.append(t)
+            return _phases(t, x0, dx, n)
+
+        monkeypatch.setattr(laplace_mod, "_BLOCK", 1 << 10)
+        monkeypatch.setattr(laplace_mod, "_phases", counting_phases)
+        blocked = estimate_C(lam, grid)
+        np.testing.assert_allclose(blocked, curve, rtol=0, atol=1e-15)
+        # one block of phases per t whose far zone fits in one block
+        ts, blocks = np.unique(phased, return_counts=True)
+        one = np.isin(grid, ts[blocks == 1])
+        assert 0 < one.sum() < grid.size
+        np.testing.assert_array_equal(blocked[one], curve[one])
 
 
 class TestRoundTripConstant:

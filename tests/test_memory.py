@@ -7,17 +7,24 @@ lowered it (the first number in the test) and the peak after (the
 second): the swap record held as bits and each block's arrays dropped
 with their block, the inverse-CDF tables cut to the entries a uniform
 draw can reach, the grid explorer holding only its tables, the Gibbs
-block buffers sized to a level and freed before the pack-out, and the
-laplace far zone built in blocks.
+block buffers sized to a level and freed before the pack-out, the
+laplace far zone built in blocks, and the Bromwich inversion holding one
+block of far pairs and one chunk of t at a time.  One more test checks
+that no reference cycle keeps an explorer, and so its tables, alive.
 """
 
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
+import pytest
 from conftest import reachable_arrays
 
 from ptlab.core import AnnealingSchedule
 from ptlab.engine import PTConfig, run_pt
+from ptlab.bounds import nrpt_infinite_tail
+from ptlab.experiments import MODELS
 from ptlab.explorers import IdealGridExplorer, IsingGibbsExplorer
 from ptlab.laplace import estimate_C_sup
 from ptlab.models import bimodal_pair, ising_model
@@ -68,6 +75,23 @@ def test_grid_explorer_holds_only_its_tables():
     assert large == []
 
 
+@pytest.mark.parametrize("name", list(MODELS))
+def test_explorer_dies_with_its_last_reference(name):
+    # no reference cycle holds an explorer, so its tables go when its run
+    # drops it, not when the cyclic collector next runs
+    gc.disable()
+    try:
+        model, explorer = MODELS[name].build()
+        x = model.sample_reference(make_stream(5, 0, 0), 30).reshape(3, 10)
+        explorer.step(x, [0.0, 0.5, 1.0],
+                      [make_stream(6, c, 0) for c in range(3)])
+        ref = weakref.ref(explorer)
+        del explorer
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 def test_gibbs_step_peak():
     # one 3-sweep call over ising-validate's 5 explored chains of 20,000
     # replicas: 6.74 MB before the level schedule, 5.02 MB after it, and
@@ -88,7 +112,19 @@ def test_gibbs_step_peak():
 def test_laplace_peak():
     # C(1) over the default grid, whose far zone holds 74k pairs of nodes:
     # 9.89 MB with every far node and its coefficients' temporaries held at
-    # once, 6.52 MB with the coefficients filled block by block in place
+    # once, 6.52 MB with the coefficients filled block by block in place,
+    # and 1.22 MB with one block of coefficients and one chunk of t's near
+    # zone held at a time
     (sup, _, curve), peak = traced_peak(estimate_C_sup, 1.0)
     assert curve.shape == (200,) and abs(sup - 0.632) <= 0.02
-    assert peak < 8.0
+    assert peak < 2.0
+
+
+def test_laplace_many_t_peak():
+    # the exact NRPT tail at 10,001 t, as `bounds --scheme nrpt --tmax
+    # 10000` reads it: 99.51 MB with every t's near-zone terms and
+    # full-length far phases held at once, 1.99 MB with one chunk of t and
+    # one block of pairs at a time
+    tail, peak = traced_peak(nrpt_infinite_tail, 2.76, np.arange(10_001) / 6)
+    assert tail.shape == (10_001,) and tail[0] == 1.0
+    assert peak < 4.0
