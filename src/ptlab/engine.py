@@ -38,7 +38,7 @@ from .rng import make_stream
 NRPT = "nrpt"
 RPT = "rpt"
 
-BLOCK_BYTES = 1 << 20  # one block of iterations, counted at 8 bytes a state
+BLOCK_BYTES = 1 << 19  # one block of iterations, counted at 8 bytes a state
 
 
 @dataclass
@@ -251,7 +251,8 @@ def run_pt(config, model, explorer, init_states=None):
     (t - t0)*R + i being replica i at iteration t: one reference and one
     explorer call, one energy call, one swap round and one slot map.  All
     draws are made replica by replica (see ``rng``), so the trace does not
-    depend on b, which is max(1, BLOCK_BYTES // (8*(N+1)*R)).
+    depend on b, which is max(1, BLOCK_BYTES // (8*(N+1)*R)): BLOCK_BYTES
+    is 512 KiB, so b*(N+1)*R states take about 512 KiB of float64.
     """
     reference = IIDReferenceExplorer(model)
     betas = config.schedule.betas

@@ -289,11 +289,11 @@ class _InverseCdf:
     (Chen & Asau 1974; Devroye 1986, sec. III.2.4).  A key in guide slot
     j = floor(u GUIDE_SIZE) has its answer in [guide[j], guide[j + 1]]; a
     bisection over the keys whose range is not empty finishes it.  The
-    chains' tables are concatenated, and chain k's guide entries hold
-    positions in the joined values (offset by the start of its table when
-    the tables are loaded), in int32: the tables may hold at most
-    MAX_TABLE_ENTRIES values, so that the sum of two positions, a
-    bisection's midpoint, fits too.
+    chains' tables are concatenated, and the guides are built only then,
+    chain k's from its slice of the joined values; its entries hold
+    positions in the joined values (offset by the start of its table), in
+    int32: the tables may hold at most MAX_TABLE_ENTRIES values, so that
+    the sum of two positions, a bisection's midpoint, fits too.
 
     Only the tables of the last call's betas are held.  When the betas
     change, every table is rebuilt from the caller's exact beta.
@@ -307,7 +307,7 @@ class _InverseCdf:
         self.betas = ()  # the betas whose tables are held, in chain order
 
     @staticmethod
-    def _build(cdf, guide):
+    def _build(cdf):
         # cdf holds the log weights, and becomes the CDF in place
         cdf -= cdf.max()
         # exp is slow on the cells far below the max and gives exactly 0
@@ -325,21 +325,16 @@ class _InverseCdf:
         # entries between lie in (0, MIN_DRAW), below every positive key
         cut = max(1, np.searchsorted(cdf, MIN_DRAW))
         first = np.r_[0, cut + np.flatnonzero(cdf[cut:] != cdf[cut - 1:-1])]
-        values = cdf[first]
-        per_slot = np.bincount(_guide_slots(values), minlength=GUIDE_SIZE + 1)
-        guide[0] = 0
-        np.cumsum(per_slot[:GUIDE_SIZE], out=guide[1:])
-        return values, first.astype(np.int32)
+        return cdf[first], first.astype(np.int32)
 
     def _load(self, betas):
-        # drop the old tables before building, write each guide into its
-        # row of the joined guide, and drop the weights as each table is
-        # built and the other arrays' parts as soon as they are joined, so
-        # that only one array is held twice
+        # drop the old tables before building, drop the weights as each
+        # table is built and the other arrays' parts as soon as they are
+        # joined, so that only one array is held twice, and allocate the
+        # guide only after the joins, so that it is not held with them
         self.betas, self._values, self._first, self._guide = (), None, None, None
-        guide = np.empty((len(betas), GUIDE_SIZE + 1), dtype=np.int32)
         weights = self.log_weights(betas)
-        values, first = zip(*[self._build(next(weights), g) for g in guide])
+        values, first = zip(*[self._build(next(weights)) for _ in betas])
         del weights
         starts = np.cumsum([0] + [len(v) for v in values])
         if starts[-1] > MAX_TABLE_ENTRIES:
@@ -348,6 +343,12 @@ class _InverseCdf:
         del values
         self._first = np.concatenate(first)
         del first
+        guide = np.empty((len(betas), GUIDE_SIZE + 1), dtype=np.int32)
+        for g, a, b in zip(guide, starts[:-1], starts[1:]):
+            per_slot = np.bincount(_guide_slots(self._values[a:b]),
+                                   minlength=GUIDE_SIZE + 1)
+            g[0] = 0
+            np.cumsum(per_slot[:GUIDE_SIZE], out=g[1:])
         guide += starts[:-1, None].astype(np.int32)
         self._guide = guide
         self.betas = betas

@@ -194,11 +194,6 @@ def gaussian_shift_pair(mu=2.0):
     )
 
 
-def gaussian_shift_barrier(mu):
-    """Closed-form barrier for gaussian_shift_pair: mu / sqrt(pi)."""
-    return mu / np.sqrt(np.pi)
-
-
 def bimodal_pair():
     """Target 0.5 N(-100,1) + 0.5 N(100,1), reference N(0, 100^2 + 1).
 

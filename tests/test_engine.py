@@ -333,6 +333,36 @@ class TestRunPt:
                 np.testing.assert_array_equal(getattr(tr, field),
                                               getattr(traces[0], field))
 
+    @pytest.mark.parametrize("scheme", ["nrpt", "rpt"])
+    def test_trace_same_at_1_mib_and_512_kib_blocks(self, monkeypatch,
+                                                    scheme):
+        # 13 grid chains of 200 replicas: blocks of b = 50 iterations at
+        # 1 MiB and of b = 25 at 512 KiB, so T = 60 splits as 50 + 10 and
+        # as 25 + 25 + 10
+        class Counting(IdealGridExplorer):
+            widths = []
+
+            def step(self, x, betas, rngs):
+                self.widths.append(x.shape[1])
+                return super().step(x, betas, rngs)
+
+        n, r, t_iters = 12, 200, 60
+        model = bimodal_pair()
+        explorer = Counting(model, lo=-600.0, hi=600.0)
+        cfg = PTConfig(scheme, AnnealingSchedule.uniform(n), n_iters=t_iters,
+                       n_replicas=r, seed=9, record_energies=True,
+                       record_target_states=True)
+        traces = []
+        for budget in (1 << 20, 1 << 19):
+            monkeypatch.setattr(engine, "BLOCK_BYTES", budget)
+            traces.append(run_pt(cfg, model, explorer))
+        assert Counting.widths == [50 * r, 10 * r, 25 * r, 25 * r, 10 * r]
+        assert 0 < traces[0].accepts.mean() < 1
+        for field in ("accepts", "parities", "energies", "target_states",
+                      "final_states", "index"):
+            np.testing.assert_array_equal(getattr(traces[1], field),
+                                          getattr(traces[0], field))
+
     def test_model_without_reference_sampler_raises(self):
         model = gaussian_shift_pair(1.0)
         model = TargetModel(log_reference=model.log_reference,

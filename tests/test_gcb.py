@@ -17,7 +17,6 @@ from ptlab.gcb import (
     tune_schedule,
     tuning_rounds,
 )
-from ptlab.models import gaussian_shift_barrier
 
 
 class TestBarrierFn:
@@ -132,7 +131,11 @@ class TestDirectMc:
             return mu**2 / 2 - mu * x
 
         est = gcb_direct_mc(v_sampler, seed=0, n_beta=50, n_pairs=20_000)
-        exact = gaussian_shift_barrier(mu)
+        # the barrier integrates lambda(beta) = E|V - V'| / 2 over [0, 1];
+        # here V - V' = -mu (X - X') with X - X' ~ N(0, 2), whose mean
+        # absolute value is 2 / sqrt(pi), so lambda = mu / sqrt(pi) at
+        # every beta and the barrier is mu / sqrt(pi)
+        exact = mu / np.sqrt(np.pi)
         assert abs(est - exact) / exact < 0.02
 
 

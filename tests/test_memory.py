@@ -6,7 +6,8 @@ deterministic.  Each bound sits between the peak before the change that
 lowered it (the first number in the test) and the peak after (the
 second): the swap record held as bits and each block's arrays dropped
 with their block, the inverse-CDF tables cut to the entries a uniform
-draw can reach, the grid explorer holding only its tables, the Gibbs
+draw can reach, the grid explorer holding only its tables, the guides
+built after the tables are joined and blocks of 512 KiB, the Gibbs
 block buffers sized to a level and freed before the pack-out, the
 laplace far zone built in blocks, and the Bromwich inversion holding one
 block of far pairs and one chunk of t at a time.  One more test checks
@@ -50,8 +51,9 @@ def test_bimodal_run_peak():
     # the last round of `tune --model bimodal --chains 13 --rounds 4`, on
     # a pinned doubling schedule: 17.84 MB with every distinct CDF value in
     # the tables, 14.54 MB without those in (0, 2^-53), which no key
-    # reaches, and 12.90 MB with the grid's edges, widths and path terms
-    # no longer held by the explorer
+    # reaches, 12.90 MB with the grid's edges, widths and path terms no
+    # longer held by the explorer, and 10.44 MB with the guides built
+    # after the tables are joined and blocks of 512 KiB
     model = bimodal_pair()
     explorer = IdealGridExplorer(model, lo=-600.0, hi=600.0)
     schedule = AnnealingSchedule(np.r_[0.0, 2.0 ** np.arange(-11, 1)])
@@ -59,7 +61,17 @@ def test_bimodal_run_peak():
                    record_energies=False)
     trace, peak = traced_peak(run_pt, cfg, model, explorer)
     assert trace.accept_bits.nbytes == 512 * 12 * 125
-    assert peak < 13.7
+    assert peak < 11.5
+
+
+def test_table_load_peak():
+    # one load of the pinned schedule's 12 grid tables, beta = 2^-11 ... 1,
+    # 7.08 MB of tables: 10.96 MB with the guides allocated before the
+    # tables are built, 8.59 MB with them allocated after the joins
+    explorer = IdealGridExplorer(bimodal_pair(), lo=-600.0, hi=600.0)
+    betas, peak = traced_peak(explorer._cdf.prepare, 2.0 ** np.arange(-11, 1))
+    assert len(betas) == 12
+    assert peak < 9.5
 
 
 def test_grid_explorer_holds_only_its_tables():

@@ -12,7 +12,6 @@ from ptlab.models import (
     TORUS_EDGES,
     bimodal_pair,
     codes_from_spins,
-    gaussian_shift_barrier,
     gaussian_shift_pair,
     ising_bond_sums,
     ising_exact_distribution,
@@ -225,10 +224,6 @@ class TestIsingExactDistribution:
 
 
 class TestGaussianShiftPair:
-    def test_barrier_closed_form(self):
-        np.testing.assert_allclose(gaussian_shift_barrier(2.0),
-                                   2.0 / np.sqrt(np.pi), atol=1e-15)
-
     def test_reference_sampler_standard_normal(self):
         model = gaussian_shift_pair(2.0)
         x = model.sample_reference(make_stream(1, 0, 0), 100_000)
