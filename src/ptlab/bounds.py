@@ -22,6 +22,24 @@ from .engine import NRPT, RPT, _check_walk, _proposed
 from .laplace import _bromwich
 
 
+def _check_times(t):
+    """Times ``t`` as a float array, once every t is finite and
+    non-negative."""
+    t_arr = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(t_arr) & (t_arr >= 0)):
+        raise ValueError("t must be finite and non-negative")
+    return t_arr
+
+
+def _whole_times(t):
+    """Round counts ``t`` as an int64 array of at least one entry, once
+    every t is a finite, non-negative whole number."""
+    t_arr = np.atleast_1d(_check_times(t))
+    if np.any(t_arr % 1):
+        raise ValueError("t must be a whole number of rounds")
+    return t_arr.astype(np.int64)
+
+
 def hitting_tail(scheme, n, r, t):
     """Exact Pr(tau_N > t) for integer t (scalar or array).
 
@@ -33,9 +51,7 @@ def hitting_tail(scheme, n, r, t):
     applies the average of the two rounds.  Mass reaching slot N is
     counted and removed.  Cost O(t_max * N).
     """
-    t_arr = np.atleast_1d(np.asarray(t, dtype=np.int64))
-    if np.any(t_arr < 0):
-        raise ValueError("t must be non-negative")
+    t_arr = _whole_times(t)
     scheme, r = _check_walk(scheme, n, r)
     pairs = np.arange(n)
     accept = [np.where(_proposed(pairs, p), 1.0 - r, 0.0) for p in (0, 1)]
@@ -62,7 +78,7 @@ def tv_bound_finite(scheme, n, r, t):
 
     Equals the exact survival probability at t-1 (valid for t >= 1).
     """
-    t_arr = np.atleast_1d(np.asarray(t, dtype=np.int64))
+    t_arr = _whole_times(t)
     if np.any(t_arr < 1):
         raise ValueError("t must be >= 1")
     out = hitting_tail(scheme, n, r, t_arr - 1)
@@ -80,9 +96,7 @@ def coarse_bound(scheme, n, r, t):
     if np.ndim(r):
         raise ValueError("coarse_bound takes one common rejection rate r")
     scheme, _ = _check_walk(scheme, n, r)
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0):
-        raise ValueError("t must be non-negative")
+    t_arr = _check_times(t)
     if scheme == NRPT:
         base = 1.0 - (1.0 - r) ** (2 * n)
         block = 2 * n + 1
@@ -94,15 +108,12 @@ def coarse_bound(scheme, n, r, t):
 
 
 def _check_continuum(lam, t, lam_min=0.0):
-    """Times ``t`` as a float array, once Lambda is finite and at least
-    ``lam_min`` and every t is finite and non-negative."""
+    """Times ``t`` as a float array (``_check_times``), once Lambda is
+    finite and at least ``lam_min``."""
     if not lam_min <= lam < np.inf:
         raise ValueError(f"lam must be finite and >= {lam_min:g}, "
                          f"got {lam!r}")
-    t_arr = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(t_arr) & (t_arr >= 0)):
-        raise ValueError("t must be finite and non-negative")
-    return t_arr
+    return _check_times(t)
 
 
 def pdmp_loose_bound(lam, t):
@@ -153,9 +164,7 @@ def rpt_infinite_tail(t):
     Gaussian CDFs is used instead; the two agree to ~1e-9 in the crossover
     region.
     """
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(t_arr < 0):
-        raise ValueError("t must be non-negative")
+    t_arr = np.atleast_1d(_check_times(t))
     out = np.empty_like(t_arr)
     small = t_arr < 0.3
     if np.any(small):
@@ -179,7 +188,7 @@ def rpt_infinite_tail(t):
 
 def rpt_infinite_bound(t):
     """Closed-form dominating bound 2 exp(-pi^2 t / 8) (valid for t >= 1)."""
-    t_arr = np.asarray(t, dtype=float)
+    t_arr = _check_times(t)
     out = 2.0 * np.exp(-np.pi**2 * t_arr / 8.0)
     return out if np.ndim(t) else float(out)
 

@@ -38,6 +38,7 @@ from .diagnostics import (AD_LEVELS, asymptotic_variance,
 from .engine import (PTConfig, rejection_rates, restart_count, run_pt,
                      slot_direction)
 from .experiments import (
+    BURN_IN,
     MODELS,
     bimodal_clt_runs,
     finite_vs_infinite,
@@ -209,8 +210,6 @@ def cmd_gcb(args):
 
 
 def cmd_bounds(args):
-    if args.tmax < 0:
-        raise CliError(f"--tmax must be >= 0, got {args.tmax}")
     ts = np.arange(0, args.tmax + 1)
     exact = bounds_mod.hitting_tail(args.scheme, args.N, args.r, ts)
     coarse = bounds_mod.coarse_bound(args.scheme, args.N, args.r, ts)
@@ -248,8 +247,6 @@ def cmd_hitting(args):
     if not 0.0 <= args.tmin <= args.tmax < np.inf:
         raise CliError("need 0 <= --tmin <= --tmax < inf, got "
                        f"--tmin {args.tmin} --tmax {args.tmax}")
-    if args.points < 1:
-        raise CliError(f"--points must be >= 1, got {args.points}")
     t_grid = np.linspace(args.tmin, args.tmax, args.points)
     index_walk = lambda rng, size: walks_mod.sim_index_walk(
         args.process, args.N, args.r, rng, size)
@@ -434,7 +431,7 @@ def build_parser():
     p.add_argument("--replicas", type=_positive, default=1)
     p.add_argument("--schedule", default=None,
                    help="comma-separated schedule points")
-    p.add_argument("--burn-in", type=_burn_in, default=0.2)
+    p.add_argument("--burn-in", type=_burn_in, default=BURN_IN)
     _add_common(p, seed=True, out=True)
     p.set_defaults(func=cmd_sample)
 
@@ -451,7 +448,7 @@ def build_parser():
     p.add_argument("--chains", type=_chains, default=13)
     p.add_argument("--iters", type=_positive, default=256)
     p.add_argument("--replicas", type=_positive, default=5000)
-    p.add_argument("--burn-in", type=_burn_in, default=0.2)
+    p.add_argument("--burn-in", type=_burn_in, default=BURN_IN)
     _add_common(p, seed=True, out=False)
     p.set_defaults(func=cmd_gcb)
 
@@ -459,7 +456,7 @@ def build_parser():
     p.add_argument("--scheme", default="nrpt", choices=["nrpt", "rpt"])
     p.add_argument("--N", type=int, default=6)
     p.add_argument("--r", type=float, default=0.46)
-    p.add_argument("--tmax", type=int, default=25)
+    p.add_argument("--tmax", type=_at_least(0), default=25)
     _add_common(p, seed=False, out=True)
     p.set_defaults(func=cmd_bounds)
 
@@ -473,7 +470,7 @@ def build_parser():
     p.add_argument("--replicas", type=_replicates, default=100_000)
     p.add_argument("--tmin", type=float, default=1.0)
     p.add_argument("--tmax", type=float, default=200.0)
-    p.add_argument("--points", type=int, default=100)
+    p.add_argument("--points", type=_positive, default=100)
     _add_common(p, seed=True, out=True)
     p.set_defaults(func=cmd_hitting)
 
@@ -518,7 +515,7 @@ def build_parser():
 
     p = sub.add_parser("diagnose", help="diagnostics over an exported trace")
     p.add_argument("--trace", required=True, help="path to trace.csv")
-    p.add_argument("--burn-in", type=_burn_in, default=0.2)
+    p.add_argument("--burn-in", type=_burn_in, default=BURN_IN)
     _add_common(p, seed=False, out=False)
     p.set_defaults(func=cmd_diagnose)
 

@@ -7,7 +7,7 @@ import numpy as np
 from scipy.special import log_ndtr
 
 
-def lag1_energy_autocorr(v_trace, burn_in=0.2):
+def lag1_energy_autocorr(v_trace, burn_in):
     """Lag-one Pearson autocorrelation of an energy series.
 
     Under idealized exploration the energies renew i.i.d., so the value
@@ -75,7 +75,7 @@ AD_LEVELS = np.array([0.15, 0.10, 0.05, 0.025, 0.01])
 _AD_NORM_CRIT = np.array([0.561, 0.631, 0.752, 0.873, 1.035])
 
 
-def batch_mean_normality(standardized_stats, level=0.01):
+def batch_mean_normality(standardized_stats, level):
     """Anderson-Darling normality check of standardized run statistics.
 
     A^2 is computed against the normal with the sample mean and ddof=1

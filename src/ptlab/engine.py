@@ -74,9 +74,8 @@ class PTTrace:
     under NRPT); its last row gives the final direction.  T is read from
     ``accept_bits`` and R from ``parities``.  ``energies[t]`` holds
     end-of-iteration (post-swap) chain energies.  ``index`` (T+1, N+1, R)
-    is the slot of each machine, the rounds' slot maps replayed;
-    ``direction`` is +1 where that slot proposes an upward swap at the
-    round's parity, else -1.
+    is the slot of each machine, the rounds' slot maps replayed, and
+    ``slot_direction`` gives each machine's direction from it.
     """
 
     scheme: str
@@ -114,11 +113,6 @@ class PTTrace:
             index[t + 1] = update_index_process(
                 index[t], _unpack(self.accept_bits[t], self.n_replicas))
         return index
-
-    @property
-    def direction(self):
-        return slot_direction(self.index, self.parities[:, None, :],
-                              self.n_intervals)
 
 
 def slot_direction(index, parity, n_intervals):

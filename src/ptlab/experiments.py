@@ -3,6 +3,11 @@
 Most recipes return a plain dict of arrays/floats; bimodal_clt_runs returns
 an array, and tune and index_process_hitting_times tuples (see each
 docstring).  The CLI dumps results as JSON/CSV and tests assert on them.
+
+Each setting has one home.  The recipes take experiment sizes, seeds and
+levels explicitly, with the ``ptlab`` parser holding their defaults; the
+model builders below fix each model's kernel and grid, and ``BURN_IN`` is
+the lab's standard burn-in fraction.
 """
 
 from dataclasses import dataclass
@@ -35,6 +40,9 @@ from .rng import INIT, MAIN, TUNE, make_stream
 # ---------------------------------------------------------------------------
 
 
+BURN_IN = 0.2
+
+
 def _ising_gibbs():
     return ising_model(), IsingGibbsExplorer(sweeps=3)
 
@@ -43,9 +51,14 @@ def _ising_ideal():
     return ising_model(), IdealIsingExplorer()
 
 
+# the bimodal path's grid (lo, hi, n_cells): cells of width 0.01, far
+# narrower than the unit-width modes at -100 and 100
+BIMODAL_GRID = (-600.0, 600.0, 120_000)
+
+
 def _bimodal_grid():
     model = bimodal_pair()
-    return model, IdealGridExplorer(model, lo=-600.0, hi=600.0)
+    return model, IdealGridExplorer(model, *BIMODAL_GRID)
 
 
 @dataclass(frozen=True)
@@ -81,17 +94,18 @@ def _spec(name):
 
 
 def _swap_stats(model, explorer, schedule, n_iters, n_replicas, seed,
-                burn_in=0.2):
+                burn_in):
     cfg = PTConfig("nrpt", schedule, n_iters=n_iters, n_replicas=n_replicas,
                    seed=seed, record_energies=False)
     return rejection_rates(run_pt(cfg, model, explorer), burn_in=burn_in)
 
 
-def tune(name, n, rounds=None, seed=0):
+def tune(name, n, seed, rounds=None):
     """Equi-acceptance schedule for model `name` via budget-doubling rounds.
 
-    Round k runs on the streams keyed (seed, TUNE, k).  `rounds` defaults
-    to the model's own.  Returns (schedule, lambda_hat, BarrierFn) after
+    Round k runs on the streams keyed (seed, TUNE, k), and its rates skip
+    the first ``BURN_IN`` of its iterations.  `rounds` defaults to the
+    model's own.  Returns (schedule, lambda_hat, BarrierFn) after
     the final round.
     """
     spec = _spec(name)
@@ -99,14 +113,14 @@ def tune(name, n, rounds=None, seed=0):
 
     def run_fn(schedule, n_iters, k):
         return _swap_stats(model, explorer, schedule, n_iters,
-                           spec.tune_replicas, (seed, TUNE, k))
+                           spec.tune_replicas, (seed, TUNE, k), BURN_IN)
 
     return tuning_rounds(run_fn, n,
                          rounds=spec.rounds if rounds is None else rounds,
                          base_iters=spec.base_iters)
 
 
-def gcb(name, n, n_iters, n_replicas, burn_in, seed=0):
+def gcb(name, n, n_iters, n_replicas, burn_in, seed):
     """Barrier estimate for model `name` from a tuned equi-acceptance run.
 
     The main run draws from the streams keyed (seed, MAIN), apart from
@@ -131,14 +145,17 @@ def gcb(name, n, n_iters, n_replicas, burn_in, seed=0):
 # ---------------------------------------------------------------------------
 
 
-def ising_tv_experiment(n=5, n_iters=25, n_replicas=50_000, init="all-minus",
-                        explorer="gibbs", schedule=None, seed=0):
+def ising_tv_experiment(n, n_iters, n_replicas, init, explorer, seed,
+                        schedule=None):
     """The finite-chain TV validation on the 4x4 Ising target.
 
-    Runs `n_replicas` independent NRPT instances, compares the empirical
-    distribution of the target chain at every iteration to the exact
-    enumeration of the target, and reports the hitting-time TV bound
-    computed from the run's own mean rejection rate.
+    Runs `n_replicas` independent NRPT instances from `init` states
+    ("all-minus" or "random") under the `explorer` kernel ("gibbs" or
+    "ideal"), compares the empirical distribution of the target chain at
+    every iteration to the exact enumeration of the target, and reports
+    the hitting-time TV bound computed from the run's own mean rejection
+    rate, after a burn-in of ``BURN_IN``.  Without a `schedule`, one is
+    tuned with ``tune(model, n, seed)``.
     """
     names = {"gibbs": "ising", "ideal": "ising-ideal"}
     if explorer not in names:
@@ -158,7 +175,7 @@ def ising_tv_experiment(n=5, n_iters=25, n_replicas=50_000, init="all-minus",
                    seed=(seed, MAIN), record_energies=False,
                    record_target_states=True)
     trace = run_pt(cfg, model, kernel, init_states=init_states)
-    stats = rejection_rates(trace, burn_in=0.2)
+    stats = rejection_rates(trace, burn_in=BURN_IN)
     r_bar = float(np.mean(pair_rejections(stats)))
     exact = ising_exact_distribution(1.0)
     ts = np.arange(1, n_iters + 1)
@@ -188,7 +205,7 @@ def ising_tv_experiment(n=5, n_iters=25, n_replicas=50_000, init="all-minus",
 # ---------------------------------------------------------------------------
 
 
-def bimodal_clt_runs(n_runs=500, n=6, n_iters=2000, seed=0):
+def bimodal_clt_runs(n_runs, n, n_iters, seed):
     """Standardized batch-mean statistics of sign(x) on the target chain.
 
     Tunes an `n`-interval schedule with ``tune("bimodal", n, seed=seed)``,
@@ -222,7 +239,7 @@ def bimodal_clt_runs(n_runs=500, n=6, n_iters=2000, seed=0):
 # ---------------------------------------------------------------------------
 
 
-def finite_vs_infinite(lam=4.0, n_values=(10, 30, 100)):
+def finite_vs_infinite(lam, n_values):
     """Sup-distances of scaled finite-chain tails from their continuum limits.
 
     Non-reversible: exact tail at floor(t N) with r = lam/N versus the
@@ -269,7 +286,7 @@ def gaussian_equal_rate_mu(n, r):
     return -n * np.sqrt(2.0) * ndtri((1.0 - r) / 2.0)
 
 
-def index_process_hitting_times(scheme, n, r, n_replicas, n_iters, seed=0):
+def index_process_hitting_times(scheme, n, r, n_replicas, n_iters, seed):
     """First times the machine starting at the reference reaches the target
     slot, from a PT run with exact path samplers (idealized exploration).
 

@@ -228,7 +228,7 @@ class IsingGibbsExplorer:
     slots) are freed before the pack-out.
     """
 
-    def __init__(self, sweeps=3):
+    def __init__(self, sweeps):
         self.sweeps = sweeps
 
     def step(self, x, betas, rngs):
@@ -467,7 +467,7 @@ class IdealGridExplorer:
 
     renews = True
 
-    def __init__(self, model, lo, hi, n_cells=120_000):
+    def __init__(self, model, lo, hi, n_cells):
         self.model = model
         self.lo, self.hi, self.n_cells = float(lo), float(hi), int(n_cells)
         # the tables' weights come from the model and the grid alone: a
@@ -475,11 +475,6 @@ class IdealGridExplorer:
         # tables would outlive the run until the cyclic collector ran
         self._cdf = _InverseCdf(functools.partial(
             _grid_log_weights, model, self.lo, self.hi, self.n_cells))
-
-    def _edges(self, c):
-        """e(c), in place in ``c``, a float array of cell indices in
-        [0, n_cells]."""
-        return _grid_edges(c, self.lo, self.hi, self.n_cells)
 
     @property
     def mids(self):
@@ -494,8 +489,9 @@ class IdealGridExplorer:
         for k, g in enumerate(rngs):
             g.random(out=u[k])
         left = self._cdf.cells(betas, u[..., 0]).astype(float)
-        x = self._edges(left + 1.0)  # c + 1 is exact in float
-        self._edges(left)
+        grid = self.lo, self.hi, self.n_cells
+        x = _grid_edges(left + 1.0, *grid)  # c + 1 is exact in float
+        _grid_edges(left, *grid)
         x -= left
         x *= u[..., 1]
         del u  # the draws go before the last temporary comes
@@ -514,16 +510,3 @@ class GaussianPathExplorer:
     def step(self, x, betas, rngs):
         z = np.stack([g.standard_normal(x.shape[1]) for g in rngs])
         return np.asarray(betas, dtype=float)[:, None] * self.mu + z
-
-
-def lag1_independence_check(model, explorer, beta, rng, n_pairs=100_000):
-    """Empirical correlation between V(input) and V(output) over one step
-    from `n_pairs` reference draws.
-
-    Under idealized exploration the output energy is independent of the
-    input, so the correlation should vanish within Monte Carlo error.
-    """
-    x0 = model.sample_reference(rng, n_pairs)
-    x1 = explorer.step(x0[None], [beta], [rng])[0]
-    v0, v1 = energy(model, x0), energy(model, x1)
-    return float(np.corrcoef(v0, v1)[0, 1])

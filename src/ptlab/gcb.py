@@ -125,13 +125,15 @@ def tuning_rounds(run_fn, n, rounds, base_iters):
     return schedule, lam_hat, barrier
 
 
-def gcb_direct_mc(v_sampler, seed=0, n_beta=200, n_pairs=10_000):
+def gcb_direct_mc(v_sampler, seed, n_beta, n_pairs):
     """Monte Carlo quadrature of the defining barrier integral.
 
     Parameters
     ----------
     v_sampler : callable
         (beta, rng, size) -> energy draws V(X) with X ~ pi_beta.
+    seed : int
+        Node i draws both its samples from the stream keyed (seed, 0, i).
     n_beta : int
         Midpoint-rule nodes on [0, 1].
     n_pairs : int

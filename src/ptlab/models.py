@@ -22,22 +22,8 @@ N_STATES = 1 << N_SITES
 SIDE = 4
 
 
-def _torus_edges():
-    """The 32 (right, down) nearest-neighbour bonds of the 4x4 torus."""
-    edges = []
-    for i in range(SIDE):
-        for j in range(SIDE):
-            s = SIDE * i + j
-            edges.append((s, SIDE * i + (j + 1) % SIDE))
-            edges.append((s, SIDE * ((i + 1) % SIDE) + j))
-    return edges
-
-
-TORUS_EDGES = _torus_edges()
-
-
 def _site_neighbours():
-    """For each site, its 4 torus neighbours (left/right/up/down)."""
+    """For each site, its 4 torus neighbours: right, left, down, up."""
     nbrs = np.empty((N_SITES, 4), dtype=np.intp)
     for i in range(SIDE):
         for j in range(SIDE):
@@ -86,11 +72,13 @@ def ising_codes(x):
 
 
 def _all_bond_sums():
-    """sum_{i~j} x_i x_j for every one of the 65,536 states."""
+    """sum_{i~j} x_i x_j for every one of the 65,536 states, each of the
+    32 bonds counted once: from a site to its right and down neighbours."""
     spins = spins_from_codes(np.arange(N_STATES)).astype(np.int32)
     s = np.zeros(N_STATES, dtype=np.int32)
-    for a, b in TORUS_EDGES:
-        s += spins[:, a] * spins[:, b]
+    for a, bonded in enumerate(SITE_NEIGHBOURS[:, [0, 2]]):
+        for b in bonded:
+            s += spins[:, a] * spins[:, b]
     return s
 
 
@@ -168,7 +156,7 @@ def ising_model():
 # ---------------------------------------------------------------------------
 
 
-def gaussian_shift_pair(mu=2.0):
+def gaussian_shift_pair(mu):
     """Reference N(0,1), target N(mu,1).
 
     Along the linear path pi_beta = N(beta*mu, 1) exactly, and the barrier

@@ -181,6 +181,23 @@ class TestBadArguments:
         with pytest.raises(ValueError):
             coarse_bound(scheme, n, r, 7)
 
+    # times as the continuum bounds check them: finite and non-negative,
+    # and a whole number where t counts rounds (an int64 cast would floor)
+    @pytest.mark.parametrize("fn,t,needle", [
+        (rpt_infinite_tail, np.nan, "finite"),
+        (rpt_infinite_tail, np.inf, "finite"),
+        (rpt_infinite_bound, -1.0, "non-negative"),
+        (rpt_infinite_bound, np.nan, "finite"),
+        (lambda t: coarse_bound("nrpt", 5, 0.3, t), np.nan, "finite"),
+        (lambda t: hitting_tail("nrpt", 5, 0.3, t), 2.7, "whole number"),
+        (lambda t: hitting_tail("nrpt", 5, 0.3, t), [2, np.nan], "finite"),
+        (lambda t: tv_bound_finite("nrpt", 5, 0.3, t), 2.7, "whole number"),
+    ], ids=["rpt_tail-nan", "rpt_tail-inf", "rpt_bound-neg", "rpt_bound-nan",
+            "coarse-nan", "hitting-2.7", "hitting-nan", "tv-2.7"])
+    def test_bad_times_raise(self, fn, t, needle):
+        with pytest.raises(ValueError, match=needle):
+            fn(t)
+
 
 class TestHittingTailOracles:
     def test_single_interval_nonreversible(self):

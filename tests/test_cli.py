@@ -11,7 +11,7 @@ import pytest
 from ptlab.bounds import nrpt_infinite_tail
 from ptlab.cli import build_parser, export_run, main, read_trace_csv
 from ptlab.core import AnnealingSchedule
-from ptlab.engine import PTConfig, run_pt
+from ptlab.engine import PTConfig, run_pt, slot_direction
 from ptlab.experiments import MODELS, gaussian_equal_rate_mu
 from ptlab.explorers import GaussianPathExplorer
 from ptlab.laplace import eval_F
@@ -608,10 +608,12 @@ class TestExportRoundTrip:
         trace = run_pt(cfg, gaussian_shift_pair(mu), GaussianPathExplorer(mu))
         export_run(trace, str(tmp_path))
         cols = read_trace_csv(str(tmp_path / "trace.csv"))
+        direction = slot_direction(trace.index, trace.parities[:, None, :],
+                                   trace.n_intervals)
         for c in range(4):
             np.testing.assert_array_equal(cols[f"I{c}"], trace.index[1:, c, 0])
             np.testing.assert_array_equal(cols[f"eps{c}"],
-                                          trace.direction[1:, c, 0])
+                                          direction[1:, c, 0])
 
     @pytest.mark.parametrize("scheme", ["nrpt", "rpt"])
     @pytest.mark.parametrize("n_replicas", [1, 9])

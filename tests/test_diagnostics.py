@@ -41,7 +41,7 @@ class TestLag1Autocorr:
 
     def test_too_short_raises(self):
         with pytest.raises(ValueError):
-            lag1_energy_autocorr(np.arange(10.0))
+            lag1_energy_autocorr(np.arange(10.0), burn_in=0.2)
 
 
 class TestEmpiricalTv:
@@ -89,12 +89,12 @@ class TestAsymptoticVariance:
 class TestNormalityCheck:
     def test_normal_passes(self):
         z = make_stream(5, 0, 0).standard_normal(500)
-        passed, stat, crit = batch_mean_normality(z)
+        passed, stat, crit = batch_mean_normality(z, level=0.01)
         assert passed and stat < crit
 
     def test_exponential_fails(self):
         z = make_stream(6, 0, 0).exponential(1.0, size=500)
-        passed, _, _ = batch_mean_normality(z)
+        passed, _, _ = batch_mean_normality(z, level=0.01)
         assert not passed
 
     def test_matches_scipy_anderson(self):

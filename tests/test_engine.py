@@ -14,10 +14,11 @@ from ptlab.engine import (
     rejection_rates,
     restart_count,
     run_pt,
+    slot_direction,
     slot_map,
     update_index_process,
 )
-from ptlab.experiments import gaussian_equal_rate_mu
+from ptlab.experiments import BIMODAL_GRID, gaussian_equal_rate_mu
 from ptlab.explorers import (
     GaussianPathExplorer,
     IdealGridExplorer,
@@ -83,6 +84,13 @@ def _gaussian_run(scheme, n, r, n_iters, n_replicas, seed=0, **kw):
     return run_pt(cfg, model, GaussianPathExplorer(mu))
 
 
+def _direction(trace):
+    """Each machine's direction at every round, from its slot and the
+    round's parity."""
+    return slot_direction(trace.index, trace.parities[:, None, :],
+                          trace.n_intervals)
+
+
 class TestConfig:
     def test_bad_scheme(self):
         with pytest.raises(ValueError):
@@ -143,7 +151,8 @@ class TestIndexProcess:
         np.testing.assert_array_equal(
             tr.index[0], np.tile(np.arange(5)[:, None], (1, 3)))
         # at parity 0, even non-target slots propose upward
-        np.testing.assert_array_equal(tr.direction[0, :, 0], [1, -1, 1, -1, -1])
+        np.testing.assert_array_equal(_direction(tr)[0, :, 0],
+                                      [1, -1, 1, -1, -1])
 
     @pytest.mark.parametrize("scheme", ["nrpt", "rpt"])
     def test_index_is_permutation_each_iteration(self, scheme):
@@ -188,9 +197,9 @@ class TestIndexProcess:
             [0, 1, 2, 3, 4], [1, 0, 3, 2, 4], [1, 0, 4, 2, 3]])
         np.testing.assert_array_equal(tr.index[:, :, 1], [
             [0, 1, 2, 3, 4], [0, 2, 1, 4, 3], [1, 2, 0, 4, 3]])
-        np.testing.assert_array_equal(tr.direction[:, :, 0], [
+        np.testing.assert_array_equal(_direction(tr)[:, :, 0], [
             [1, -1, 1, -1, -1], [1, -1, 1, -1, -1], [-1, 1, -1, 1, -1]])
-        np.testing.assert_array_equal(tr.direction[:, :, 1], [
+        np.testing.assert_array_equal(_direction(tr)[:, :, 1], [
             [-1, 1, -1, 1, -1], [1, 1, -1, -1, -1], [1, -1, -1, -1, 1]])
 
     @pytest.mark.parametrize("scheme, n, r, n_iters", [
@@ -201,7 +210,7 @@ class TestIndexProcess:
         tr = _gaussian_run(scheme, n, 0.4, n_iters, r, seed=n)
         index, direction = _replay_by_direction(tr.accepts, tr.parities)
         np.testing.assert_array_equal(tr.index, index)
-        np.testing.assert_array_equal(tr.direction, direction)
+        np.testing.assert_array_equal(_direction(tr), direction)
 
     def test_rpt_parities_per_replica(self):
         tr = _gaussian_run("rpt", 2, 0.3, 10, 6)
@@ -314,7 +323,7 @@ class TestRunPt:
         n, r, t_iters = 4, 6, 23
         if problem == "grid":
             model = bimodal_pair()
-            explorer = IdealGridExplorer(model, lo=-600.0, hi=600.0)
+            explorer = IdealGridExplorer(model, *BIMODAL_GRID)
         elif problem == "ideal-ising":
             model, explorer = ising_model(), IdealIsingExplorer()
         else:
@@ -348,7 +357,7 @@ class TestRunPt:
 
         n, r, t_iters = 12, 200, 60
         model = bimodal_pair()
-        explorer = Counting(model, lo=-600.0, hi=600.0)
+        explorer = Counting(model, *BIMODAL_GRID)
         cfg = PTConfig(scheme, AnnealingSchedule.uniform(n), n_iters=t_iters,
                        n_replicas=r, seed=9, record_energies=True,
                        record_target_states=True)
@@ -436,7 +445,7 @@ class TestRunPt:
 
     def test_init_states_list_or_array(self):
         model = ising_model()
-        explorer = IsingGibbsExplorer()
+        explorer = IsingGibbsExplorer(sweeps=3)
         cfg = PTConfig("rpt", AnnealingSchedule.uniform(2), n_iters=5,
                        n_replicas=4, seed=2)
         init = model.sample_reference(make_stream(1, 0, 0), 12).reshape(3, 4)

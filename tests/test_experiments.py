@@ -44,6 +44,7 @@ class TestIsingExperimentSmallScale:
     def test_smoke_run_structure(self):
         schedule, lam_hat, _ = tune("ising", 3, rounds=1, seed=0)
         res = ising_tv_experiment(n=3, n_iters=6, n_replicas=2000,
+                                  init="all-minus", explorer="gibbs",
                                   schedule=schedule, seed=0)
         assert res["t"].size == 6
         assert np.all((res["tv"] >= 0) & (res["tv"] <= 1))
@@ -54,7 +55,8 @@ class TestIsingExperimentSmallScale:
         # one NRPT round proposes only the even pairs, so r_bar is undefined
         with pytest.raises(ValueError, match="missing pair statistics"):
             ising_tv_experiment(n=3, n_iters=1, n_replicas=10,
-                                schedule=AnnealingSchedule.uniform(3))
+                                init="all-minus", explorer="gibbs",
+                                schedule=AnnealingSchedule.uniform(3), seed=0)
 
 
 class TestStreamKeys:
@@ -63,9 +65,11 @@ class TestStreamKeys:
 
     EXPERIMENTS = {
         "ising-all-minus": lambda seed: ising_tv_experiment(
-            n=2, n_iters=4, n_replicas=50, seed=seed),
+            n=2, n_iters=4, n_replicas=50, init="all-minus",
+            explorer="gibbs", seed=seed),
         "ising-random": lambda seed: ising_tv_experiment(
-            n=2, n_iters=4, n_replicas=50, init="random", seed=seed),
+            n=2, n_iters=4, n_replicas=50, init="random", explorer="gibbs",
+            seed=seed),
         "gcb": lambda seed: gcb("ising", 2, 16, 50, 0.2, seed=seed),
         "bimodal-clt": lambda seed: bimodal_clt_runs(
             n_runs=4, n=2, n_iters=1000, seed=seed),

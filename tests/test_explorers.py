@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import reachable_arrays
 
 from ptlab import explorers
-from ptlab.core import AnnealingSchedule, TargetModel, log_path_density
+from ptlab.core import AnnealingSchedule, TargetModel, energy, log_path_density
 from ptlab.diagnostics import empirical_tv_discrete
 from ptlab.engine import PTConfig, run_pt
 from ptlab.explorers import (
@@ -24,12 +24,11 @@ from ptlab.explorers import (
     _InverseCdf,
     gibbs_schedule,
     gibbs_thresholds,
-    lag1_independence_check,
 )
+from ptlab.experiments import BIMODAL_GRID
 from ptlab.models import (
     N_SITES,
     SITE_NEIGHBOURS,
-    TORUS_EDGES,
     bimodal_pair,
     codes_from_spins,
     gaussian_shift_pair,
@@ -54,7 +53,7 @@ EXPLORERS = {
     "iid": (lambda: IIDReferenceExplorer(ising_model()), ising_states),
     "gibbs": (lambda: IsingGibbsExplorer(sweeps=1), ising_states),
     "ideal-ising": (IdealIsingExplorer, ising_states),
-    "grid": (lambda: IdealGridExplorer(bimodal_pair(), lo=-600.0, hi=600.0),
+    "grid": (lambda: IdealGridExplorer(bimodal_pair(), *BIMODAL_GRID),
              float_states),
     "gaussian": (lambda: GaussianPathExplorer(2.0), float_states),
 }
@@ -103,8 +102,9 @@ def test_renewing_step_splits_over_replicas(name):
                                                         axis=1))
 
 
-@pytest.mark.parametrize("model", [ising_model, bimodal_pair,
-                                   gaussian_shift_pair])
+@pytest.mark.parametrize("model", [
+    ising_model, bimodal_pair,
+    pytest.param(lambda: gaussian_shift_pair(2.0), id="gaussian_shift_pair")])
 def test_sample_reference_splits_over_replicas(model):
     sample = model().sample_reference
     whole = sample(make_stream(10, 0, 0), 19)
@@ -141,9 +141,13 @@ class TestIdealIsing:
         assert tv < 3 * floor
 
     def test_energy_renews(self):
-        model = ising_model()
-        rho = lag1_independence_check(model, IdealIsingExplorer(), 0.8,
-                                      make_stream(2, 0, 0), n_pairs=50_000)
+        # one step from reference draws: the output energy is independent
+        # of the input's, so their correlation vanishes within Monte Carlo
+        # error
+        model, rng = ising_model(), make_stream(2, 0, 0)
+        x0 = model.sample_reference(rng, 50_000)
+        x1 = IdealIsingExplorer().step(x0[None], [0.8], [rng])[0]
+        rho = np.corrcoef(energy(model, x0), energy(model, x1))[0, 1]
         assert abs(rho) < 3.0 / np.sqrt(50_000) * 1.5
 
 
@@ -266,12 +270,14 @@ class RasterScanGibbs:
 
 def spin_ising_model():
     """The Ising target on +-1 spins (..., 16), by the plain definitions:
-    the bond sum over the 32 TORUS_EDGES and rng.integers(0, 2) spins."""
+    the bond sum over the 32 bonds, each site to its right and down
+    neighbours, and rng.integers(0, 2) spins."""
     def log_reference(x):
         return np.full(x.shape[:-1], -N_SITES * np.log(2.0))
 
     def log_target_unnorm(x):
-        return sum(x[..., a].astype(float) * x[..., b] for a, b in TORUS_EDGES)
+        return sum(x[..., a].astype(float) * x[..., b]
+                   for a in range(N_SITES) for b in SITE_NEIGHBOURS[a, [0, 2]])
 
     def sample_reference(rng, size):
         return (2 * rng.integers(0, 2, size=(size, N_SITES)) - 1).astype(np.int8)
@@ -377,7 +383,7 @@ class TestGibbsSchedule:
 class TestIdealGrid:
     def test_bimodal_target_mode_balance(self):
         model = bimodal_pair()
-        k = IdealGridExplorer(model, lo=-600.0, hi=600.0)
+        k = IdealGridExplorer(model, *BIMODAL_GRID)
         x = k.step(np.zeros((1, 100_000)), [1.0], [make_stream(6, 0, 0)])[0]
         right = (x > 0).mean()
         assert abs(right - 0.5) < 0.01
@@ -386,7 +392,7 @@ class TestIdealGrid:
 
     def test_beta_zero_matches_reference_moments(self):
         model = bimodal_pair()
-        k = IdealGridExplorer(model, lo=-600.0, hi=600.0)
+        k = IdealGridExplorer(model, *BIMODAL_GRID)
         x = k.step(np.zeros((1, 100_000)), [0.0], [make_stream(7, 0, 0)])[0]
         assert abs(x.mean()) < 1.5
         assert abs(x.std() - np.sqrt(100.0**2 + 1)) < 1.0
@@ -456,7 +462,7 @@ def searchsorted_cells(log_weights, betas, u):
 
 
 def grid_log_weights():
-    mids = IdealGridExplorer(bimodal_pair(), lo=-600.0, hi=600.0).mids
+    mids = IdealGridExplorer(bimodal_pair(), *BIMODAL_GRID).mids
     return lambda beta: log_path_density(bimodal_pair(), beta, mids)
 
 
@@ -469,7 +475,7 @@ def per_load(log_weights):
 
 class TestInverseCdf:
     def test_grid_step_matches_searchsorted(self):
-        k = IdealGridExplorer(bimodal_pair(), lo=-600.0, hi=600.0)
+        k = IdealGridExplorer(bimodal_pair(), *BIMODAL_GRID)
         betas = np.array([0.0, 4e-4, 0.06, 1.0])
         x = np.zeros((4, 2000))
 
@@ -603,7 +609,7 @@ class TestTableCache:
             return base.log_target_unnorm(x)
 
         model = dataclasses.replace(base, log_target_unnorm=log_target)
-        k = IdealGridExplorer(model, lo=-600.0, hi=600.0)
+        k = IdealGridExplorer(model, *BIMODAL_GRID)
         # count builds per beta at the tables' weight function
         built = []
         weights = k._cdf.log_weights
@@ -641,21 +647,21 @@ class TestTableCache:
     @pytest.mark.parametrize("beta", [0.0, 5e-324, 4e-4, 0.06, 0.5, 1.0])
     def test_weights_are_log_path_density_bit_for_bit(self, beta):
         model = bimodal_pair()
-        k = IdealGridExplorer(model, lo=-600.0, hi=600.0)
+        k = IdealGridExplorer(model, *BIMODAL_GRID)
         [logw] = k._cdf.log_weights((beta,))
         np.testing.assert_array_equal(
             logw.view(np.int64),
             log_path_density(model, beta, k.mids).view(np.int64))
 
     def test_weights_reject_beta_outside_the_path(self):
-        k = IdealGridExplorer(bimodal_pair(), lo=-600.0, hi=600.0)
+        k = IdealGridExplorer(bimodal_pair(), *BIMODAL_GRID)
         for beta in (-0.1, 1.5, np.nan):
             # the whole load is checked before its first weights
             with pytest.raises(ValueError, match="beta"):
                 next(k._cdf.log_weights((0.5, beta)))
 
     @pytest.mark.parametrize("explorer,expected", [
-        (lambda: IdealGridExplorer(bimodal_pair(), lo=-600.0, hi=600.0),
+        (lambda: IdealGridExplorer(bimodal_pair(), *BIMODAL_GRID),
          grid_log_weights()),
         (IdealIsingExplorer, ising_log_weights),
     ], ids=["grid", "ising"])
@@ -690,7 +696,7 @@ class TestTableCache:
 
 
 # the last two have n step + lo != hi, so that e(n_cells) = hi is checked
-GRIDS = [(-600.0, 600.0, 120_000), (-1.0, 2.0, 7), (-3e-3, 1e5, 999),
+GRIDS = [BIMODAL_GRID, (-1.0, 2.0, 7), (-3e-3, 1e5, 999),
          (-250.5, 123.25, 4097), (0.1, 1.0, 3), (-0.3, 0.9, 11)]
 
 
@@ -713,10 +719,9 @@ class TestGridEdges:
 
     @pytest.mark.parametrize("lo,hi,n", GRIDS)
     def test_edges_are_linspace_bit_for_bit(self, lo, hi, n):
-        k = IdealGridExplorer(bimodal_pair(), lo, hi, n)
+        edges = explorers._grid_edges(np.arange(n + 1, dtype=float), lo, hi, n)
         np.testing.assert_array_equal(
-            k._edges(np.arange(n + 1, dtype=float)).view(np.int64),
-            np.linspace(lo, hi, n + 1).view(np.int64))
+            edges.view(np.int64), np.linspace(lo, hi, n + 1).view(np.int64))
 
     @pytest.mark.parametrize("offset", [None, 0.0, 1.0 - MIN_DRAW],
                              ids=["random", "0", "max"])

@@ -25,7 +25,7 @@ from conftest import reachable_arrays
 from ptlab.core import AnnealingSchedule
 from ptlab.engine import PTConfig, run_pt
 from ptlab.bounds import nrpt_infinite_tail
-from ptlab.experiments import MODELS
+from ptlab.experiments import BIMODAL_GRID, MODELS
 from ptlab.explorers import IdealGridExplorer, IsingGibbsExplorer
 from ptlab.laplace import estimate_C_sup
 from ptlab.models import bimodal_pair, ising_model
@@ -55,7 +55,7 @@ def test_bimodal_run_peak():
     # longer held by the explorer, and 10.44 MB with the guides built
     # after the tables are joined and blocks of 512 KiB
     model = bimodal_pair()
-    explorer = IdealGridExplorer(model, lo=-600.0, hi=600.0)
+    explorer = IdealGridExplorer(model, *BIMODAL_GRID)
     schedule = AnnealingSchedule(np.r_[0.0, 2.0 ** np.arange(-11, 1)])
     cfg = PTConfig("nrpt", schedule, n_iters=512, n_replicas=1000, seed=3,
                    record_energies=False)
@@ -68,7 +68,7 @@ def test_table_load_peak():
     # one load of the pinned schedule's 12 grid tables, beta = 2^-11 ... 1,
     # 7.08 MB of tables: 10.96 MB with the guides allocated before the
     # tables are built, 8.59 MB with them allocated after the joins
-    explorer = IdealGridExplorer(bimodal_pair(), lo=-600.0, hi=600.0)
+    explorer = IdealGridExplorer(bimodal_pair(), *BIMODAL_GRID)
     betas, peak = traced_peak(explorer._cdf.prepare, 2.0 ** np.arange(-11, 1))
     assert len(betas) == 12
     assert peak < 9.5
@@ -77,7 +77,7 @@ def test_table_load_peak():
 def test_grid_explorer_holds_only_its_tables():
     # cell edges come from the grid formula and the path terms live for one
     # table load, so after a step only the tables are of the grid's size
-    explorer = IdealGridExplorer(bimodal_pair(), lo=-600.0, hi=600.0)
+    explorer = IdealGridExplorer(bimodal_pair(), *BIMODAL_GRID)
     explorer.step(np.zeros((3, 10)), [0.0, 0.5, 1.0],
                   [make_stream(4, c, 0) for c in range(3)])
     tables = {id(a) for a in (explorer._cdf._values, explorer._cdf._first,
@@ -114,7 +114,7 @@ def test_gibbs_step_peak():
     x = x.reshape(n, r)
     betas = np.linspace(0.2, 1.0, n)
     rngs = [make_stream(2, c, 0) for c in range(n)]
-    explorer = IsingGibbsExplorer()
+    explorer = IsingGibbsExplorer(sweeps=3)
     explorer.step(x[:, :16], betas, rngs)  # compile the level schedules
     out, peak = traced_peak(explorer.step, x, betas, rngs)
     assert out.shape == (n, r) and out.dtype == np.uint16

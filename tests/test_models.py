@@ -8,8 +8,8 @@ from ptlab.core import energy
 from ptlab.experiments import _bimodal_grid
 from ptlab.models import (
     N_SITES,
+    SIDE,
     SITE_NEIGHBOURS,
-    TORUS_EDGES,
     bimodal_pair,
     codes_from_spins,
     gaussian_shift_pair,
@@ -21,10 +21,26 @@ from ptlab.models import (
 from ptlab.rng import make_stream
 
 
+def torus_bonds():
+    """The 32 bonds of the torus: each site to its right and down
+    neighbours, columns 0 and 2 of SITE_NEIGHBOURS."""
+    return [(a, int(b)) for a in range(N_SITES)
+            for b in SITE_NEIGHBOURS[a, [0, 2]]]
+
+
 class TestTorusGeometry:
     def test_edge_count(self):
-        # 4x4 periodic lattice: one right and one down bond per site
-        assert len(TORUS_EDGES) == 2 * N_SITES
+        # 4x4 periodic lattice: one right and one down bond per site, and
+        # no bond counted twice
+        bonds = torus_bonds()
+        assert len(bonds) == len({frozenset(e) for e in bonds}) == 2 * N_SITES
+
+    def test_right_and_down_of_each_lattice_site(self):
+        for i in range(SIDE):
+            for j in range(SIDE):
+                right, down = SITE_NEIGHBOURS[SIDE * i + j, [0, 2]]
+                assert right == SIDE * i + (j + 1) % SIDE
+                assert down == SIDE * ((i + 1) % SIDE) + j
 
     def test_each_site_has_four_neighbours(self):
         assert SITE_NEIGHBOURS.shape == (N_SITES, 4)
@@ -33,19 +49,24 @@ class TestTorusGeometry:
             assert i not in SITE_NEIGHBOURS[i]
 
     def test_neighbours_consistent_with_edges(self):
+        # a site is the left neighbour of its right one and the up neighbour
+        # of its down one, and the bonds give every site 4 neighbours
         from collections import Counter
 
+        for a in range(N_SITES):
+            right, _, down, _ = SITE_NEIGHBOURS[a]
+            assert SITE_NEIGHBOURS[right, 1] == a
+            assert SITE_NEIGHBOURS[down, 3] == a
         deg = Counter()
-        for a, b in TORUS_EDGES:
+        for a, b in torus_bonds():
             deg[a] += 1
             deg[b] += 1
-            assert b in SITE_NEIGHBOURS[a] and a in SITE_NEIGHBOURS[b]
         assert all(deg[i] == 4 for i in range(N_SITES))
 
 
 def gather_bond_sums(x):
     """Reference Ising bond sums: each site's right and down neighbours
-    gathered along the site axis, the 32 bonds of TORUS_EDGES summed in
+    gathered along the site axis, the 32 bonds of torus_bonds summed in
     int32."""
     x = np.asarray(x)
     right, down = SITE_NEIGHBOURS[:, 0], SITE_NEIGHBOURS[:, 2]
